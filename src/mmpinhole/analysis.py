@@ -16,9 +16,10 @@ and both appear below:
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -26,10 +27,10 @@ from scipy.ndimage import uniform_filter
 from scipy.spatial import cKDTree
 
 from .errors import ParameterError, UndefinedMetricError
-from .forward import ForwardModel, build_forward, config_fingerprint
-from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
-                       RotationSampling, SceneGrid, build_scene_grid,
-                       default_plane_sampling, default_radar_config)
+from .forward import ForwardModel, build_forward
+from .geometry import (MaskGeometry, RadarConfig, RotationSampling, SceneGrid,
+                       build_scene_grid, default_plane_sampling,
+                       default_radar_config)
 from .recon import ReconConfig, factorize, reconstruct
 
 GRAVITY_MPS2 = 9.81
@@ -125,7 +126,6 @@ def sar_baseline(kind: str, extent_m: float, radar: RadarConfig,
         raise ParameterError("kind must be 'circular' or 'linear'")
     d = np.linalg.norm(grid.points[None, :, :] - pos[:, None, :], axis=2)
     B = np.exp(2j * math.pi * 2.0 * d / radar.wavelength_m) / d ** 2
-    import hashlib
     token = f"sar|{kind}|{extent_m!r}|{positions}|{radar.wavelength_m!r}|" \
             f"{grid.range_m!r}|{grid.azimuth_deg.tolist()!r}|{grid.elevation_deg.tolist()!r}"
     fp = hashlib.sha256(token.encode()).hexdigest()[:16]
@@ -216,12 +216,11 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
     if len(values) == 0:
         raise ParameterError("sweep needs at least one value")
     rows: List[SweepRow] = []
-    from dataclasses import replace as dc_replace
     for value in values:
         field_value = int(value) if parameter == "blades" else value
         kwargs = {_SWEEP_FIELDS[parameter]: field_value}
         try:
-            mask = dc_replace(base_mask, **kwargs)
+            mask = replace(base_mask, **kwargs)
             if mask.blade_width_m > 2.0 * mask.blade_length_m:
                 raise ParameterError("blade width exceeds the swept diameter")
         except ParameterError as exc:

@@ -9,15 +9,17 @@ are degrees, lengths meters, attenuations dB.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import datetime
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import svdvals
 
 from . import __version__, container
 from .analysis import (metric_report, psf, rotational_power, rpm_to_rad_s,
@@ -29,8 +31,8 @@ from .forward import (DEFAULT_ROTATION_RPM, NoiseModel, build_forward,
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid, build_scene_grid,
                        default_plane_sampling, default_radar_config)
-from .recon import (ReconConfig, factorize, image_to_csv, image_to_pgm,
-                    reconstruct)
+from .recon import (ImageResult, ReconConfig, factorize, image_to_csv,
+                    image_to_pgm, reconstruct)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -215,7 +217,6 @@ def scene_vector(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _write_manifest(path, cfg: ExperimentConfig, extra: dict):
-    import datetime
     manifest = {
         "config_sha256": cfg.config_sha256,
         "seed": cfg.noise.seed,
@@ -226,15 +227,6 @@ def _write_manifest(path, cfg: ExperimentConfig, extra: dict):
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _truth_csv(path, cfg: ExperimentConfig, x: np.ndarray):
-    inten = np.abs(x).reshape(cfg.grid.shape)
-    with open(path, "w", newline="") as fh:
-        fh.write("azimuth_deg,elevation_deg,intensity\r\n")
-        for i, el in enumerate(cfg.grid.elevation_deg):
-            for j, az in enumerate(cfg.grid.azimuth_deg):
-                fh.write(f"{float(az)!r},{float(el)!r},{float(inten[i, j])!r}\r\n")
 
 
 def _read_reference_csv(path, grid: SceneGrid) -> np.ndarray:
@@ -271,7 +263,9 @@ def cmd_simulate(config_path, out_dir=None) -> int:
     if measured.y.size <= 4096:
         container.measurements_to_csv(os.path.join(out, "measurements.csv"),
                                       measured.y)
-    _truth_csv(os.path.join(out, "truth.csv"), cfg, x)
+    truth = ImageResult(intensity=np.abs(x).reshape(cfg.grid.shape),
+                        complex_amplitude=x, grid=cfg.grid)
+    image_to_csv(os.path.join(out, "truth.csv"), truth)
     _write_manifest(os.path.join(out, "manifest.json"), cfg,
                     {"command": "simulate", "fingerprint": model.fingerprint,
                      "noise_power": noise.noise_power})
@@ -297,13 +291,12 @@ def cmd_reconstruct(measurements_path, config_path, sigma_max=None,
         raise ShapeError("measurement length does not match the model")
     fact = factorize(model)
     ks = sigma_max if sigma_max is not None else [cfg.recon.sigma_max]
-    from dataclasses import replace as dc_replace
     ref_img = _read_reference_csv(reference, cfg.grid) if reference else None
     metric_rows = []
     for k in ks:
         if k is not None and not 1 <= int(k) <= fact.S.size:
             raise ConfigError(f"sigma_max {k} outside [1, {fact.S.size}]")
-        rcfg = dc_replace(cfg.recon, sigma_max=int(k) if k is not None else None)
+        rcfg = replace(cfg.recon, sigma_max=int(k) if k is not None else None)
         image = reconstruct(fact, y, rcfg)
         tag = f"_k{k}" if len(ks) > 1 else ""
         image_to_pgm(os.path.join(out, f"image{tag}.pgm"), image)
@@ -334,7 +327,6 @@ def cmd_analyze(subcommand, config_path, out_dir=None) -> int:
                            cfg.sampling, "bidirectional")
         uni = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
                             cfg.sampling, "unidirectional")
-        from scipy.linalg import svdvals
         s_bi = svdvals(bi.B)
         s_uni = svdvals(uni.B)
         with open(os.path.join(out, "svd.csv"), "w", newline="") as fh:

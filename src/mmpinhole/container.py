@@ -1,4 +1,4 @@
-"""Binary container for models, measurements and cached factorizations.
+"""Binary container for sensing matrices and measurement vectors.
 
 Layout (all integers little-endian):
 
@@ -6,19 +6,19 @@ Layout (all integers little-endian):
 offset size    field
 ====== ======= ====================================================
 0      8       magic ``b"MMPINH1\\0"``
-8      1       payload kind: 1 model, 2 measurements, 3 svd
+8      1       payload kind: 1 model, 2 measurements
 9      1       directionality: 0 unidirectional, 1 bidirectional
 10     2       reserved (zero)
 12     4       T (rows / measurement count), uint32
 16     4       N (scene points), uint32
-20     4       K (retained singular values, 0 unless kind=3), uint32
+20     4       reserved (zero)
 24     16      config fingerprint, ASCII hex
 40     ...     payload
 ====== ======= ====================================================
 
-Complex payloads are interleaved re/im float32 pairs; the singular-value
-block of an svd payload is plain float32.  Payload order: model ``B`` row
-major; measurements ``y``; svd ``U`` (T x K), ``S`` (K), ``V`` (N x K).
+The payload is interleaved re/im float32 pairs: the model ``B`` (T x N)
+row major, 8 T N bytes, or the measurements ``y`` (T), 8 T bytes.  A file
+whose payload length disagrees with its header raises ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 
 MAGIC = b"MMPINH1\x00"
-_KINDS = {"model": 1, "measurements": 2, "svd": 3}
+_KINDS = {"model": 1, "measurements": 2}
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
 _DIRS = {"unidirectional": 0, "bidirectional": 1}
 _DIR_NAMES = {v: k for k, v in _DIRS.items()}
@@ -51,8 +51,8 @@ def _complex_to_f32(arr: np.ndarray) -> bytes:
     return flat.astype("<f4", copy=False).tobytes()
 
 
-def _f32_to_complex(buf: bytes, count: int) -> np.ndarray:
-    flat = np.frombuffer(buf, dtype="<f4", count=2 * count)
+def _f32_to_complex(buf: bytes) -> np.ndarray:
+    flat = np.frombuffer(buf, dtype="<f4")
     return flat.view(np.complex64).astype(np.complex128)
 
 
@@ -69,20 +69,12 @@ def write_container(path, kind: str, *, fingerprint: str, directionality: str,
     if kind == "model":
         B = arrays["B"]
         T, N = B.shape
-        K = 0
         payload = _complex_to_f32(B)
-    elif kind == "measurements":
-        y = arrays["y"]
-        T, N, K = y.size, int(arrays.get("n_points", 0)), 0
-        payload = _complex_to_f32(y)
     else:
-        U, S, V = arrays["U"], arrays["S"], arrays["V"]
-        T, K = U.shape
-        N = V.shape[0]
-        payload = (_complex_to_f32(U)
-                   + np.asarray(S, dtype="<f4").tobytes()
-                   + _complex_to_f32(V))
-    header = _HEADER.pack(MAGIC, _KINDS[kind], _DIRS[directionality], 0, T, N, K, fp)
+        y = arrays["y"]
+        T, N = y.size, int(arrays.get("n_points", 0))
+        payload = _complex_to_f32(y)
+    header = _HEADER.pack(MAGIC, _KINDS[kind], _DIRS[directionality], 0, T, N, 0, fp)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
@@ -93,25 +85,22 @@ def read_container(path) -> ContainerPayload:
         raw = fh.read()
     if len(raw) < _HEADER.size or raw[:8] != MAGIC:
         raise ParameterError(f"{path} is not a recognized container file")
-    magic, kind_code, dir_code, _, T, N, K, fp = _HEADER.unpack_from(raw)
+    magic, kind_code, dir_code, _, T, N, _, fp = _HEADER.unpack_from(raw)
     body = raw[_HEADER.size:]
     kind = _KIND_NAMES.get(kind_code)
-    if kind is None:
-        raise ParameterError(f"unknown container kind code {kind_code}")
+    if kind is None or dir_code not in _DIR_NAMES:
+        raise ParameterError(f"unknown container kind or directionality code "
+                             f"({kind_code}, {dir_code})")
+    count = T * N if kind == "model" else T
+    if len(body) != 8 * count:
+        raise ShapeError(f"{path} holds {len(body)} payload bytes; its header "
+                         f"(T={T}, N={N}) needs {8 * count}")
     if kind == "model":
-        arrays = {"B": _f32_to_complex(body, T * N).reshape(T, N)}
-    elif kind == "measurements":
-        arrays = {"y": _f32_to_complex(body, T), "n_points": N}
+        arrays = {"B": _f32_to_complex(body).reshape(T, N)}
     else:
-        off = 0
-        U = _f32_to_complex(body[off:], T * K).reshape(T, K)
-        off += 8 * T * K
-        S = np.frombuffer(body[off:off + 4 * K], dtype="<f4").astype(float)
-        off += 4 * K
-        V = _f32_to_complex(body[off:], N * K).reshape(N, K)
-        arrays = {"U": U, "S": S, "V": V}
+        arrays = {"y": _f32_to_complex(body), "n_points": N}
     return ContainerPayload(kind=kind, directionality=_DIR_NAMES[dir_code],
-                            fingerprint=fp.decode(), arrays=arrays)
+                            fingerprint=fp.decode(errors="replace"), arrays=arrays)
 
 
 def measurements_to_csv(path, y: np.ndarray) -> None:
@@ -120,14 +109,3 @@ def measurements_to_csv(path, y: np.ndarray) -> None:
         fh.write("sample,re,im\r\n")
         for t, v in enumerate(np.asarray(y)):
             fh.write(f"{t},{float(v.real)!r},{float(v.imag)!r}\r\n")
-
-
-def model_to_csv(path, B: np.ndarray) -> None:
-    """Small-case CSV form of a sensing matrix."""
-    with open(path, "w", newline="") as fh:
-        fh.write("row,col,re,im\r\n")
-        T, N = B.shape
-        for t in range(T):
-            for j in range(N):
-                v = B[t, j]
-                fh.write(f"{t},{j},{float(v.real)!r},{float(v.imag)!r}\r\n")

@@ -85,8 +85,7 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                   rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
                   directionality: str = "bidirectional",
                   transmission: Optional[MaskTransmission] = None,
-                  pattern: Optional[AntennaPattern] = None,
-                  include_obliquity: bool = True) -> ForwardModel:
+                  pattern: Optional[AntennaPattern] = None) -> ForwardModel:
     """Assemble the sensing matrix for the configured mask mode.
 
     A custom transmission map overrides the mask mode when supplied (used
@@ -97,14 +96,12 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     if transmission is None:
         transmission = transmission_for(mask, rotation, plane_sampling)
     rx = assemble_oneway(radar, grid, mask, rotation, plane_sampling, "rx",
-                         transmission, pattern=pattern,
-                         include_obliquity=include_obliquity)
+                         transmission, pattern=pattern)
     if directionality == "unidirectional":
         B = rx.entries
     else:
         tx = assemble_oneway(radar, grid, mask, rotation, plane_sampling, "tx",
-                             transmission, pattern=pattern,
-                             include_obliquity=include_obliquity)
+                             transmission, pattern=pattern)
         B = tx.entries * rx.entries
     fp = config_fingerprint(radar, grid, mask, rotation, plane_sampling, directionality)
     return ForwardModel(B=B, fingerprint=fp, directionality=directionality, grid=grid)
@@ -162,6 +159,8 @@ def simulate(model: ForwardModel, x, noise: NoiseModel,
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (model.n_points,):
         raise ShapeError(f"x must have length {model.n_points}, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NumericError("scene vector x contains non-finite entries")
     y = model.B @ x
     if noise.noise_power > 0:
         y = y + noise.draw(y.size)

@@ -218,58 +218,52 @@ def effective_fov_deg(mask: MaskGeometry) -> float:
     return math.degrees(math.atan2(mask.blade_length_m, mask.plane_depth_m))
 
 
-def blade_footprint(mask: MaskGeometry, rotation_angle_rad: float):
-    """Predicate over mask-plane points covered by any blade.
+def blade_frames(mask: MaskGeometry, angles_rad, pts_xy):
+    """Yield each blade's (u, v) coordinates of mask-plane points.
 
-    The returned callable accepts an (M, 2) or (M, 3) array of mask-plane
-    coordinates and returns a boolean array.  Each blade is a rectangle of
-    width ``blade_width_m`` reaching from the rotation axis to
-    ``blade_length_m``; blades are spaced uniformly in angle.
+    ``u`` runs radially along the blade and ``v`` across it; both have shape
+    (len(angles), M).  Blades are spaced uniformly in angle, blade 0 at the
+    given rotation angle.
     """
-    if mask.blade_count not in (1, 2):
-        raise UnsupportedConfigurationError(
-            f"blade_count={mask.blade_count} unsupported (1 or 2 blades)")
-    if not 0.0 <= rotation_angle_rad < 2.0 * math.pi + 1e-12:
-        rotation_angle_rad = rotation_angle_rad % (2.0 * math.pi)
-    angles = rotation_angle_rad + 2.0 * math.pi * np.arange(mask.blade_count) / mask.blade_count
-
-    def covered(points):
-        pts = np.asarray(points, dtype=float)
-        x = pts[..., 0]
-        y = pts[..., 1]
-        hit = np.zeros(x.shape, dtype=bool)
-        for a in angles:
-            u = -x * math.sin(a) + y * math.cos(a)   # radial coordinate along blade
-            v = x * math.cos(a) + y * math.sin(a)    # transverse coordinate
-            hit |= (u >= 0.0) & (u <= mask.blade_length_m) & (np.abs(v) <= mask.blade_width_m / 2.0)
-        return hit
-
-    return covered
+    angles = np.asarray(angles_rad, dtype=float)
+    pts = np.asarray(pts_xy, dtype=float)
+    x = pts[None, :, 0]
+    y = pts[None, :, 1]
+    for b in range(mask.blade_count):
+        a = angles + 2.0 * math.pi * b / mask.blade_count
+        sin_a = np.sin(a)[:, None]
+        cos_a = np.cos(a)[:, None]
+        yield -x * sin_a + y * cos_a, x * cos_a + y * sin_a
 
 
 def footprint_mask_array(mask: MaskGeometry, angles_rad, plane_points_xy):
     """Boolean coverage array of shape (len(angles), M) for mask-plane points.
 
-    Vectorized form of :func:`blade_footprint` used by the transmission
-    builders; chunked over angles to bound memory.
+    Each blade is a rectangle of width ``blade_width_m`` reaching from the
+    rotation axis to ``blade_length_m``.
     """
-    if mask.blade_count not in (1, 2):
-        raise UnsupportedConfigurationError(
-            f"blade_count={mask.blade_count} unsupported (1 or 2 blades)")
-    angles = np.asarray(angles_rad, dtype=float)
-    pts = np.asarray(plane_points_xy, dtype=float)
-    x = pts[:, 0]
-    y = pts[:, 1]
-    out = np.zeros((angles.size, x.size), dtype=bool)
     half_w = mask.blade_width_m / 2.0
-    for b in range(mask.blade_count):
-        a = angles + 2.0 * math.pi * b / mask.blade_count
-        sin_a = np.sin(a)[:, None]
-        cos_a = np.cos(a)[:, None]
-        u = -x[None, :] * sin_a + y[None, :] * cos_a
-        v = x[None, :] * cos_a + y[None, :] * sin_a
+    out = np.zeros((np.size(angles_rad), len(plane_points_xy)), dtype=bool)
+    for u, v in blade_frames(mask, angles_rad, plane_points_xy):
         out |= (u >= 0.0) & (u <= mask.blade_length_m) & (np.abs(v) <= half_w)
     return out
+
+
+def blade_footprint(mask: MaskGeometry, rotation_angle_rad: float):
+    """Predicate over mask-plane points covered by any blade.
+
+    The returned callable accepts an (..., 2) or (..., 3) array of mask-plane
+    coordinates and returns a boolean array of the leading shape.
+    """
+    if not 0.0 <= rotation_angle_rad < 2.0 * math.pi + 1e-12:
+        rotation_angle_rad = rotation_angle_rad % (2.0 * math.pi)
+
+    def covered(points):
+        pts = np.asarray(points, dtype=float)
+        hit = footprint_mask_array(mask, [rotation_angle_rad], pts[..., :2].reshape(-1, 2))
+        return hit.reshape(pts.shape[:-1])
+
+    return covered
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .geometry import (MaskGeometry, MaskPlaneSampling, RotationSampling,
-                       footprint_mask_array)
+                       blade_frames, footprint_mask_array)
 
 _ANGLE_CHUNK = 128  # rotation positions per footprint chunk
 
@@ -36,7 +36,6 @@ class MaskTransmission:
     n_samples: int
     inside_amp: float = 1.0
     outside_amp: float = 0.0
-    base_attenuation_amp: float = 0.0
     footprint_indices: Optional[List[np.ndarray]] = field(default=None, repr=False)
     explicit_values: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -85,6 +84,18 @@ def _footprint_indices(mask: MaskGeometry, rotation: RotationSampling,
     return indices
 
 
+def _footprint_amplitudes(mask: MaskGeometry, mode: str = None):
+    """(mode, inside, outside) amplitudes of a "regular" or "inverse" mask.
+
+    A slot is open inside its footprint and the sheet around it leaks the
+    material transmission; a blocker leaks inside and is open around it.
+    ``mode`` defaults to the mask's configured mode.
+    """
+    mode = mode or ("regular" if mask.mode == "regular-pinhole" else "inverse")
+    leak = mask.base_attenuation_amp
+    return (mode, 1.0, leak) if mode == "regular" else (mode, leak, 1.0)
+
+
 def _footprint_coverage(mask: MaskGeometry, angles_rad, pts_xy,
                         half_width: float) -> np.ndarray:
     """Raised-cosine edge coverage in [0, 1] per (angle, sample).
@@ -92,16 +103,8 @@ def _footprint_coverage(mask: MaskGeometry, angles_rad, pts_xy,
     Coverage follows a half-cosine ramp over +-half_width of signed distance
     to the blade rectangle boundary (1 deep inside, 0 well outside).
     """
-    x = pts_xy[:, 0]
-    y = pts_xy[:, 1]
-    angles = np.asarray(angles_rad, dtype=float)
-    cov = np.zeros((angles.size, x.size))
-    for b in range(mask.blade_count):
-        a = angles + 2.0 * math.pi * b / mask.blade_count
-        sin_a = np.sin(a)[:, None]
-        cos_a = np.cos(a)[:, None]
-        u = -x[None, :] * sin_a + y[None, :] * cos_a
-        v = x[None, :] * cos_a + y[None, :] * sin_a
+    cov = np.zeros((np.size(angles_rad), len(pts_xy)))
+    for u, v in blade_frames(mask, angles_rad, pts_xy):
         du = np.maximum(-u, u - mask.blade_length_m)
         dv = np.abs(v) - mask.blade_width_m / 2.0
         sd = np.maximum(du, dv)  # signed distance, negative inside
@@ -120,18 +123,25 @@ def soft_edge_transmission(mask: MaskGeometry, rotation: RotationSampling,
     materialized densely, so prefer reduced configurations.  The default
     hard-edged builders remain the reproducible reference.
     """
-    mode = mode or ("regular" if mask.mode == "regular-pinhole" else "inverse")
+    mode, inside, outside = _footprint_amplitudes(mask, mode)
     half_width = plane_sampling.spacing_m / 2.0
     cov = _footprint_coverage(mask, rotation.angles_rad,
                               plane_sampling.samples[:, :2], half_width)
-    if mode == "regular":
-        inside, outside = 1.0, mask.base_attenuation_amp
-    else:
-        inside, outside = mask.base_attenuation_amp, 1.0
     values = outside + (inside - outside) * cov
-    out = MaskTransmission.from_values(values, mode=f"{mode}-soft")
-    object.__setattr__(out, "base_attenuation_amp", mask.base_attenuation_amp)
-    return out
+    return MaskTransmission.from_values(values, mode=f"{mode}-soft")
+
+
+def _hard_edge(mask: MaskGeometry, rotation: RotationSampling,
+               plane_sampling: MaskPlaneSampling, mode: str = None) -> MaskTransmission:
+    mode, inside, outside = _footprint_amplitudes(mask, mode)
+    return MaskTransmission(
+        mode=mode,
+        n_positions=rotation.count,
+        n_samples=plane_sampling.n_samples,
+        inside_amp=inside,
+        outside_amp=outside,
+        footprint_indices=_footprint_indices(mask, rotation, plane_sampling),
+    )
 
 
 def regular_pinhole(mask: MaskGeometry, rotation: RotationSampling,
@@ -141,29 +151,13 @@ def regular_pinhole(mask: MaskGeometry, rotation: RotationSampling,
     Outside the footprint the sheet transmits the material leakage
     ``10^(-attenuation_db/20)``, which is 0 for the default ideal blocker.
     """
-    return MaskTransmission(
-        mode="regular",
-        n_positions=rotation.count,
-        n_samples=plane_sampling.n_samples,
-        inside_amp=1.0,
-        outside_amp=mask.base_attenuation_amp,
-        base_attenuation_amp=mask.base_attenuation_amp,
-        footprint_indices=_footprint_indices(mask, rotation, plane_sampling),
-    )
+    return _hard_edge(mask, rotation, plane_sampling, "regular")
 
 
 def inverse_pinhole(mask: MaskGeometry, rotation: RotationSampling,
                     plane_sampling: MaskPlaneSampling) -> MaskTransmission:
     """Transmission of a rotating blocker: open everywhere except the blade."""
-    return MaskTransmission(
-        mode="inverse",
-        n_positions=rotation.count,
-        n_samples=plane_sampling.n_samples,
-        inside_amp=mask.base_attenuation_amp,
-        outside_amp=1.0,
-        base_attenuation_amp=mask.base_attenuation_amp,
-        footprint_indices=_footprint_indices(mask, rotation, plane_sampling),
-    )
+    return _hard_edge(mask, rotation, plane_sampling, "inverse")
 
 
 def open_mask(rotation: RotationSampling,
@@ -176,7 +170,6 @@ def open_mask(rotation: RotationSampling,
         n_samples=plane_sampling.n_samples,
         inside_amp=1.0,
         outside_amp=1.0,
-        base_attenuation_amp=1.0,
         footprint_indices=[np.empty(0, dtype=int)] * T,
     )
 
@@ -184,9 +177,7 @@ def open_mask(rotation: RotationSampling,
 def transmission_for(mask: MaskGeometry, rotation: RotationSampling,
                      plane_sampling: MaskPlaneSampling) -> MaskTransmission:
     """Transmission matching the mask's configured mode."""
-    if mask.mode == "regular-pinhole":
-        return regular_pinhole(mask, rotation, plane_sampling)
-    return inverse_pinhole(mask, rotation, plane_sampling)
+    return _hard_edge(mask, rotation, plane_sampling)
 
 
 def null_signature(model, target_index: int) -> np.ndarray:

@@ -23,6 +23,13 @@ from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
 _SCENE_CHUNK = 64  # scene columns per assembly chunk, bounds transient memory
 
 
+def _spherical(d, wavelength_m: float, singular_msg: str):
+    """Spherical wave exp(i 2 pi d / lambda) / d over distances ``d``."""
+    if np.any(d == 0.0):
+        raise SingularityError(singular_msg)
+    return np.exp(2j * math.pi * d / wavelength_m) / d
+
+
 def greens(p, q, wavelength_m: float) -> complex:
     """Free-space spherical wave factor (1/d) * exp(i 2 pi d / lambda).
 
@@ -32,9 +39,7 @@ def greens(p, q, wavelength_m: float) -> complex:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = np.linalg.norm(p - q, axis=-1)
-    if np.any(d == 0.0):
-        raise SingularityError("greens is singular for coincident points")
-    out = np.exp(2j * math.pi * d / wavelength_m) / d
+    out = _spherical(d, wavelength_m, "greens is singular for coincident points")
     if out.ndim == 0:
         return complex(out)
     return out
@@ -52,10 +57,8 @@ def rs_weight(source, dest, plane_normal, wavelength_m: float):
     n = n / np.linalg.norm(n)
     diff = dest - source
     d = np.linalg.norm(diff, axis=-1)
-    if np.any(d == 0.0):
-        raise SingularityError("rs_weight is singular for coincident points")
+    g = _spherical(d, wavelength_m, "rs_weight is singular for coincident points")
     cos_chi = (diff @ n) / d
-    g = np.exp(2j * math.pi * d / wavelength_m) / d
     out = (1.0 / (1j * wavelength_m)) * cos_chi * g
     if out.ndim == 0:
         return complex(out)
@@ -164,32 +167,26 @@ class PropagationMatrix:
         return self.entries.shape
 
 
-def _antenna_to_plane(radar: RadarConfig, antenna_pos, plane_pts, pattern,
-                      include_obliquity):
+def _antenna_to_plane(radar: RadarConfig, antenna_pos, plane_pts, pattern):
     """Per-cell illumination: pattern * greens from the antenna to each cell."""
     diff = plane_pts - antenna_pos[None, :]
     d = np.linalg.norm(diff, axis=1)
-    if np.any(d == 0.0):
-        raise SingularityError("antenna lies on the mask plane sample lattice")
-    g = np.exp(2j * math.pi * d / radar.wavelength_m) / d
+    g = _spherical(d, radar.wavelength_m, "antenna lies on the mask plane sample lattice")
     w = pattern_weight(pattern, diff / d[:, None])
     return w * g
 
 
-def _plane_to_scene_chunk(plane_pts, scene_pts, wavelength_m, include_obliquity):
+def _plane_to_scene_chunk(plane_pts, scene_pts, wavelength_m):
     """Rayleigh-Sommerfeld factors from every cell to a chunk of scene points."""
     # squared distances via the dot-product expansion to avoid an (M, N, 3) temp
     d2 = (np.sum(plane_pts ** 2, axis=1)[:, None]
           + np.sum(scene_pts ** 2, axis=1)[None, :]
           - 2.0 * plane_pts @ scene_pts.T)
     d = np.sqrt(np.maximum(d2, 0.0))
-    if np.any(d == 0.0):
-        raise SingularityError("scene point coincides with a mask-plane sample")
-    out = np.exp(2j * math.pi * d / wavelength_m) / d
-    if include_obliquity:
-        # obliquity cosine for the +z plane normal: (z_scene - z_plane) / d
-        dz = scene_pts[None, :, 2] - plane_pts[:, None, 2]
-        out *= dz / d
+    out = _spherical(d, wavelength_m, "scene point coincides with a mask-plane sample")
+    # obliquity cosine for the +z plane normal: (z_scene - z_plane) / d
+    dz = scene_pts[None, :, 2] - plane_pts[:, None, 2]
+    out *= dz / d
     out *= 1.0 / (1j * wavelength_m)
     return out
 
@@ -197,8 +194,7 @@ def _plane_to_scene_chunk(plane_pts, scene_pts, wavelength_m, include_obliquity)
 def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                     rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
                     antenna_end: str, transmission,
-                    pattern: Optional[AntennaPattern] = None,
-                    include_obliquity: bool = True) -> PropagationMatrix:
+                    pattern: Optional[AntennaPattern] = None) -> PropagationMatrix:
     """One-way propagation matrix through the time-variant mask.
 
     Entry (t, j) integrates antenna illumination, per-position transmission
@@ -212,8 +208,6 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         Which antenna of the pair illuminates the mask plane.
     transmission : MaskTransmission
         Per-rotation-position amplitude transmission over the lattice.
-    include_obliquity : bool
-        Set False to drop the obliquity cosine (sensitivity studies only).
     """
     if antenna_end not in ("tx", "rx"):
         raise ParameterError("antenna_end must be 'tx' or 'rx'")
@@ -235,37 +229,31 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         pattern = AntennaPattern.from_half_power(radar.azimuth_fov_deg,
                                                  radar.elevation_fov_deg)
     antenna = radar.tx if antenna_end == "tx" else radar.rx
-    illum = _antenna_to_plane(radar, antenna, plane_pts, pattern, include_obliquity)
-    area = plane_sampling.cell_area
+    illum = _antenna_to_plane(radar, antenna, plane_pts, pattern)
 
-    entries = np.empty((T, N), dtype=np.complex128)
-    structured = transmission.explicit_values is None
-
-    if structured:
+    if transmission.explicit_values is None:
         # transmission(t, m) = outside + (inside - outside) * footprint(t, m):
         # a time-invariant open term plus a sparse footprint correction.
         rows = np.repeat(np.arange(T), [idx.size for idx in transmission.footprint_indices])
         cols = (np.concatenate(transmission.footprint_indices)
                 if T > 0 else np.empty(0, dtype=int))
-        data = illum[cols]
-        fp = sparse.csr_matrix((data, (rows, cols)), shape=(T, M))
+        fp = sparse.csr_matrix((illum[cols], (rows, cols)), shape=(T, M))
         delta = transmission.inside_amp - transmission.outside_amp
-        for start in range(0, N, _SCENE_CHUNK):
-            sl = slice(start, min(start + _SCENE_CHUNK, N))
-            prop = _plane_to_scene_chunk(plane_pts, grid.points[sl],
-                                         radar.wavelength_m, include_obliquity)
-            open_row = illum @ prop
-            entries[:, sl] = transmission.outside_amp * open_row[None, :]
-            if delta != 0.0:
-                entries[:, sl] += delta * (fp @ prop)
+
+        def through_mask(prop):
+            block = transmission.outside_amp * (illum @ prop)[None, :]
+            return block + delta * (fp @ prop) if delta != 0.0 else block
     else:
         weighted = transmission.explicit_values * illum[None, :]
-        for start in range(0, N, _SCENE_CHUNK):
-            sl = slice(start, min(start + _SCENE_CHUNK, N))
-            prop = _plane_to_scene_chunk(plane_pts, grid.points[sl],
-                                         radar.wavelength_m, include_obliquity)
-            entries[:, sl] = weighted @ prop
 
-    entries *= area
+        def through_mask(prop):
+            return weighted @ prop
+
+    entries = np.empty((T, N), dtype=np.complex128)
+    for start in range(0, N, _SCENE_CHUNK):
+        sl = slice(start, start + _SCENE_CHUNK)
+        entries[:, sl] = through_mask(
+            _plane_to_scene_chunk(plane_pts, grid.points[sl], radar.wavelength_m))
+    entries *= plane_sampling.cell_area
     direction = "tx-to-scene" if antenna_end == "tx" else "scene-to-rx"
     return PropagationMatrix(entries=entries, direction=direction)

@@ -8,14 +8,12 @@ of the whole system.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy import linalg
 
-from . import container
 from .errors import (NumericError, ParameterError, RankDeficiencyError,
                      ShapeError)
 from .forward import ForwardModel
@@ -32,10 +30,6 @@ class SvdFactorization:
     grid: SceneGrid = field(repr=False, default=None)
     fingerprint: str = ""
     directionality: str = "bidirectional"
-
-    @property
-    def rank_limit(self) -> int:
-        return self.S.size
 
 
 def factorize(model: ForwardModel) -> SvdFactorization:
@@ -108,6 +102,8 @@ def reconstruct(fact: SvdFactorization, y, cfg: ReconConfig) -> ImageResult:
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (fact.U.shape[0],):
         raise ShapeError(f"y must have length {fact.U.shape[0]}")
+    if not np.all(np.isfinite(y)):
+        raise NumericError("measurement vector y contains non-finite entries")
     k = cfg.truncation(fact.S)
     if k < 1:
         raise RankDeficiencyError("truncation keeps no singular values")
@@ -138,7 +134,7 @@ def background_subtract(y, y_background) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# image export and factorization caching
+# image export
 
 def image_to_pgm(path, image: ImageResult) -> None:
     """8-bit binary PGM; intensities in [0.1, 1] of peak map to the gray scale."""
@@ -162,32 +158,3 @@ def image_to_csv(path, image: ImageResult) -> None:
             for j, az in enumerate(grid.azimuth_deg):
                 fh.write(f"{float(az)!r},{float(el)!r},"
                          f"{float(image.intensity[i, j])!r}\r\n")
-
-
-def cache_factorization(cache_dir, fact: SvdFactorization) -> str:
-    """Store a factorization keyed by model fingerprint; returns the path."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"svd_{fact.fingerprint}.bin")
-    container.write_container(path, "svd", fingerprint=fact.fingerprint,
-                              directionality=fact.directionality,
-                              arrays={"U": fact.U, "S": fact.S, "V": fact.V})
-    return path
-
-
-def load_cached_factorization(cache_dir, fingerprint: str,
-                              grid: SceneGrid = None) -> Optional[SvdFactorization]:
-    """Load a cached factorization, or None when the key is absent.
-
-    Cached payloads are stored in single precision, so reconstructions from
-    a cache carry about 1e-7 relative quantization.
-    """
-    path = os.path.join(cache_dir, f"svd_{fingerprint}.bin")
-    if not os.path.exists(path):
-        return None
-    payload = container.read_container(path)
-    if payload.fingerprint != fingerprint:
-        return None
-    return SvdFactorization(U=payload.arrays["U"], S=payload.arrays["S"],
-                            V=payload.arrays["V"], grid=grid,
-                            fingerprint=payload.fingerprint,
-                            directionality=payload.directionality)

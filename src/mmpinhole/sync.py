@@ -11,14 +11,15 @@ model assumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import AlignmentError, InterpolationError, ParameterError
 from .forward import MeasurementSet
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
-                       RotationSampling, footprint_mask_array)
+                       RotationSampling, default_plane_sampling,
+                       default_radar_config, footprint_mask_array)
 from .propagation import AntennaPattern, pattern_weight
 
 
@@ -59,17 +60,15 @@ class WarpPath:
 
 
 def blade_return_profile(radar: RadarConfig, mask: MaskGeometry,
-                         plane_sampling: MaskPlaneSampling, angles_rad,
-                         pattern: AntennaPattern = None) -> np.ndarray:
+                         plane_sampling: MaskPlaneSampling, angles_rad) -> np.ndarray:
     """Two-way blade backscatter magnitude at each rotation angle.
 
     The blade is treated as an incoherent near-field reflector: each covered
     mask cell returns power weighted by the antenna pattern squared and the
     two-way spreading loss.
     """
-    if pattern is None:
-        pattern = AntennaPattern.from_half_power(radar.azimuth_fov_deg,
-                                                 radar.elevation_fov_deg)
+    pattern = AntennaPattern.from_half_power(radar.azimuth_fov_deg,
+                                             radar.elevation_fov_deg)
     pts = plane_sampling.samples
     diff = pts - radar.rx[None, :]
     d = np.linalg.norm(diff, axis=1)
@@ -86,11 +85,10 @@ def blade_return_profile(radar: RadarConfig, mask: MaskGeometry,
 def synth_signature(mask: MaskGeometry, rotation: RotationSampling,
                     speed_profile_rpm, *, radar: RadarConfig = None,
                     plane_sampling: MaskPlaneSampling = None) -> RotationSignature:
-    """Simulated near-range signature under a per-sample speed profile.
+    """Simulated near-range signature under a per-sample rpm profile.
 
-    The profile gives instantaneous rpm at each sample; angles advance by
-    integrating it at the nominal sample interval, so a constant profile
-    reproduces the uniform rotation exactly.
+    Rotation angles follow :func:`warped_rotation_angles`, so a constant
+    profile reproduces the uniform rotation exactly.
     """
     speeds = np.asarray(speed_profile_rpm, dtype=float)
     if np.any(speeds <= 0):
@@ -99,23 +97,22 @@ def synth_signature(mask: MaskGeometry, rotation: RotationSampling,
     if speeds.size != T:
         raise ParameterError("speed profile length must match rotation positions")
     if radar is None:
-        from .geometry import default_radar_config
         radar = default_radar_config(mask)
     if plane_sampling is None:
-        from .geometry import default_plane_sampling
         plane_sampling = default_plane_sampling(radar, mask)
-    nominal_rpm = speeds[0]
-    step = 2.0 * math.pi / T  # angle per sample at nominal speed
-    increments = step * speeds / nominal_rpm
-    angles = np.concatenate([[0.0], np.cumsum(increments[:-1])])
+    angles = warped_rotation_angles(rotation, speeds)
     samples = blade_return_profile(radar, mask, plane_sampling, angles)
     return RotationSignature(samples=samples, nominal_period_samples=T)
 
 
 def warped_rotation_angles(rotation: RotationSampling, speed_profile_rpm) -> np.ndarray:
-    """Rotation angles reached under the speed profile (same rule as above)."""
+    """Rotation angles reached under a per-sample rpm profile.
+
+    Angles advance by integrating the profile at the nominal sample interval
+    (the speed of sample 0), so a constant profile gives uniform angles.
+    """
     speeds = np.asarray(speed_profile_rpm, dtype=float)
-    step = 2.0 * math.pi / rotation.count
+    step = 2.0 * math.pi / rotation.count  # angle per sample at nominal speed
     increments = step * speeds / speeds[0]
     return np.concatenate([[0.0], np.cumsum(increments[:-1])])
 
@@ -221,5 +218,4 @@ def resample_to_uniform(measurements: MeasurementSet, path: WarpPath,
     src = path_observed_index(path, n_template)
     base = np.arange(y.size)
     y_new = (np.interp(src, base, y.real) + 1j * np.interp(src, base, y.imag))
-    from dataclasses import replace
     return replace(measurements, y=y_new)

@@ -70,6 +70,12 @@ class TestSimulate:
         assert main(["simulate", cfg]) == 2
         assert "blade_span" in capsys.readouterr().err
 
+    def test_non_finite_target_is_numeric_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scene={"targets": [
+            {"azimuth_deg": 0.0, "amplitude": float("nan")}]})
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "nan")]) == 4
+        assert "numeric failure" in capsys.readouterr().err
+
     def test_invalid_json_line_diagnostics(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{\n "radar": {,}\n}\n')
@@ -139,6 +145,18 @@ class TestReconstruct:
         rc = main(["reconstruct", str(sim / "measurements.bin"),
                    "--config", other, "--out-dir", str(tmp_path / "y")])
         assert rc == 3
+
+    @pytest.mark.parametrize("resize", ["truncated", "padded"])
+    def test_resized_measurements_are_data_mismatch(self, simulated, tmp_path,
+                                                    capsys, resize):
+        cfg, sim = simulated
+        raw = (sim / "measurements.bin").read_bytes()
+        bad = tmp_path / f"{resize}.bin"
+        bad.write_bytes(raw[:-8] if resize == "truncated" else raw + b"\x00" * 8)
+        rc = main(["reconstruct", str(bad), "--config", cfg,
+                   "--out-dir", str(tmp_path / resize)])
+        assert rc == 3
+        assert "data mismatch" in capsys.readouterr().err
 
     def test_determinism(self, simulated, tmp_path):
         cfg, sim = simulated

@@ -10,7 +10,8 @@ from mmpinhole import (MaskGeometry, MaskPlaneSampling, MaskTransmission,
                        build_forward, build_scene_grid, config_fingerprint,
                        default_radar_config, estimate_blade_phase,
                        noise_from_snr, sample_interval_s, simulate)
-from mmpinhole.errors import EstimationError, ParameterError, ShapeError
+from mmpinhole.errors import (EstimationError, NumericError, ParameterError,
+                              ShapeError)
 from mmpinhole.mask import open_mask
 
 TOY_WAVELENGTH = 0.04
@@ -114,8 +115,7 @@ class TestBuildForward:
         trans = MaskTransmission.from_values(values)
         grid = build_scene_grid(3.0, 10, 10, 1, [0])
         model = build_forward(radar, grid, toy_mask, RotationSampling(T), samp,
-                              "bidirectional", transmission=trans,
-                              include_obliquity=False)
+                              "bidirectional", transmission=trans)
         d0 = np.linalg.norm(pts[cells] - radar.tx[None, :], axis=1)
         d1 = np.linalg.norm(pts[cells] - grid.points[0][None, :], axis=1)
         expected = 2.0 * 2 * math.pi * (d0 + d1) / TOY_WAVELENGTH
@@ -156,6 +156,13 @@ class TestSimulate:
     def test_dimension_mismatch(self, toy_model):
         with pytest.raises(ShapeError):
             simulate(toy_model, np.zeros(toy_model.n_points + 1), NoiseModel(0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, -np.inf)])
+    def test_non_finite_scene_rejected(self, toy_model, bad):
+        x = np.zeros(toy_model.n_points, dtype=complex)
+        x[1] = bad
+        with pytest.raises(NumericError):
+            simulate(toy_model, x, NoiseModel(0.0))
 
     def test_noise_from_snr(self, toy_model):
         noise = noise_from_snr(toy_model, 20.0)

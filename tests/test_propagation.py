@@ -98,8 +98,8 @@ class TestAntennaPattern:
         assert pat.azimuth_shape(45.0) == pytest.approx(0.5)
 
 
-def _one_way(radar, grid, mask, rot, samp, trans, **kw):
-    return assemble_oneway(radar, grid, mask, rot, samp, "rx", trans, **kw)
+def _one_way(radar, grid, mask, rot, samp, trans):
+    return assemble_oneway(radar, grid, mask, rot, samp, "rx", trans)
 
 
 class TestAssembleOneway:
@@ -208,12 +208,3 @@ class TestAssembleOneway:
         assert np.all(smoothed > 0.5 * free)
         assert np.all(smoothed < 1.5 * free)
         assert abs(smoothed[-1] - free) < 0.15 * free
-
-    def test_obliquity_flag_changes_field(self, toy_radar, toy_grid, toy_mask,
-                                          toy_rotation, toy_sampling):
-        trans = open_mask(toy_rotation, toy_sampling)
-        with_o = _one_way(toy_radar, toy_grid, toy_mask, toy_rotation,
-                          toy_sampling, trans).entries
-        without = _one_way(toy_radar, toy_grid, toy_mask, toy_rotation,
-                           toy_sampling, trans, include_obliquity=False).entries
-        assert np.abs(with_o - without).max() > 0

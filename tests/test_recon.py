@@ -4,9 +4,9 @@ import pytest
 from mmpinhole import (ForwardModel, ReconConfig, background_subtract,
                        build_scene_grid, factorize, numerical_rank,
                        reconstruct)
-from mmpinhole.errors import (ParameterError, RankDeficiencyError, ShapeError)
-from mmpinhole.recon import (cache_factorization, image_to_csv, image_to_pgm,
-                             load_cached_factorization)
+from mmpinhole.errors import (NumericError, ParameterError, RankDeficiencyError,
+                              ShapeError)
+from mmpinhole.recon import image_to_csv, image_to_pgm
 
 
 def _random_model(T=48, N=20, seed=0, rank=None):
@@ -137,6 +137,16 @@ class TestReconstruct:
             reconstruct(fact, np.ones(model.n_positions + 1, dtype=complex),
                         ReconConfig(sigma_max=4))
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("where", [3, slice(None)])
+    def test_non_finite_y_rejected(self, bad, where):
+        model = _random_model()
+        fact = factorize(model)
+        y = model.B[:, 0].copy()
+        y[where] = bad
+        with pytest.raises(NumericError):
+            reconstruct(fact, y, ReconConfig(sigma_max=4))
+
 
 class TestMultiElevationPipeline:
     def test_three_ring_grid_end_to_end(self, toy_radar, toy_mask, toy_rotation,
@@ -207,15 +217,3 @@ class TestExports:
         image_to_csv(path, img)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_allclose(rows[:, 2], img.intensity.ravel(), rtol=1e-12)
-
-    def test_factorization_cache_roundtrip(self, tmp_path):
-        model = _random_model(seed=41)
-        fact = factorize(model)
-        cache_factorization(tmp_path, fact)
-        loaded = load_cached_factorization(tmp_path, fact.fingerprint,
-                                           grid=model.grid)
-        assert loaded is not None
-        # cache stores single precision
-        np.testing.assert_allclose(loaded.S, fact.S, rtol=1e-6)
-        np.testing.assert_allclose(loaded.U, fact.U, rtol=0, atol=1e-6)
-        assert load_cached_factorization(tmp_path, "0" * 16) is None
