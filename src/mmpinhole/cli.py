@@ -24,13 +24,16 @@ from scipy.linalg import svdvals
 from . import __version__, container
 from .analysis import (metric_report, psf, rotational_power, rpm_to_rad_s,
                        sar_baseline, sweep, sweep_to_csv)
-from .errors import (ConfigError, FingerprintMismatchError, NumericError,
-                     ParameterError, RankDeficiencyError, ShapeError)
+from .errors import (ConfigError, DataFileError, FingerprintMismatchError,
+                     NumericError, ParameterError, RankDeficiencyError,
+                     ShapeError)
 from .forward import (DEFAULT_ROTATION_RPM, NoiseModel, build_forward,
                       noise_from_snr, simulate)
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid, build_scene_grid,
                        default_plane_sampling, default_radar_config)
+from .mask import transmission_for
+from .propagation import assemble_oneway
 from .recon import (ImageResult, ReconConfig, factorize, image_to_csv,
                     image_to_pgm, reconstruct)
 
@@ -98,6 +101,16 @@ def _parse_attenuation(value):
             return math.inf
         raise ConfigError(f"attenuation_db string must be 'inf', got {value!r}")
     return float(value)
+
+
+def _finite(value, where: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def load_config(path) -> ExperimentConfig:
@@ -172,7 +185,10 @@ def load_config(path) -> ExperimentConfig:
         noise_sec = dict(raw.get("noise", {}))
         seed = int(noise_sec.get("seed", 0))
         snr_db = noise_sec.get("snr_db")
-        noise = NoiseModel(noise_power=float(noise_sec.get("noise_power", 0.0)),
+        if snr_db is not None:
+            snr_db = _finite(snr_db, "noise.snr_db")
+        noise = NoiseModel(noise_power=_finite(noise_sec.get("noise_power", 0.0),
+                                               "noise.noise_power"),
                            seed=seed)
 
         recon_sec = dict(raw.get("recon", {}))
@@ -230,7 +246,10 @@ def _write_manifest(path, cfg: ExperimentConfig, extra: dict):
 
 
 def _read_reference_csv(path, grid: SceneGrid) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except (OSError, ValueError) as exc:
+        raise DataFileError(f"cannot read reference CSV {path}: {exc}")
     data = np.atleast_2d(data)
     if data.shape[0] != grid.n_points or data.shape[1] != 3:
         raise ShapeError(f"reference CSV must have {grid.n_points} rows of "
@@ -249,7 +268,7 @@ def cmd_simulate(config_path, out_dir=None) -> int:
                           cfg.sampling, cfg.directionality)
     noise = cfg.noise
     if cfg.snr_db is not None:
-        noise = noise_from_snr(model, float(cfg.snr_db), seed=cfg.noise.seed)
+        noise = noise_from_snr(model, cfg.snr_db, seed=cfg.noise.seed)
     x = scene_vector(cfg)
     measured = simulate(model, x, noise, rotation_rpm=cfg.rpm)
     container.write_container(
@@ -277,9 +296,13 @@ def cmd_reconstruct(measurements_path, config_path, sigma_max=None,
     cfg = load_config(config_path)
     out = out_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    payload = container.read_container(measurements_path)
+    try:
+        payload = container.read_container(measurements_path)
+    except OSError as exc:
+        raise DataFileError(f"cannot read measurements: {exc}")
     if payload.kind != "measurements":
         raise ParameterError(f"{measurements_path} does not hold measurements")
+    ref_img = _read_reference_csv(reference, cfg.grid) if reference else None
     model = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
                           cfg.sampling, cfg.directionality)
     if payload.fingerprint != model.fingerprint:
@@ -291,7 +314,6 @@ def cmd_reconstruct(measurements_path, config_path, sigma_max=None,
         raise ShapeError("measurement length does not match the model")
     fact = factorize(model)
     ks = sigma_max if sigma_max is not None else [cfg.recon.sigma_max]
-    ref_img = _read_reference_csv(reference, cfg.grid) if reference else None
     metric_rows = []
     for k in ks:
         if k is not None and not 1 <= int(k) <= fact.S.size:
@@ -323,12 +345,12 @@ def cmd_analyze(subcommand, config_path, out_dir=None) -> int:
     os.makedirs(out, exist_ok=True)
     ana = cfg.analysis
     if subcommand == "svd":
-        bi = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
-                           cfg.sampling, "bidirectional")
-        uni = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
-                            cfg.sampling, "unidirectional")
-        s_bi = svdvals(bi.B)
-        s_uni = svdvals(uni.B)
+        # the unidirectional model is the rx end of the bidirectional one
+        transmission = transmission_for(cfg.mask, cfg.rotation, cfg.sampling)
+        tx, rx = assemble_oneway(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
+                                 cfg.sampling, ("tx", "rx"), transmission)
+        s_bi = svdvals(tx.entries * rx.entries)
+        s_uni = svdvals(rx.entries)
         with open(os.path.join(out, "svd.csv"), "w", newline="") as fh:
             fh.write("index,sigma_bidirectional,sigma_unidirectional\r\n")
             for i in range(min(s_bi.size, s_uni.size)):
@@ -435,7 +457,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FingerprintMismatchError, ShapeError) as exc:
+    except (DataFileError, FingerprintMismatchError, ShapeError) as exc:
         print(f"data mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (NumericError, RankDeficiencyError, np.linalg.LinAlgError) as exc:

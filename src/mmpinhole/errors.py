@@ -45,5 +45,9 @@ class FingerprintMismatchError(RuntimeError):
     """Measurements and model were built from different configurations."""
 
 
+class DataFileError(ValueError):
+    """An input data file is missing, unreadable or not in the expected format."""
+
+
 class ConfigError(ValueError):
     """An experiment config file is malformed or contains unknown keys."""

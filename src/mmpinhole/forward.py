@@ -95,13 +95,12 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         raise ParameterError("directionality must be 'unidirectional' or 'bidirectional'")
     if transmission is None:
         transmission = transmission_for(mask, rotation, plane_sampling)
-    rx = assemble_oneway(radar, grid, mask, rotation, plane_sampling, "rx",
-                         transmission, pattern=pattern)
     if directionality == "unidirectional":
-        B = rx.entries
+        B = assemble_oneway(radar, grid, mask, rotation, plane_sampling, "rx",
+                            transmission, pattern=pattern).entries
     else:
-        tx = assemble_oneway(radar, grid, mask, rotation, plane_sampling, "tx",
-                             transmission, pattern=pattern)
+        tx, rx = assemble_oneway(radar, grid, mask, rotation, plane_sampling,
+                                 ("tx", "rx"), transmission, pattern=pattern)
         B = tx.entries * rx.entries
     fp = config_fingerprint(radar, grid, mask, rotation, plane_sampling, directionality)
     return ForwardModel(B=B, fingerprint=fp, directionality=directionality, grid=grid)
@@ -116,8 +115,8 @@ class NoiseModel:
     kind: str = "complex-gaussian"
 
     def __post_init__(self):
-        if self.noise_power < 0:
-            raise ParameterError("noise_power must be non-negative")
+        if not math.isfinite(self.noise_power) or self.noise_power < 0:
+            raise ParameterError("noise_power must be finite and non-negative")
 
     def draw(self, n: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -134,7 +133,12 @@ def noise_from_snr(model: ForwardModel, snr_db: float, seed: int = 0,
     """
     j = model.grid.index_of(reference_azimuth_deg, 0.0)
     sig = float(np.mean(np.abs(model.B[:, j]) ** 2))
-    return NoiseModel(noise_power=sig / (10.0 ** (snr_db / 10.0)), seed=seed)
+    try:
+        noise_power = sig / (10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        raise ParameterError(f"snr_db={snr_db!r} puts the noise power out of "
+                             "floating-point range")
+    return NoiseModel(noise_power=noise_power, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigurationError
 
+# Rotation positions per footprint_mask_array call in chunked loops: each
+# call holds a few (chunk, M) float64 blocks, 32 MB each on the default lattice.
+_ANGLE_CHUNK = 128
+
 
 def angles_to_points(range_m, azimuth_deg, elevation_deg):
     """Cartesian points for an azimuth x elevation grid at fixed range.

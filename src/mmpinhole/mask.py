@@ -15,10 +15,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .geometry import (MaskGeometry, MaskPlaneSampling, RotationSampling,
-                       blade_frames, footprint_mask_array)
-
-_ANGLE_CHUNK = 128  # rotation positions per footprint chunk
+from .geometry import (_ANGLE_CHUNK, MaskGeometry, MaskPlaneSampling,
+                       RotationSampling, blade_frames, footprint_mask_array)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@ cell re-radiates the incident spherical wave weighted by ``1/(i lambda)``
 and the obliquity cosine toward the destination.  Assembled matrices have
 one row per rotation position and one column per scene point, with the
 time-variant mask transmission folded into each row.
+
+The plane-to-scene kernel does not depend on the antenna; only the
+illumination of the mask plane does.  ``assemble_oneway`` therefore takes
+one antenna end or a tuple of ends and evaluates each kernel chunk once
+for all of them, so the Tx and Rx matrices of a bidirectional model cost
+one kernel pass.
 """
 
 from __future__ import annotations
@@ -27,7 +33,12 @@ def _spherical(d, wavelength_m: float, singular_msg: str):
     """Spherical wave exp(i 2 pi d / lambda) / d over distances ``d``."""
     if np.any(d == 0.0):
         raise SingularityError(singular_msg)
-    return np.exp(2j * math.pi * d / wavelength_m) / d
+    # one complex buffer, updated in place: a kernel chunk is M x 64 entries
+    out = 2j * math.pi * np.atleast_1d(d)
+    out /= wavelength_m
+    np.exp(out, out=out)
+    out /= d
+    return out.reshape(np.shape(d))
 
 
 def greens(p, q, wavelength_m: float) -> complex:
@@ -179,22 +190,47 @@ def _antenna_to_plane(radar: RadarConfig, antenna_pos, plane_pts, pattern):
 def _plane_to_scene_chunk(plane_pts, scene_pts, wavelength_m):
     """Rayleigh-Sommerfeld factors from every cell to a chunk of scene points."""
     # squared distances via the dot-product expansion to avoid an (M, N, 3) temp
-    d2 = (np.sum(plane_pts ** 2, axis=1)[:, None]
-          + np.sum(scene_pts ** 2, axis=1)[None, :]
-          - 2.0 * plane_pts @ scene_pts.T)
-    d = np.sqrt(np.maximum(d2, 0.0))
+    d = (np.sum(plane_pts ** 2, axis=1)[:, None]
+         + np.sum(scene_pts ** 2, axis=1)[None, :])
+    d -= 2.0 * plane_pts @ scene_pts.T
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
     out = _spherical(d, wavelength_m, "scene point coincides with a mask-plane sample")
     # obliquity cosine for the +z plane normal: (z_scene - z_plane) / d
     dz = scene_pts[None, :, 2] - plane_pts[:, None, 2]
-    out *= dz / d
+    dz /= d
+    out *= dz
     out *= 1.0 / (1j * wavelength_m)
     return out
 
 
+def _through_mask(transmission, illum):
+    """Map a kernel chunk to rows of one end's matrix: (T, M) weights @ chunk."""
+    T, M = transmission.n_positions, transmission.n_samples
+    if transmission.explicit_values is not None:
+        weighted = transmission.explicit_values * illum[None, :]
+        return lambda prop: weighted @ prop
+    # transmission(t, m) = outside + (inside - outside) * footprint(t, m):
+    # a time-invariant open term plus a sparse footprint correction.
+    rows = np.repeat(np.arange(T), [idx.size for idx in transmission.footprint_indices])
+    cols = (np.concatenate(transmission.footprint_indices)
+            if T > 0 else np.empty(0, dtype=int))
+    fp = sparse.csr_matrix((illum[cols], (rows, cols)), shape=(T, M))
+    delta = transmission.inside_amp - transmission.outside_amp
+
+    def through_mask(prop):
+        block = transmission.outside_amp * (illum @ prop)[None, :]
+        return block + delta * (fp @ prop) if delta != 0.0 else block
+    return through_mask
+
+
+_DIRECTIONS = {"tx": "tx-to-scene", "rx": "scene-to-rx"}
+
+
 def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                     rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
-                    antenna_end: str, transmission,
-                    pattern: Optional[AntennaPattern] = None) -> PropagationMatrix:
+                    antenna_end, transmission,
+                    pattern: Optional[AntennaPattern] = None):
     """One-way propagation matrix through the time-variant mask.
 
     Entry (t, j) integrates antenna illumination, per-position transmission
@@ -204,13 +240,17 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
 
     Parameters
     ----------
-    antenna_end : "tx" or "rx"
-        Which antenna of the pair illuminates the mask plane.
+    antenna_end : "tx", "rx" or a tuple of them
+        Which antenna of the pair illuminates the mask plane.  A single end
+        returns one ``PropagationMatrix``; a tuple such as ``("tx", "rx")``
+        returns one matrix per end, in the same order, from a single pass
+        over the plane-to-scene kernel.
     transmission : MaskTransmission
         Per-rotation-position amplitude transmission over the lattice.
     """
-    if antenna_end not in ("tx", "rx"):
-        raise ParameterError("antenna_end must be 'tx' or 'rx'")
+    ends = (antenna_end,) if isinstance(antenna_end, str) else tuple(antenna_end)
+    if not ends or any(end not in _DIRECTIONS for end in ends):
+        raise ParameterError("antenna_end must be 'tx', 'rx' or a tuple of them")
     if plane_sampling.spacing_m > radar.wavelength_m / 2.0 + 1e-15:
         raise ParameterError("plane sampling pitch must be at most wavelength/2")
     if plane_sampling.extent_m + 1e-12 < mask.blade_length_m + mask.blade_width_m:
@@ -228,32 +268,18 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     if pattern is None:
         pattern = AntennaPattern.from_half_power(radar.azimuth_fov_deg,
                                                  radar.elevation_fov_deg)
-    antenna = radar.tx if antenna_end == "tx" else radar.rx
-    illum = _antenna_to_plane(radar, antenna, plane_pts, pattern)
-
-    if transmission.explicit_values is None:
-        # transmission(t, m) = outside + (inside - outside) * footprint(t, m):
-        # a time-invariant open term plus a sparse footprint correction.
-        rows = np.repeat(np.arange(T), [idx.size for idx in transmission.footprint_indices])
-        cols = (np.concatenate(transmission.footprint_indices)
-                if T > 0 else np.empty(0, dtype=int))
-        fp = sparse.csr_matrix((illum[cols], (rows, cols)), shape=(T, M))
-        delta = transmission.inside_amp - transmission.outside_amp
-
-        def through_mask(prop):
-            block = transmission.outside_amp * (illum @ prop)[None, :]
-            return block + delta * (fp @ prop) if delta != 0.0 else block
-    else:
-        weighted = transmission.explicit_values * illum[None, :]
-
-        def through_mask(prop):
-            return weighted @ prop
-
-    entries = np.empty((T, N), dtype=np.complex128)
+    through = [_through_mask(transmission, _antenna_to_plane(
+                   radar, radar.tx if end == "tx" else radar.rx, plane_pts, pattern))
+               for end in ends]
+    entries = [np.empty((T, N), dtype=np.complex128) for _ in ends]
     for start in range(0, N, _SCENE_CHUNK):
         sl = slice(start, start + _SCENE_CHUNK)
-        entries[:, sl] = through_mask(
-            _plane_to_scene_chunk(plane_pts, grid.points[sl], radar.wavelength_m))
-    entries *= plane_sampling.cell_area
-    direction = "tx-to-scene" if antenna_end == "tx" else "scene-to-rx"
-    return PropagationMatrix(entries=entries, direction=direction)
+        prop = _plane_to_scene_chunk(plane_pts, grid.points[sl], radar.wavelength_m)
+        for out, through_mask in zip(entries, through):
+            out[:, sl] = through_mask(prop)
+        del prop  # free the M x 64 chunk before the next one is computed
+    matrices = []
+    for end, out in zip(ends, entries):
+        out *= plane_sampling.cell_area
+        matrices.append(PropagationMatrix(entries=out, direction=_DIRECTIONS[end]))
+    return matrices[0] if isinstance(antenna_end, str) else tuple(matrices)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import AlignmentError, InterpolationError, ParameterError
 from .forward import MeasurementSet
-from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
-                       RotationSampling, default_plane_sampling,
+from .geometry import (_ANGLE_CHUNK, MaskGeometry, MaskPlaneSampling,
+                       RadarConfig, RotationSampling, default_plane_sampling,
                        default_radar_config, footprint_mask_array)
 from .propagation import AntennaPattern, pattern_weight
 
@@ -75,9 +75,8 @@ def blade_return_profile(radar: RadarConfig, mask: MaskGeometry,
     w = pattern_weight(pattern, diff / d[:, None]) ** 2 / d ** 4
     out = np.empty(len(angles_rad))
     angles = np.asarray(angles_rad, dtype=float)
-    chunk = 256
-    for start in range(0, angles.size, chunk):
-        block = footprint_mask_array(mask, angles[start:start + chunk], pts[:, :2])
+    for start in range(0, angles.size, _ANGLE_CHUNK):
+        block = footprint_mask_array(mask, angles[start:start + _ANGLE_CHUNK], pts[:, :2])
         out[start:start + block.shape[0]] = block @ w
     return np.sqrt(out * plane_sampling.cell_area)
 

@@ -62,8 +62,8 @@ def psf_bundle(default_geometry):
     mask, radar, rotation, sampling = default_geometry
     grid = build_scene_grid(20.0, -50, 50, 0.05, [0])
     trans = regular_pinhole(mask, rotation, sampling)
-    tx = assemble_oneway(radar, grid, mask, rotation, sampling, "tx", trans).entries
-    rx = assemble_oneway(radar, grid, mask, rotation, sampling, "rx", trans).entries
+    tx, rx = (end.entries for end in assemble_oneway(
+        radar, grid, mask, rotation, sampling, ("tx", "rx"), trans))
     bi = mp.ForwardModel(B=tx * rx, fingerprint="0" * 16,
                          directionality="bidirectional", grid=grid)
     uni = mp.ForwardModel(B=rx, fingerprint="1" * 16,

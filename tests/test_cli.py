@@ -3,8 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
+from mmpinhole import build_forward
 from mmpinhole.cli import load_config, main
+from mmpinhole.errors import ConfigError
 
 # small, fast experiment: centimeter wavelength keeps the mask lattice tiny
 BASE_CONFIG = {
@@ -75,6 +78,22 @@ class TestSimulate:
             {"azimuth_deg": 0.0, "amplitude": float("nan")}]})
         assert main(["simulate", cfg, "--out-dir", str(tmp_path / "nan")]) == 4
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", [
+        {"noise_power": float("nan")}, {"noise_power": float("inf")},
+        {"snr_db": float("nan")}, {"snr_db": "high"}])
+    def test_bad_noise_setting_is_config_error(self, tmp_path, capsys, noise):
+        cfg = write_config(tmp_path, noise=noise)
+        with pytest.raises(ConfigError, match="noise"):
+            load_config(cfg)
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: noise." in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr_db", [-4000.0, 4000.0])
+    def test_out_of_range_snr_is_config_error(self, tmp_path, capsys, snr_db):
+        cfg = write_config(tmp_path, noise={"snr_db": snr_db})
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "snr_db" in capsys.readouterr().err
 
     def test_invalid_json_line_diagnostics(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -158,6 +177,28 @@ class TestReconstruct:
         assert rc == 3
         assert "data mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["no-measurements", "no-reference",
+                                      "non-numeric-reference"])
+    def test_unreadable_input_file_is_data_error(self, simulated, tmp_path,
+                                                 capsys, case):
+        cfg, sim = simulated
+        measurements = sim / "measurements.bin"
+        reference = sim / "truth.csv"
+        if case == "no-measurements":
+            measurements = tmp_path / "missing.bin"
+        elif case == "no-reference":
+            reference = tmp_path / "missing.csv"
+        else:
+            reference = tmp_path / "bad.csv"
+            lines = (sim / "truth.csv").read_text().splitlines()
+            lines[1] = "abc," + lines[1].split(",", 1)[1]
+            reference.write_text("\n".join(lines) + "\n")
+        rc = main(["reconstruct", str(measurements), "--config", cfg,
+                   "--reference", str(reference), "--out-dir", str(tmp_path / case)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data mismatch: cannot read") and err.count("\n") == 1
+
     def test_determinism(self, simulated, tmp_path):
         cfg, sim = simulated
         outs = []
@@ -180,6 +221,18 @@ class TestAnalyze:
         data = np.loadtxt(out / "svd.csv", delimiter=",", skiprows=1)
         assert data.shape[1] == 3
         assert np.all(np.diff(data[:, 1]) <= 1e-12)
+
+    def test_svd_matches_two_forward_builds(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "svd"
+        assert main(["analyze", "svd", "--config", cfg_path, "--out-dir", str(out)]) == 0
+        cfg = load_config(cfg_path)
+        s_bi, s_uni = (svdvals(build_forward(cfg.radar, cfg.grid, cfg.mask,
+                                             cfg.rotation, cfg.sampling, d).B)
+                       for d in ("bidirectional", "unidirectional"))
+        expected = "index,sigma_bidirectional,sigma_unidirectional\r\n" + "".join(
+            f"{i},{float(a)!r},{float(b)!r}\r\n" for i, (a, b) in enumerate(zip(s_bi, s_uni)))
+        assert read_bytes(out, "svd.csv") == expected.encode()
 
     def test_psf_outputs_fwhp(self, tmp_path):
         cfg = write_config(tmp_path, analysis={"psf_kind": "sar-linear",

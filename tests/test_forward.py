@@ -10,6 +10,7 @@ from mmpinhole import (MaskGeometry, MaskPlaneSampling, MaskTransmission,
                        build_forward, build_scene_grid, config_fingerprint,
                        default_radar_config, estimate_blade_phase,
                        noise_from_snr, sample_interval_s, simulate)
+from mmpinhole import propagation
 from mmpinhole.errors import (EstimationError, NumericError, ParameterError,
                               ShapeError)
 from mmpinhole.mask import open_mask
@@ -35,6 +36,22 @@ class TestBuildForward:
         uni = build_forward(*args, "unidirectional", transmission=trans)
         np.testing.assert_allclose(bi.B, tx * rx, rtol=1e-12)
         np.testing.assert_allclose(uni.B, rx, rtol=1e-12)
+
+    def test_bidirectional_evaluates_each_kernel_chunk_once(
+            self, toy_radar, toy_mask, toy_rotation, toy_sampling, monkeypatch):
+        grid = build_scene_grid(2.0, -30.0, 30.0, 0.5, [0.0])
+        original = propagation._plane_to_scene_chunk
+        chunk_sizes = []
+
+        def counting(plane_pts, scene_pts, wavelength_m):
+            chunk_sizes.append(len(scene_pts))
+            return original(plane_pts, scene_pts, wavelength_m)
+
+        monkeypatch.setattr(propagation, "_plane_to_scene_chunk", counting)
+        build_forward(toy_radar, grid, toy_mask, toy_rotation, toy_sampling,
+                      "bidirectional")
+        assert len(chunk_sizes) == math.ceil(grid.n_points / propagation._SCENE_CHUNK)
+        assert sum(chunk_sizes) == grid.n_points
 
     def test_colocated_open_mask_matches_two_way_free_space(self, toy_mask):
         # Rayleigh-Sommerfeld integral over the open plane reproduces the
@@ -164,11 +181,21 @@ class TestSimulate:
         with pytest.raises(NumericError):
             simulate(toy_model, x, NoiseModel(0.0))
 
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -1e-3])
+    def test_invalid_noise_power_rejected(self, power):
+        with pytest.raises(ParameterError):
+            NoiseModel(power)
+
     def test_noise_from_snr(self, toy_model):
         noise = noise_from_snr(toy_model, 20.0)
         j = toy_model.grid.index_of(0.0)
         sig = np.mean(np.abs(toy_model.B[:, j]) ** 2)
         assert noise.noise_power == pytest.approx(sig / 100.0)
+
+    @pytest.mark.parametrize("snr_db", [-4000.0, 4000.0])
+    def test_noise_from_snr_out_of_range(self, toy_model, snr_db):
+        with pytest.raises(ParameterError):
+            noise_from_snr(toy_model, snr_db)
 
 
 class TestSampleInterval:

@@ -11,6 +11,7 @@ from mmpinhole import (AntennaPattern, MaskGeometry, MaskPlaneSampling,
                        pattern_weight, rs_weight)
 from mmpinhole.errors import ParameterError, ShapeError, SingularityError
 from mmpinhole.mask import open_mask, regular_pinhole
+from mmpinhole.propagation import _SCENE_CHUNK
 
 LAMBDA = 4e-3
 
@@ -149,6 +150,36 @@ class TestAssembleOneway:
         trans = open_mask(toy_rotation, small)
         with pytest.raises(ParameterError):
             _one_way(toy_radar, toy_grid, toy_mask, toy_rotation, small, trans)
+
+    @pytest.mark.parametrize("kind", ["structured", "explicit"])
+    def test_two_ends_match_single_end_calls(self, toy_radar, toy_mask,
+                                             toy_rotation, toy_sampling, kind):
+        # several scene chunks and two elevations
+        grid = build_scene_grid(2.0, -30.0, 30.0, 0.5, [0.0, 5.0])
+        assert grid.n_points > 2 * _SCENE_CHUNK
+        if kind == "structured":
+            trans = regular_pinhole(toy_mask, toy_rotation, toy_sampling)
+        else:
+            rng = np.random.default_rng(3)
+            trans = MaskTransmission.from_values(
+                rng.uniform(size=(toy_rotation.count, toy_sampling.n_samples)))
+        args = (toy_radar, grid, toy_mask, toy_rotation, toy_sampling)
+        tx, rx = assemble_oneway(*args, ("tx", "rx"), trans)
+        rx2, tx2 = assemble_oneway(*args, ("rx", "tx"), trans)
+        for end, pair in (("tx", (tx, tx2)), ("rx", (rx, rx2))):
+            single = assemble_oneway(*args, end, trans)
+            for matrix in pair:
+                assert matrix.direction == single.direction
+                assert np.array_equal(matrix.entries, single.entries)
+        assert not np.array_equal(tx.entries, rx.entries)
+
+    @pytest.mark.parametrize("ends", [("tx", "bogus"), (), "both"])
+    def test_unknown_end_rejected(self, toy_radar, toy_grid, toy_mask,
+                                  toy_rotation, toy_sampling, ends):
+        trans = open_mask(toy_rotation, toy_sampling)
+        with pytest.raises(ParameterError):
+            assemble_oneway(toy_radar, toy_grid, toy_mask, toy_rotation,
+                            toy_sampling, ends, trans)
 
     def test_far_field_phase_matches_plane_wave(self, toy_mask):
         # a single open cell swept along x acts as a moving point source;
