@@ -298,10 +298,16 @@ def cmd_reconstruct(measurements_path, config_path, sigma_max=None,
     os.makedirs(out, exist_ok=True)
     try:
         payload = container.read_container(measurements_path)
-    except OSError as exc:
+    except (OSError, ParameterError) as exc:
         raise DataFileError(f"cannot read measurements: {exc}")
     if payload.kind != "measurements":
-        raise ParameterError(f"{measurements_path} does not hold measurements")
+        raise DataFileError(f"{measurements_path} does not hold measurements")
+    if payload.directionality != cfg.directionality:
+        raise DataFileError(f"{measurements_path} holds {payload.directionality} "
+                            f"measurements; the config is {cfg.directionality}")
+    if payload.arrays["n_points"] != cfg.grid.n_points:
+        raise DataFileError(f"{measurements_path} header has N={payload.arrays['n_points']}; "
+                            f"the config grid has {cfg.grid.n_points} points")
     ref_img = _read_reference_csv(reference, cfg.grid) if reference else None
     model = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
                           cfg.sampling, cfg.directionality)

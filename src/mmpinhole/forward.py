@@ -19,7 +19,7 @@ from .errors import EstimationError, NumericError, ParameterError, ShapeError
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid)
 from .mask import MaskTransmission, transmission_for
-from .propagation import AntennaPattern, assemble_oneway
+from .propagation import AntennaPattern, _antenna_to_plane, assemble_oneway
 
 DEFAULT_ROTATION_RPM = 600.0
 
@@ -31,10 +31,50 @@ def sample_interval_s(rpm: float, positions_per_rotation: int) -> float:
     return 60.0 / (rpm * positions_per_rotation)
 
 
+def _transmission_digest(transmission: MaskTransmission) -> str:
+    """Digest of the transmission values (or footprint rows and amplitudes)."""
+    h = hashlib.sha256()
+    h.update(repr((transmission.n_positions, transmission.n_samples)).encode())
+    if transmission.explicit_values is not None:
+        h.update(b"explicit")
+        h.update(np.ascontiguousarray(transmission.explicit_values).tobytes())
+    else:
+        rows = transmission.footprint_indices
+        h.update(repr((transmission.inside_amp, transmission.outside_amp)).encode())
+        h.update(np.array([row.size for row in rows], dtype=np.int64).tobytes())
+        h.update(np.concatenate(rows).astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+def _pattern_digest(radar: RadarConfig, plane_sampling: MaskPlaneSampling,
+                    pattern: AntennaPattern) -> str:
+    """Digest of each antenna's illumination of the mask cells.
+
+    The pattern enters ``B`` only through this illumination, so the digest
+    covers cosine-power, tabulated and custom shapes alike.
+    """
+    h = hashlib.sha256()
+    for antenna in (radar.tx, radar.rx):
+        h.update(_antenna_to_plane(radar, antenna, plane_sampling.samples, pattern).tobytes())
+    return h.hexdigest()
+
+
 def config_fingerprint(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                        rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
-                       directionality: str) -> str:
-    """Stable hex digest of every input that shapes the sensing matrix."""
+                       directionality: str,
+                       transmission: Optional[MaskTransmission] = None,
+                       pattern: Optional[AntennaPattern] = None) -> str:
+    """Stable hex digest of every input that shapes the sensing matrix.
+
+    ``transmission`` and ``pattern`` default as in :func:`build_forward`;
+    both enter through their content, so passing the default explicitly
+    gives the same digest as ``None``.
+    """
+    if transmission is None:
+        transmission = transmission_for(mask, rotation, plane_sampling)
+    if pattern is None:
+        pattern = AntennaPattern.from_half_power(radar.azimuth_fov_deg,
+                                                 radar.elevation_fov_deg)
     h = hashlib.sha256()
     parts = [
         repr(radar.wavelength_m), repr(radar.tx_position), repr(radar.rx_position),
@@ -47,6 +87,8 @@ def config_fingerprint(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         repr(plane_sampling.spacing_m), repr(plane_sampling.extent_m),
         repr(plane_sampling.plane_depth_m),
         directionality,
+        _transmission_digest(transmission),
+        _pattern_digest(radar, plane_sampling, pattern),
     ]
     h.update("|".join(parts).encode())
     return h.hexdigest()[:16]
@@ -102,7 +144,8 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         tx, rx = assemble_oneway(radar, grid, mask, rotation, plane_sampling,
                                  ("tx", "rx"), transmission, pattern=pattern)
         B = tx.entries * rx.entries
-    fp = config_fingerprint(radar, grid, mask, rotation, plane_sampling, directionality)
+    fp = config_fingerprint(radar, grid, mask, rotation, plane_sampling, directionality,
+                            transmission, pattern)
     return ForwardModel(B=B, fingerprint=fp, directionality=directionality, grid=grid)
 
 

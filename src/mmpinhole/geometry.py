@@ -28,6 +28,10 @@ from .errors import ParameterError, UnsupportedConfigurationError
 # call holds a few (chunk, M) float64 blocks, 32 MB each on the default lattice.
 _ANGLE_CHUNK = 128
 
+# Slack (meters and radians) on the bounds that pick footprint candidates:
+# over a million times the rounding error of the blade frame coordinates.
+_REACH_TOL = 1e-9
+
 
 def angles_to_points(range_m, azimuth_deg, elevation_deg):
     """Cartesian points for an azimuth x elevation grid at fixed range.
@@ -240,16 +244,57 @@ def blade_frames(mask: MaskGeometry, angles_rad, pts_xy):
         yield -x * sin_a + y * cos_a, x * cos_a + y * sin_a
 
 
+def _reachable_cells(mask: MaskGeometry, angles, pts) -> np.ndarray:
+    """Indices of the points some blade may cover at one of ``angles``.
+
+    A point at radius r and polar blade angle psi (the rotation angle at
+    which blade 0 points at it) has u = r cos(a - psi) and
+    v = r sin(a - psi) in the frame of a blade at angle a, so it can only be
+    covered if r <= hypot(L, w/2) and a lies within asin(w / 2r) of psi.
+    """
+    finite = angles[np.isfinite(angles)]
+    if finite.size == 0:
+        return np.empty(0, dtype=np.intp)
+    two_pi = 2.0 * math.pi
+    # reduce through sin/cos, as the rectangle test does, so that large
+    # angles land on [0, 2 pi) without the drift of a float "% 2 pi"
+    blade = np.concatenate([finite + two_pi * b / mask.blade_count
+                            for b in range(mask.blade_count)])
+    blade = np.sort(np.arctan2(np.sin(blade), np.cos(blade)) % two_pi)
+    x, y = pts[:, 0], pts[:, 1]
+    r = np.hypot(x, y)
+    psi = np.arctan2(-x, y) % two_pi
+    k = np.searchsorted(blade, psi)
+    gap = np.full(psi.shape, math.pi)
+    for nearest in (blade[k % blade.size], blade[k - 1]):
+        d = np.abs(psi - nearest)
+        np.minimum(gap, np.minimum(d, two_pi - d), out=gap)
+    half_w = mask.blade_width_m / 2.0 + _REACH_TOL
+    reach = np.arcsin(half_w / np.maximum(r, half_w)) + _REACH_TOL
+    r_max = math.hypot(mask.blade_length_m, mask.blade_width_m / 2.0) + _REACH_TOL
+    return np.flatnonzero((r <= r_max) & ((r <= half_w) | (gap <= reach)))
+
+
 def footprint_mask_array(mask: MaskGeometry, angles_rad, plane_points_xy):
     """Boolean coverage array of shape (len(angles), M) for mask-plane points.
 
     Each blade is a rectangle of width ``blade_width_m`` reaching from the
-    rotation axis to ``blade_length_m``.
+    rotation axis to ``blade_length_m``.  The rectangle test runs only on
+    the points that some blade can reach at one of the given angles; that
+    candidate set is widened by a tolerance a million times the rounding
+    error of the blade frame, so it never drops a point the test would
+    accept, and every point gets the same result as on the full lattice.
     """
-    half_w = mask.blade_width_m / 2.0
-    out = np.zeros((np.size(angles_rad), len(plane_points_xy)), dtype=bool)
-    for u, v in blade_frames(mask, angles_rad, plane_points_xy):
-        out |= (u >= 0.0) & (u <= mask.blade_length_m) & (np.abs(v) <= half_w)
+    angles = np.asarray(angles_rad, dtype=float).reshape(-1)
+    pts = np.asarray(plane_points_xy, dtype=float)
+    out = np.zeros((angles.size, len(pts)), dtype=bool)
+    idx = _reachable_cells(mask, angles, pts)
+    if idx.size:
+        half_w = mask.blade_width_m / 2.0
+        hit = np.zeros((angles.size, idx.size), dtype=bool)
+        for u, v in blade_frames(mask, angles, pts[idx]):
+            hit |= (u >= 0.0) & (u <= mask.blade_length_m) & (np.abs(v) <= half_w)
+        out[:, idx] = hit
     return out
 
 

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
 from mmpinhole import build_forward
@@ -199,6 +201,28 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert err.startswith("data mismatch: cannot read") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", ["not-a-container", "model-file",
+                                      "directionality", "point-count"])
+    def test_bad_measurements_file_is_data_error(self, simulated, tmp_path,
+                                                 capsys, case):
+        cfg, sim = simulated
+        raw = bytearray((sim / "measurements.bin").read_bytes())
+        if case == "not-a-container":
+            raw = bytearray(b"sample,re,im\r\n0,1.0,0.0\r\n")
+        elif case == "model-file":
+            raw = bytearray((sim / "model.bin").read_bytes())
+        elif case == "directionality":
+            raw[9] = 0  # unidirectional; the config is bidirectional
+        else:
+            raw[16:20] = (999).to_bytes(4, "little")
+        bad = tmp_path / f"{case}.bin"
+        bad.write_bytes(bytes(raw))
+        rc = main(["reconstruct", str(bad), "--config", cfg,
+                   "--out-dir", str(tmp_path / case)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data mismatch:") and err.count("\n") == 1
+
     def test_determinism(self, simulated, tmp_path):
         cfg, sim = simulated
         outs = []
@@ -209,6 +233,43 @@ class TestReconstruct:
             outs.append(out)
         for name in ("image.pgm", "image.csv", "metrics.csv"):
             assert read_bytes(outs[0], name) == read_bytes(outs[1], name)
+
+
+@pytest.fixture(scope="module")
+def simulated_c14(tmp_path_factory):
+    """C14 toy config and its simulated measurements.bin bytes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = write_config(root)
+    assert main(["simulate", cfg, "--out-dir", str(root / "sim")]) == 0
+    return cfg, root, (root / "sim" / "measurements.bin").read_bytes()
+
+
+@st.composite
+def damaged(draw, raw):
+    """measurements.bin bytes truncated, padded, or with bytes flipped."""
+    kind = draw(st.sampled_from(["truncate", "pad", "flip-header", "flip-payload"]))
+    data = bytearray(raw)
+    if kind == "truncate":
+        return bytes(data[:draw(st.integers(0, len(data) - 1))])
+    if kind == "pad":
+        return bytes(data) + draw(st.binary(min_size=1, max_size=64))
+    lo, hi = (0, 40) if kind == "flip-header" else (40, len(data))
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(st.integers(lo, hi - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+class TestReconstructFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_measurements_never_raise(self, simulated_c14, data):
+        cfg, root, raw = simulated_c14
+        bad = root / "damaged.bin"
+        bad.write_bytes(data.draw(damaged(raw)))
+        rc = main(["reconstruct", str(bad), "--config", cfg,
+                   "--reference", str(root / "sim" / "truth.csv"),
+                   "--sigma-max", "5,12", "--out-dir", str(root / "rec")])
+        assert rc in (0, 3, 4)
 
 
 class TestAnalyze:

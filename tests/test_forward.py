@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmpinhole import (MaskGeometry, MaskPlaneSampling, MaskTransmission,
                        MeasurementSet, NoiseModel, RotationSampling,
@@ -11,9 +13,10 @@ from mmpinhole import (MaskGeometry, MaskPlaneSampling, MaskTransmission,
                        default_radar_config, estimate_blade_phase,
                        noise_from_snr, sample_interval_s, simulate)
 from mmpinhole import propagation
+from mmpinhole.propagation import AntennaPattern
 from mmpinhole.errors import (EstimationError, NumericError, ParameterError,
                               ShapeError)
-from mmpinhole.mask import open_mask
+from mmpinhole.mask import open_mask, transmission_for
 
 TOY_WAVELENGTH = 0.04
 
@@ -111,6 +114,67 @@ class TestBuildForward:
         fp3 = config_fingerprint(toy_radar, toy_grid, other, toy_rotation,
                                  toy_sampling, "bidirectional")
         assert fp3 != fp1
+
+    def test_fingerprint_covers_transmission_and_pattern(
+            self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling):
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, "bidirectional")
+        models = [build_forward(*args),
+                  build_forward(*args, transmission=open_mask(toy_rotation, toy_sampling)),
+                  build_forward(*args, pattern=AntennaPattern.from_half_power(30, 10))]
+        assert not np.array_equal(models[0].B, models[1].B)
+        assert not np.array_equal(models[0].B, models[2].B)
+        assert len({m.fingerprint for m in models}) == 3
+
+    def test_explicit_defaults_keep_fingerprint(
+            self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling):
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, "bidirectional")
+        default = build_forward(*args).fingerprint
+        explicit = build_forward(
+            *args, transmission=transmission_for(toy_mask, toy_rotation, toy_sampling),
+            pattern=AntennaPattern.from_half_power(toy_radar.azimuth_fov_deg,
+                                                   toy_radar.elevation_fov_deg))
+        assert explicit.fingerprint == default == config_fingerprint(*args)
+
+    @settings(max_examples=30, deadline=None)
+    @given(change=st.sampled_from(["drop-cell", "add-cell", "inside-amp",
+                                   "outside-amp", "explicit", "pattern-table"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_change_to_b_changes_fingerprint(
+            self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling,
+            change, seed):
+        rng = np.random.default_rng(seed)
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, "bidirectional")
+        base = transmission_for(toy_mask, toy_rotation, toy_sampling)
+        rows = list(base.footprint_indices)
+        amps = {"inside_amp": base.inside_amp, "outside_amp": base.outside_amp}
+        base_pattern = pattern = None
+        t = int(rng.choice([i for i, row in enumerate(rows) if row.size]))
+        if change == "drop-cell":
+            rows[t] = np.delete(rows[t], rng.integers(rows[t].size))
+        elif change == "add-cell":
+            free = np.setdiff1d(np.arange(base.n_samples), rows[t])
+            rows[t] = np.sort(np.append(rows[t], rng.choice(free)))
+        elif change in ("inside-amp", "outside-amp"):
+            amps[change.replace("-", "_")] = float(rng.uniform(0.05, 0.95))
+        elif change == "pattern-table":
+            angles = np.linspace(-90, 90, 19)
+            table = np.column_stack([angles, np.cos(np.radians(angles))])
+            base_pattern = AntennaPattern.from_tables(table, table)
+            # every row within 40 degrees of boresight shapes the toy lattice
+            table[int(rng.integers(5, 14)), 1] *= 1.0 + rng.uniform(0.01, 0.5)
+            pattern = AntennaPattern.from_tables(table, table)
+        if change == "explicit":
+            values = base.values.copy()
+            values[t, int(rng.integers(base.n_samples))] = rng.uniform(0.05, 0.95)
+            other = MaskTransmission.from_values(values)
+        else:
+            other = MaskTransmission(mode=base.mode, n_positions=base.n_positions,
+                                     n_samples=base.n_samples, footprint_indices=rows,
+                                     **amps)
+        model = build_forward(*args, transmission=other, pattern=pattern)
+        reference = build_forward(*args, pattern=base_pattern)
+        assert not np.array_equal(model.B, reference.B)
+        assert model.fingerprint != reference.fingerprint
 
     def test_virtual_source_phase_consistency(self, toy_mask):
         # a cell-sized pinhole swept on a circle, diffraction weighting

@@ -9,8 +9,10 @@ from mmpinhole import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, blade_footprint, build_scene_grid,
                        default_plane_sampling, default_radar_config,
                        effective_fov_deg)
+from mmpinhole import mask as mask_module
+from mmpinhole import sync as sync_module
 from mmpinhole.errors import ParameterError, UnsupportedConfigurationError
-from mmpinhole.geometry import footprint_mask_array
+from mmpinhole.geometry import _ANGLE_CHUNK, footprint_mask_array
 
 
 class TestSceneGrid:
@@ -109,6 +111,102 @@ class TestBladeFootprint:
         angles = np.linspace(0, 2 * math.pi, 2000, endpoint=False)
         hit = footprint_mask_array(mask, angles, pts[:, :2]).any(axis=0)
         assert hit.all()
+
+
+def full_lattice_footprint(mask, angles_rad, pts_xy):
+    """Reference: the blade rectangle test on every point for every angle."""
+    angles = np.asarray(angles_rad, dtype=float)
+    pts = np.asarray(pts_xy, dtype=float)
+    x, y = pts[None, :, 0], pts[None, :, 1]
+    out = np.zeros((angles.size, len(pts)), dtype=bool)
+    for b in range(mask.blade_count):
+        a = angles + 2.0 * math.pi * b / mask.blade_count
+        sin_a, cos_a = np.sin(a)[:, None], np.cos(a)[:, None]
+        u = -x * sin_a + y * cos_a
+        v = x * cos_a + y * sin_a
+        out |= ((u >= 0.0) & (u <= mask.blade_length_m)
+                & (np.abs(v) <= mask.blade_width_m / 2.0))
+    return out
+
+
+@st.composite
+def footprint_cases(draw):
+    """A mask, an angle list and mask-plane points, many on blade edges."""
+    blades = draw(st.sampled_from([1, 2]))
+    length = draw(st.floats(0.01, 0.3))
+    width = 2.0 * length * draw(st.floats(0.01, 0.95))
+    mask = MaskGeometry(blade_count=blades, blade_length_m=length,
+                        blade_width_m=width)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "warped", "negative", "above-2pi",
+                                 "single", "empty"]))
+    if kind == "uniform":
+        count = draw(st.integers(1, 1000))
+        start = draw(st.integers(0, count - 1))
+        angles = (2.0 * math.pi * np.arange(count) / count)[start:start + _ANGLE_CHUNK]
+    elif kind == "warped":
+        angles = np.cumsum(rng.uniform(0.0, 0.05, draw(st.integers(1, 200))))
+    elif kind == "negative":
+        angles = rng.uniform(-20.0, 0.0, draw(st.integers(1, 64)))
+    elif kind == "above-2pi":
+        angles = rng.uniform(2.0 * math.pi, 200.0, draw(st.integers(1, 64)))
+    elif kind == "single":
+        angles = np.array([draw(st.floats(-50.0, 50.0))])
+    else:
+        angles = np.empty(0)
+    extent = length + width
+    pts = [rng.uniform(-extent, extent, (draw(st.integers(0, 300)), 2))]
+    # points on the edges u = 0, u = L and |v| = w/2 of a blade at a drawn
+    # angle; (x, y) = R (u, v) inverts the blade frame rotation R
+    edge_angles = angles if angles.size else rng.uniform(0, 2 * math.pi, 4)
+    for _ in range(draw(st.integers(0, 40))):
+        a = rng.choice(edge_angles) + 2.0 * math.pi * rng.integers(blades) / blades
+        u = rng.uniform(0.0, length)
+        v = rng.uniform(-width / 2.0, width / 2.0)
+        half = width / 2.0 * rng.choice([-1.0, 1.0])
+        u, v = [(0.0, v), (length, v), (u, half), (0.0, half),
+                (length, half)][rng.integers(5)]
+        pts.append([[-math.sin(a) * u + math.cos(a) * v,
+                     math.cos(a) * u + math.sin(a) * v]])
+    # points just inside and outside r = w/2, where the angular bound is widest
+    psi = rng.uniform(0.0, 2.0 * math.pi, 20)
+    r = width / 2.0 * (1.0 + rng.choice([-1e-12, 0.0, 1e-12, 1e-6], 20))
+    pts.append(np.column_stack([-r * np.sin(psi), r * np.cos(psi)]))
+    pts.append([[0.0, 0.0]])
+    return mask, angles, np.concatenate(pts)
+
+
+class TestFootprintCandidates:
+    """footprint_mask_array tests only reachable cells; results must not move."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=footprint_cases())
+    def test_matches_full_lattice(self, case):
+        mask, angles, pts = case
+        got = footprint_mask_array(mask, angles, pts)
+        assert got.shape == (angles.size, len(pts))
+        assert np.array_equal(got, full_lattice_footprint(mask, angles, pts))
+
+    @pytest.mark.parametrize("blades", [1, 2])
+    def test_default_geometry_matches_full_lattice(self, blades, monkeypatch):
+        radar = default_radar_config(MaskGeometry())
+        sampling = default_plane_sampling(radar, MaskGeometry())
+        rotation = RotationSampling(1000)
+        angles, pts = rotation.angles_rad, sampling.samples[:, :2]
+        mask = MaskGeometry(blade_count=blades)
+        full_rows = [np.flatnonzero(row)
+                     for start in range(0, angles.size, _ANGLE_CHUNK)
+                     for row in full_lattice_footprint(
+                         mask, angles[start:start + _ANGLE_CHUNK], pts)]
+        for mode in ("inverse-pinhole", "regular-pinhole"):
+            mode_mask = MaskGeometry(blade_count=blades, mode=mode, attenuation_db=12.0)
+            rows = mask_module.transmission_for(mode_mask, rotation, sampling).footprint_indices
+            assert len(rows) == len(full_rows)
+            assert all(np.array_equal(a, b) for a, b in zip(rows, full_rows))
+        profile = sync_module.blade_return_profile(radar, mask, sampling, angles)
+        monkeypatch.setattr(sync_module, "footprint_mask_array", full_lattice_footprint)
+        full_profile = sync_module.blade_return_profile(radar, mask, sampling, angles)
+        assert np.array_equal(profile, full_profile)
 
 
 class TestRotationSampling:
