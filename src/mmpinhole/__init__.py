@@ -10,8 +10,8 @@ from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid, build_scene_grid,
                        default_plane_sampling, default_radar_config,
                        effective_fov_deg, blade_footprint)
-from .propagation import (AntennaPattern, PropagationMatrix, assemble_oneway,
-                          greens, pattern_weight, rs_weight)
+from .propagation import (AntennaPattern, assemble_oneway, greens,
+                          pattern_weight, rs_weight)
 from .mask import (MaskTransmission, count_null_events, find_nulls,
                    inverse_pinhole, null_signature, open_mask, regular_pinhole,
                    soft_edge_transmission, transmission_for)

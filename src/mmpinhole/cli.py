@@ -355,8 +355,8 @@ def cmd_analyze(subcommand, config_path, out_dir=None) -> int:
         transmission = transmission_for(cfg.mask, cfg.rotation, cfg.sampling)
         tx, rx = assemble_oneway(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
                                  cfg.sampling, ("tx", "rx"), transmission)
-        s_bi = svdvals(tx.entries * rx.entries)
-        s_uni = svdvals(rx.entries)
+        s_bi = svdvals(tx * rx)
+        s_uni = svdvals(rx)
         with open(os.path.join(out, "svd.csv"), "w", newline="") as fh:
             fh.write("index,sigma_bidirectional,sigma_unidirectional\r\n")
             for i in range(min(s_bi.size, s_uni.size)):

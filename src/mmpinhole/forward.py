@@ -138,12 +138,12 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     if transmission is None:
         transmission = transmission_for(mask, rotation, plane_sampling)
     if directionality == "unidirectional":
-        B = assemble_oneway(radar, grid, mask, rotation, plane_sampling, "rx",
-                            transmission, pattern=pattern).entries
+        B, = assemble_oneway(radar, grid, mask, rotation, plane_sampling, ("rx",),
+                             transmission, pattern=pattern)
     else:
         tx, rx = assemble_oneway(radar, grid, mask, rotation, plane_sampling,
                                  ("tx", "rx"), transmission, pattern=pattern)
-        B = tx.entries * rx.entries
+        B = tx * rx
     fp = config_fingerprint(radar, grid, mask, rotation, plane_sampling, directionality,
                             transmission, pattern)
     return ForwardModel(B=B, fingerprint=fp, directionality=directionality, grid=grid)
@@ -186,12 +186,10 @@ def noise_from_snr(model: ForwardModel, snr_db: float, seed: int = 0,
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Complex measurement vector with optional generation context."""
+    """Complex measurement vector and the rotation speed it was taken at."""
 
     y: np.ndarray
-    truth: Optional[np.ndarray] = None
     rotation_rpm: Optional[float] = None
-    snr_db: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=np.complex128))
@@ -211,7 +209,7 @@ def simulate(model: ForwardModel, x, noise: NoiseModel,
     y = model.B @ x
     if noise.noise_power > 0:
         y = y + noise.draw(y.size)
-    return MeasurementSet(y=y, truth=x, rotation_rpm=rotation_rpm)
+    return MeasurementSet(y=y, rotation_rpm=rotation_rpm)
 
 
 def apply_doppler(measurements: MeasurementSet, radial_velocity_mps: float,

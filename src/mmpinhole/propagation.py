@@ -8,9 +8,9 @@ time-variant mask transmission folded into each row.
 
 The plane-to-scene kernel does not depend on the antenna; only the
 illumination of the mask plane does.  ``assemble_oneway`` therefore takes
-one antenna end or a tuple of ends and evaluates each kernel chunk once
-for all of them, so the Tx and Rx matrices of a bidirectional model cost
-one kernel pass.
+a tuple of antenna ends and evaluates each kernel chunk once for all of
+them, so the Tx and Rx matrices of a bidirectional model cost one kernel
+pass.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class AntennaPattern:
 
     azimuth_shape: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     elevation_shape: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    parameterization: str = "cosine-power"
 
     @classmethod
     def from_half_power(cls, azimuth_deg: float, elevation_deg: float) -> "AntennaPattern":
@@ -107,8 +106,7 @@ class AntennaPattern:
                 return c ** power
             return f
 
-        return cls(azimuth_shape=shape(p_az), elevation_shape=shape(p_el),
-                   parameterization=f"cosine-power az={p_az:.4f} el={p_el:.4f}")
+        return cls(azimuth_shape=shape(p_az), elevation_shape=shape(p_el))
 
     @classmethod
     def from_tables(cls, az_table, el_table) -> "AntennaPattern":
@@ -134,8 +132,7 @@ class AntennaPattern:
                                  left=amp[0], right=amp[-1])
             return f
 
-        return cls(azimuth_shape=load(az_table), elevation_shape=load(el_table),
-                   parameterization="tabulated")
+        return cls(azimuth_shape=load(az_table), elevation_shape=load(el_table))
 
 
 def direction_angles_deg(directions):
@@ -153,29 +150,6 @@ def pattern_weight(pattern: AntennaPattern, direction) -> np.ndarray:
     if np.ndim(w) == 0:
         return float(w)
     return w
-
-
-@dataclass(frozen=True)
-class PropagationMatrix:
-    """One-way transfer matrix, (rotation positions) x (scene points).
-
-    Each row already contains the per-position mask transmission, so the
-    matrix realizes the product of the blocking operator with free-space
-    propagation for one direction of travel.
-    """
-
-    entries: np.ndarray
-    direction: str  # "tx-to-scene" | "scene-to-rx"
-
-    def __post_init__(self):
-        if self.direction not in ("tx-to-scene", "scene-to-rx"):
-            raise ParameterError(f"unknown direction {self.direction!r}")
-        if not np.all(np.isfinite(self.entries)):
-            raise ParameterError("propagation matrix entries must be finite")
-
-    @property
-    def shape(self):
-        return self.entries.shape
 
 
 def _antenna_to_plane(radar: RadarConfig, antenna_pos, plane_pts, pattern):
@@ -224,14 +198,11 @@ def _through_mask(transmission, illum):
     return through_mask
 
 
-_DIRECTIONS = {"tx": "tx-to-scene", "rx": "scene-to-rx"}
-
-
 def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                     rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
-                    antenna_end, transmission,
+                    ends, transmission,
                     pattern: Optional[AntennaPattern] = None):
-    """One-way propagation matrix through the time-variant mask.
+    """One-way propagation matrices through the time-variant mask.
 
     Entry (t, j) integrates antenna illumination, per-position transmission
     and the Rayleigh-Sommerfeld secondary-source factor over the mask-plane
@@ -240,17 +211,17 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
 
     Parameters
     ----------
-    antenna_end : "tx", "rx" or a tuple of them
-        Which antenna of the pair illuminates the mask plane.  A single end
-        returns one ``PropagationMatrix``; a tuple such as ``("tx", "rx")``
-        returns one matrix per end, in the same order, from a single pass
-        over the plane-to-scene kernel.
+    ends : tuple of "tx" and "rx"
+        The antennas that illuminate the mask plane, e.g. ``("tx", "rx")``
+        or ``("rx",)``.  Returns one (rotation positions) x (scene points)
+        complex128 array per end, in the same order, from a single pass over
+        the plane-to-scene kernel.
     transmission : MaskTransmission
         Per-rotation-position amplitude transmission over the lattice.
     """
-    ends = (antenna_end,) if isinstance(antenna_end, str) else tuple(antenna_end)
-    if not ends or any(end not in _DIRECTIONS for end in ends):
-        raise ParameterError("antenna_end must be 'tx', 'rx' or a tuple of them")
+    if (not isinstance(ends, tuple) or not ends
+            or any(end not in ("tx", "rx") for end in ends)):
+        raise ParameterError("ends must be a non-empty tuple of 'tx' and 'rx'")
     if plane_sampling.spacing_m > radar.wavelength_m / 2.0 + 1e-15:
         raise ParameterError("plane sampling pitch must be at most wavelength/2")
     if plane_sampling.extent_m + 1e-12 < mask.blade_length_m + mask.blade_width_m:
@@ -271,15 +242,15 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     through = [_through_mask(transmission, _antenna_to_plane(
                    radar, radar.tx if end == "tx" else radar.rx, plane_pts, pattern))
                for end in ends]
-    entries = [np.empty((T, N), dtype=np.complex128) for _ in ends]
+    matrices = tuple(np.empty((T, N), dtype=np.complex128) for _ in ends)
     for start in range(0, N, _SCENE_CHUNK):
         sl = slice(start, start + _SCENE_CHUNK)
         prop = _plane_to_scene_chunk(plane_pts, grid.points[sl], radar.wavelength_m)
-        for out, through_mask in zip(entries, through):
+        for out, through_mask in zip(matrices, through):
             out[:, sl] = through_mask(prop)
         del prop  # free the M x 64 chunk before the next one is computed
-    matrices = []
-    for end, out in zip(ends, entries):
+    for out in matrices:
         out *= plane_sampling.cell_area
-        matrices.append(PropagationMatrix(entries=out, direction=_DIRECTIONS[end]))
-    return matrices[0] if isinstance(antenna_end, str) else tuple(matrices)
+        if not np.all(np.isfinite(out)):
+            raise ParameterError("propagation matrix entries must be finite")
+    return matrices

@@ -28,8 +28,6 @@ class SvdFactorization:
     S: np.ndarray
     V: np.ndarray
     grid: SceneGrid = field(repr=False, default=None)
-    fingerprint: str = ""
-    directionality: str = "bidirectional"
 
 
 def factorize(model: ForwardModel) -> SvdFactorization:
@@ -37,9 +35,7 @@ def factorize(model: ForwardModel) -> SvdFactorization:
     if not np.all(np.isfinite(model.B)):
         raise NumericError("sensing matrix contains non-finite entries")
     U, S, Vh = linalg.svd(model.B, full_matrices=False)
-    return SvdFactorization(U=U, S=S, V=Vh.conj().T, grid=model.grid,
-                            fingerprint=model.fingerprint,
-                            directionality=model.directionality)
+    return SvdFactorization(U=U, S=S, V=Vh.conj().T, grid=model.grid)
 
 
 def numerical_rank(S, rtol: float = 1e-10) -> int:
@@ -93,7 +89,6 @@ class ImageResult:
     intensity: np.ndarray
     complex_amplitude: np.ndarray
     grid: SceneGrid = field(repr=False, default=None)
-    config: ReconConfig = None
     truncation_used: int = 0
 
 
@@ -120,8 +115,7 @@ def reconstruct(fact: SvdFactorization, y, cfg: ReconConfig) -> ImageResult:
             intensity = intensity / peak
     shape = fact.grid.shape if fact.grid is not None else (1, x_hat.size)
     return ImageResult(intensity=intensity.reshape(shape),
-                       complex_amplitude=x_hat, grid=fact.grid,
-                       config=cfg, truncation_used=k)
+                       complex_amplitude=x_hat, grid=fact.grid, truncation_used=k)
 
 
 def background_subtract(y, y_background) -> np.ndarray:

@@ -62,8 +62,7 @@ def psf_bundle(default_geometry):
     mask, radar, rotation, sampling = default_geometry
     grid = build_scene_grid(20.0, -50, 50, 0.05, [0])
     trans = regular_pinhole(mask, rotation, sampling)
-    tx, rx = (end.entries for end in assemble_oneway(
-        radar, grid, mask, rotation, sampling, ("tx", "rx"), trans))
+    tx, rx = assemble_oneway(radar, grid, mask, rotation, sampling, ("tx", "rx"), trans)
     bi = mp.ForwardModel(B=tx * rx, fingerprint="0" * 16,
                          directionality="bidirectional", grid=grid)
     uni = mp.ForwardModel(B=rx, fingerprint="1" * 16,
@@ -261,9 +260,8 @@ def test_c07_background_subtraction_identity():
     opn = open_mask(rotation, sampling)
     sides = {}
     for end in ("rx", "tx"):
-        args = (radar, grid, mask, rotation, sampling, end)
-        sides[end] = tuple(assemble_oneway(*args, t).entries
-                           for t in (reg, inv, opn))
+        args = (radar, grid, mask, rotation, sampling, (end,))
+        sides[end] = tuple(assemble_oneway(*args, t)[0] for t in (reg, inv, opn))
     HF, IF, OF = sides["rx"]
     residual_uni = float(np.abs((IF - OF) + HF).max())
     assert residual_uni < 1e-10, residual_uni

@@ -33,8 +33,8 @@ class TestBuildForward:
                                                 toy_sampling):
         trans = open_mask(toy_rotation, toy_sampling)
         args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)
-        tx = assemble_oneway(*args, "tx", trans).entries
-        rx = assemble_oneway(*args, "rx", trans).entries
+        tx, = assemble_oneway(*args, ("tx",), trans)
+        rx, = assemble_oneway(*args, ("rx",), trans)
         bi = build_forward(*args, "bidirectional", transmission=trans)
         uni = build_forward(*args, "unidirectional", transmission=trans)
         np.testing.assert_allclose(bi.B, tx * rx, rtol=1e-12)

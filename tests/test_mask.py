@@ -89,10 +89,10 @@ class TestBackgroundSubtractionIdentity:
         reg = regular_pinhole(toy_mask, toy_rotation, toy_sampling)
         inv = inverse_pinhole(toy_mask, toy_rotation, toy_sampling)
         opn = open_mask(toy_rotation, toy_sampling)
-        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, "rx")
-        HF = assemble_oneway(*args, reg).entries
-        IF = assemble_oneway(*args, inv).entries
-        OF = assemble_oneway(*args, opn).entries
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, ("rx",))
+        HF, = assemble_oneway(*args, reg)
+        IF, = assemble_oneway(*args, inv)
+        OF, = assemble_oneway(*args, opn)
         residual = (IF - OF) + HF
         assert np.abs(residual).max() < 1e-12 * np.abs(OF).max()
 

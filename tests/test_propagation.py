@@ -100,14 +100,15 @@ class TestAntennaPattern:
 
 
 def _one_way(radar, grid, mask, rot, samp, trans):
-    return assemble_oneway(radar, grid, mask, rot, samp, "rx", trans)
+    rx, = assemble_oneway(radar, grid, mask, rot, samp, ("rx",), trans)
+    return rx
 
 
 class TestAssembleOneway:
     def test_open_mask_time_invariant(self, toy_radar, toy_grid, toy_mask,
                                       toy_rotation, toy_sampling):
         trans = open_mask(toy_rotation, toy_sampling)
-        F = _one_way(toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, trans).entries
+        F = _one_way(toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, trans)
         dev = np.abs(F - F[0]) / np.abs(F[0])
         assert dev.max() < 1e-12
 
@@ -115,7 +116,7 @@ class TestAssembleOneway:
                                     toy_rotation, toy_sampling):
         values = np.zeros((toy_rotation.count, toy_sampling.n_samples))
         trans = MaskTransmission.from_values(values)
-        F = _one_way(toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, trans).entries
+        F = _one_way(toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, trans)
         assert np.all(F == 0)
 
     def test_regular_pinhole_peak_at_alignment(self, toy_radar, toy_mask,
@@ -132,7 +133,7 @@ class TestAssembleOneway:
                             axis_offset_m=toy_mask.axis_offset_m,
                             mode="regular-pinhole")
         trans = regular_pinhole(mask, rot, toy_sampling)
-        F = _one_way(toy_radar, grid, mask, rot, toy_sampling, trans).entries
+        F = _one_way(toy_radar, grid, mask, rot, toy_sampling, trans)
         t_peak = int(np.argmax(np.abs(F[:, 0])))
         expected = rot.count // 2
         assert abs(t_peak - expected) <= rot.count * 0.05
@@ -167,19 +168,27 @@ class TestAssembleOneway:
         tx, rx = assemble_oneway(*args, ("tx", "rx"), trans)
         rx2, tx2 = assemble_oneway(*args, ("rx", "tx"), trans)
         for end, pair in (("tx", (tx, tx2)), ("rx", (rx, rx2))):
-            single = assemble_oneway(*args, end, trans)
+            single, = assemble_oneway(*args, (end,), trans)
             for matrix in pair:
-                assert matrix.direction == single.direction
-                assert np.array_equal(matrix.entries, single.entries)
-        assert not np.array_equal(tx.entries, rx.entries)
+                assert np.array_equal(matrix, single)
+        assert not np.array_equal(tx, rx)
 
-    @pytest.mark.parametrize("ends", [("tx", "bogus"), (), "both"])
+    @pytest.mark.parametrize("ends", [("tx", "bogus"), (), "both", "tx"])
     def test_unknown_end_rejected(self, toy_radar, toy_grid, toy_mask,
                                   toy_rotation, toy_sampling, ends):
         trans = open_mask(toy_rotation, toy_sampling)
         with pytest.raises(ParameterError):
             assemble_oneway(toy_radar, toy_grid, toy_mask, toy_rotation,
                             toy_sampling, ends, trans)
+
+    def test_non_finite_entries_rejected(self, toy_radar, toy_grid, toy_mask,
+                                         toy_rotation, toy_sampling):
+        trans = open_mask(toy_rotation, toy_sampling)
+        nan_shape = AntennaPattern(azimuth_shape=lambda a: np.full(np.shape(a), np.nan),
+                                   elevation_shape=lambda a: np.ones(np.shape(a)))
+        with pytest.raises(ParameterError, match="finite"):
+            assemble_oneway(toy_radar, toy_grid, toy_mask, toy_rotation,
+                            toy_sampling, ("tx", "rx"), trans, pattern=nan_shape)
 
     def test_far_field_phase_matches_plane_wave(self, toy_mask):
         # a single open cell swept along x acts as a moving point source;
@@ -203,7 +212,7 @@ class TestAssembleOneway:
             values[t, c] = 1.0
         trans = MaskTransmission.from_values(values)
         rot = RotationSampling(T)
-        F = assemble_oneway(radar, grid, toy_mask, rot, samp, "rx", trans).entries
+        F, = assemble_oneway(radar, grid, toy_mask, rot, samp, ("rx",), trans)
         cell_x = pts[cells, 0]
         d_leg = np.linalg.norm(pts[cells] - radar.rx[None, :], axis=1)
         measured = np.unwrap(np.angle(F[:, 0])) - 2 * math.pi * d_leg / wavelength
@@ -232,7 +241,7 @@ class TestAssembleOneway:
         values = np.stack([(rr <= rad).astype(float) for rad in np.sqrt(r2)])
         trans = MaskTransmission.from_values(values)
         rot = RotationSampling(len(r2))
-        F = assemble_oneway(radar, grid, toy_mask, rot, samp, "rx", trans).entries
+        F, = assemble_oneway(radar, grid, toy_mask, rot, samp, ("rx",), trans)
         mags = np.abs(F[:, 0])
         free = abs(greens(radar.rx, grid.points[0], wavelength))
         smoothed = np.convolve(mags, np.ones(6) / 6, mode="valid")
