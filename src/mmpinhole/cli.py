@@ -26,7 +26,7 @@ from .analysis import (metric_report, psf, rotational_power, rpm_to_rad_s,
                        sar_baseline, sweep, sweep_to_csv)
 from .errors import (ConfigError, DataFileError, FingerprintMismatchError,
                      NumericError, ParameterError, RankDeficiencyError,
-                     ShapeError)
+                     ShapeError, SingularityError)
 from .forward import (DEFAULT_ROTATION_RPM, NoiseModel, build_forward,
                       noise_from_snr, simulate)
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
@@ -146,9 +146,9 @@ def load_config(path) -> ExperimentConfig:
                                      separation_m=separation, **radar_sec)
 
         rot_sec = dict(raw.get("rotation", {}))
-        rpm = float(rot_sec.pop("rpm", DEFAULT_ROTATION_RPM))
+        rpm = _finite(rot_sec.pop("rpm", DEFAULT_ROTATION_RPM), "rotation.rpm")
         if rpm <= 0:
-            raise ParameterError("rpm must be positive")
+            raise ParameterError("rotation.rpm must be positive")
         rotation = RotationSampling(**rot_sec)
 
         samp_sec = dict(raw.get("sampling", {}))
@@ -172,18 +172,21 @@ def load_config(path) -> ExperimentConfig:
 
         targets = []
         for i, tgt in enumerate(raw.get("scene", {}).get("targets", [])):
+            where = f"scene.targets[{i}]"
             if not isinstance(tgt, dict):
-                raise ConfigError(f"scene.targets[{i}] must be an object")
-            _check_keys(tgt, _TARGET_KEYS, f"scene.targets[{i}]")
+                raise ConfigError(f"{where} must be an object")
+            _check_keys(tgt, _TARGET_KEYS, where)
+            # a non-finite amplitude reaches simulate's check on x (exit 4)
             targets.append({
-                "azimuth_deg": float(tgt["azimuth_deg"]),
-                "elevation_deg": float(tgt.get("elevation_deg", 0.0)),
+                "azimuth_deg": _finite(tgt["azimuth_deg"], f"{where}.azimuth_deg"),
+                "elevation_deg": _finite(tgt.get("elevation_deg", 0.0),
+                                         f"{where}.elevation_deg"),
                 "amplitude": float(tgt.get("amplitude", 1.0)),
-                "phase_deg": float(tgt.get("phase_deg", 0.0)),
+                "phase_deg": _finite(tgt.get("phase_deg", 0.0), f"{where}.phase_deg"),
             })
 
         noise_sec = dict(raw.get("noise", {}))
-        seed = int(noise_sec.get("seed", 0))
+        seed = noise_sec.get("seed", 0)
         snr_db = noise_sec.get("snr_db")
         if snr_db is not None:
             snr_db = _finite(snr_db, "noise.snr_db")
@@ -460,7 +463,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args.subcommand, args.config, out_dir=args.out_dir)
         return EXIT_CONFIG
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, SingularityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataFileError, FingerprintMismatchError, ShapeError) as exc:

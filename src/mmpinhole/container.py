@@ -18,7 +18,8 @@ offset size    field
 
 The payload is interleaved re/im float32 pairs: the model ``B`` (T x N)
 row major, 8 T N bytes, or the measurements ``y`` (T), 8 T bytes.  A file
-whose payload length disagrees with its header raises ``ShapeError``.
+whose payload length disagrees with its header raises ``ShapeError``; one
+with non-zero reserved bytes raises ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -85,8 +86,10 @@ def read_container(path) -> ContainerPayload:
         raw = fh.read()
     if len(raw) < _HEADER.size or raw[:8] != MAGIC:
         raise ParameterError(f"{path} is not a recognized container file")
-    magic, kind_code, dir_code, _, T, N, _, fp = _HEADER.unpack_from(raw)
+    magic, kind_code, dir_code, reserved_a, T, N, reserved_b, fp = _HEADER.unpack_from(raw)
     body = raw[_HEADER.size:]
+    if reserved_a or reserved_b:
+        raise ParameterError(f"{path} has non-zero reserved header bytes")
     kind = _KIND_NAMES.get(kind_code)
     if kind is None or dir_code not in _DIR_NAMES:
         raise ParameterError(f"unknown container kind or directionality code "

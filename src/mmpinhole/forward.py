@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -160,6 +161,8 @@ class NoiseModel:
     def __post_init__(self):
         if not math.isfinite(self.noise_power) or self.noise_power < 0:
             raise ParameterError("noise_power must be finite and non-negative")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ParameterError("seed must be a non-negative integer")
 
     def draw(self, n: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)

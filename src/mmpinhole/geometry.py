@@ -18,6 +18,8 @@ All lengths are in meters and all angles in degrees at API boundaries
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,13 +71,15 @@ class RadarConfig:
     elevation_fov_deg: float = 20.0
 
     def __post_init__(self):
-        if self.wavelength_m <= 0:
-            raise ParameterError("wavelength_m must be positive")
+        if not 0.0 < self.wavelength_m < math.inf:
+            raise ParameterError("wavelength_m must be positive and finite")
         for fov in (self.azimuth_fov_deg, self.elevation_fov_deg):
             if not 0.0 < fov < 90.0:
                 raise ParameterError("FoV half-angles must lie in (0, 90) degrees")
         object.__setattr__(self, "tx_position", tuple(float(v) for v in self.tx_position))
         object.__setattr__(self, "rx_position", tuple(float(v) for v in self.rx_position))
+        if not all(map(math.isfinite, self.tx_position + self.rx_position)):
+            raise ParameterError("antenna positions must be finite")
 
     @property
     def colocated(self) -> bool:
@@ -120,10 +124,12 @@ class SceneGrid:
     def __post_init__(self):
         az = np.asarray(self.azimuth_deg, dtype=float)
         el = np.asarray(self.elevation_deg, dtype=float)
-        if self.range_m <= 0:
-            raise ParameterError("range_m must be positive")
-        if az.size == 0 or el.size == 0:
-            raise ParameterError("grid needs at least one azimuth and one elevation")
+        if not 0.0 < self.range_m < math.inf:
+            raise ParameterError("range_m must be positive and finite")
+        if az.ndim != 1 or el.ndim != 1 or az.size == 0 or el.size == 0:
+            raise ParameterError("grid needs non-empty 1-D azimuth and elevation lists")
+        if not (np.all(np.isfinite(az)) and np.all(np.isfinite(el))):
+            raise ParameterError("grid angles must be finite")
         if az.size > 1 and not np.all(np.diff(az) > 0):
             raise ParameterError("azimuth angles must be strictly increasing")
         if el.size > 1 and not np.all(np.diff(el) > 0):
@@ -164,14 +170,14 @@ def build_scene_grid(range_m, az_min_deg, az_max_deg, az_step_deg,
     The grid has ``ceil((max - min) / step) + 1`` azimuth bins; az_min equal
     to az_max produces a single bin.
     """
-    if az_step_deg <= 0:
-        raise ParameterError("az_step_deg must be positive")
-    if range_m <= 0:
-        raise ParameterError("range_m must be positive")
-    if az_max_deg < az_min_deg:
-        raise ParameterError("az_max_deg must not be below az_min_deg")
-    span = az_max_deg - az_min_deg
-    n = int(math.ceil(span / az_step_deg - 1e-12)) + 1
+    if not 0.0 < az_step_deg < math.inf:
+        raise ParameterError("az_step_deg must be positive and finite")
+    if not -math.inf < az_min_deg <= az_max_deg < math.inf:
+        raise ParameterError("need finite az_min_deg <= az_max_deg")
+    steps = (az_max_deg - az_min_deg) / az_step_deg
+    if not math.isfinite(steps):
+        raise ParameterError("the azimuth range holds too many az_step_deg bins")
+    n = int(math.ceil(steps - 1e-12)) + 1
     az = az_min_deg + az_step_deg * np.arange(n)
     return SceneGrid(range_m=range_m, azimuth_deg=az,
                      elevation_deg=np.asarray(el_list_deg, dtype=float))
@@ -198,11 +204,13 @@ class MaskGeometry:
         if self.blade_count not in (1, 2):
             raise UnsupportedConfigurationError(
                 f"blade_count={self.blade_count} unsupported (1 or 2 blades)")
-        if not self.blade_length_m > self.blade_width_m / 2.0 > 0.0:
-            raise ParameterError("need blade_length_m > blade_width_m/2 > 0")
-        if self.plane_depth_m <= 0:
-            raise ParameterError("plane_depth_m must be positive")
-        if self.attenuation_db < 0:
+        if not math.inf > self.blade_length_m > self.blade_width_m / 2.0 > 0.0:
+            raise ParameterError("need a finite blade_length_m > blade_width_m/2 > 0")
+        if not 0.0 < self.plane_depth_m < math.inf:
+            raise ParameterError("plane_depth_m must be positive and finite")
+        if not math.isfinite(self.axis_offset_m):
+            raise ParameterError("axis_offset_m must be finite")
+        if not self.attenuation_db >= 0:  # inf is the ideal blocker
             raise ParameterError("attenuation_db must be non-negative")
         if self.mode not in ("regular-pinhole", "inverse-pinhole"):
             raise ParameterError(f"unknown mask mode {self.mode!r}")
@@ -329,8 +337,9 @@ class RotationSampling:
     uniform: bool = True
 
     def __post_init__(self):
-        if self.positions_per_rotation <= 0:
-            raise ParameterError("positions_per_rotation must be positive")
+        if (not isinstance(self.positions_per_rotation, numbers.Integral)
+                or self.positions_per_rotation <= 0):
+            raise ParameterError("positions_per_rotation must be a positive integer")
         if self.angles_rad is None:
             angles = 2.0 * math.pi * np.arange(self.positions_per_rotation) / self.positions_per_rotation
             object.__setattr__(self, "angles_rad", angles)
@@ -366,8 +375,12 @@ class MaskPlaneSampling:
     plane_depth_m: float
 
     def __post_init__(self):
-        if self.spacing_m <= 0 or self.extent_m <= 0:
-            raise ParameterError("spacing_m and extent_m must be positive")
+        # lengths get squared (cell area, distances), so they stay below 1e154
+        if not 0.0 < self.spacing_m <= self.extent_m < math.sqrt(sys.float_info.max):
+            raise ParameterError("need 0 < spacing_m <= extent_m < 1e154")
+        # (2 n + 1)^2 cells with n = ceil(extent / spacing) must be indexable
+        if 2.0 * self.extent_m / self.spacing_m + 3.0 > math.sqrt(np.iinfo(np.intp).max):
+            raise ParameterError("plane sampling lattice has too many cells")
 
     @property
     def axis_coords(self) -> np.ndarray:

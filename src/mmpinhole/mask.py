@@ -43,7 +43,7 @@ class MaskTransmission:
             if vals.shape != (self.n_positions, self.n_samples):
                 raise ShapeError(f"explicit values must have shape "
                                  f"({self.n_positions}, {self.n_samples})")
-            if np.any(vals < 0.0) or np.any(vals > 1.0):
+            if not np.all((vals >= 0.0) & (vals <= 1.0)):
                 raise ParameterError("transmission values must lie in [0, 1]")
             object.__setattr__(self, "explicit_values", vals)
         else:
@@ -118,14 +118,19 @@ def soft_edge_transmission(mask: MaskGeometry, rotation: RotationSampling,
 
     The taper spans half a lattice cell on each side of the blade boundary
     and reduces staircase artifacts in sensitivity studies.  The result is
-    materialized densely, so prefer reduced configurations.  The default
-    hard-edged builders remain the reproducible reference.
+    a dense (T, M) array, evaluated in blocks of rotation positions.  The
+    default hard-edged builders remain the reproducible reference.
     """
     mode, inside, outside = _footprint_amplitudes(mask, mode)
     half_width = plane_sampling.spacing_m / 2.0
-    cov = _footprint_coverage(mask, rotation.angles_rad,
-                              plane_sampling.samples[:, :2], half_width)
-    values = outside + (inside - outside) * cov
+    pts_xy = plane_sampling.samples[:, :2]
+    angles = rotation.angles_rad
+    values = np.empty((angles.size, len(pts_xy)))
+    for start in range(0, angles.size, _ANGLE_CHUNK):
+        values[start:start + _ANGLE_CHUNK] = _footprint_coverage(
+            mask, angles[start:start + _ANGLE_CHUNK], pts_xy, half_width)
+    values *= inside - outside
+    values += outside
     return MaskTransmission.from_values(values, mode=f"{mode}-soft")
 
 

@@ -79,6 +79,9 @@ def rs_weight(source, dest, plane_normal, wavelength_m: float):
 def _cos_power_for_half_power(half_power_deg: float) -> float:
     """Exponent p so that cos(angle)^p hits amplitude 2^-1/2 at the edge."""
     c = math.cos(math.radians(half_power_deg))
+    if not 0.0 < c < 1.0:
+        raise ParameterError(f"half-power angle {half_power_deg!r} deg is too "
+                             "close to 0 or 90 for a cosine-power fit")
     return 0.5 * math.log(2.0) / (-math.log(c))
 
 

@@ -8,6 +8,7 @@ of the whole system.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,7 +62,8 @@ class ReconConfig:
     rel_threshold: Optional[float] = None
 
     def __post_init__(self):
-        if self.sigma_max is not None and self.sigma_max < 1:
+        if self.sigma_max is not None and not (
+                isinstance(self.sigma_max, numbers.Integral) and self.sigma_max >= 1):
             raise ParameterError("sigma_max must be a positive integer")
         if self.rel_threshold is not None and not 0.0 < self.rel_threshold < 1.0:
             raise ParameterError("rel_threshold must lie in (0, 1)")

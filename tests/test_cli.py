@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -7,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
-from mmpinhole import build_forward
+from mmpinhole import (MaskGeometry, MaskTransmission, RadarConfig, SceneGrid,
+                       build_forward)
 from mmpinhole.cli import load_config, main
-from mmpinhole.errors import ConfigError
+from mmpinhole.errors import ConfigError, ParameterError
+
+NAN = float("nan")
 
 # small, fast experiment: centimeter wavelength keeps the mask lattice tiny
 BASE_CONFIG = {
@@ -102,6 +106,34 @@ class TestSimulate:
         path.write_text('{\n "radar": {,}\n}\n')
         assert main(["simulate", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        {"radar": {"wavelength_m": NAN}},
+        {"sampling": {"spacing_m": NAN}},
+        {"rotation": {"rpm": NAN}},
+        {"scene": {"targets": [{"azimuth_deg": NAN}]}},
+        {"rotation": {"positions_per_rotation": 64.5}},
+        lambda: MaskTransmission.from_values(np.full((2, 3), NAN)),
+        lambda: SceneGrid(range_m=NAN, azimuth_deg=[0.0], elevation_deg=[0.0]),
+        lambda: RadarConfig(wavelength_m=NAN),
+        lambda: MaskGeometry(plane_depth_m=NAN),
+    ], ids=["wavelength", "spacing", "rpm", "target-azimuth", "positions",
+            "transmission", "grid-range", "radar-wavelength", "mask-depth"])
+    def test_nan_or_fractional_count_rejected(self, tmp_path, capsys, case):
+        if callable(case):
+            with pytest.raises(ParameterError):
+                case()
+            return
+        cfg = write_config(tmp_path, **case)
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+    def test_scene_point_on_mask_plane_is_config_error(self, tmp_path, capsys):
+        # the boresight point at the plane depth is a lattice cell
+        cfg = write_config(tmp_path, grid={"range_m": BASE_CONFIG["mask"]["plane_depth_m"]})
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "coincides with a mask-plane sample" in capsys.readouterr().err
 
 
 class TestReconstruct:
@@ -223,6 +255,19 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert err.startswith("data mismatch:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("offset", [10, 11, 20, 23])
+    def test_reserved_header_byte_is_data_error(self, simulated, tmp_path,
+                                                capsys, offset):
+        cfg, sim = simulated
+        raw = bytearray((sim / "measurements.bin").read_bytes())
+        raw[offset] ^= 1
+        bad = tmp_path / "reserved.bin"
+        bad.write_bytes(bytes(raw))
+        rc = main(["reconstruct", str(bad), "--config", cfg,
+                   "--out-dir", str(tmp_path / "rec")])
+        assert rc == 3
+        assert "reserved header bytes" in capsys.readouterr().err
+
     def test_determinism(self, simulated, tmp_path):
         cfg, sim = simulated
         outs = []
@@ -270,6 +315,52 @@ class TestReconstructFuzz:
                    "--reference", str(root / "sim" / "truth.csv"),
                    "--sigma-max", "5,12", "--out-dir", str(root / "rec")])
         assert rc in (0, 3, 4)
+
+
+# every numeric field of BASE_CONFIG, with "targets" meaning the first target
+_NUMERIC_FIELDS = [
+    ("radar", key) for key in ("wavelength_m", "separation_m", "azimuth_fov_deg",
+                               "elevation_fov_deg")
+] + [
+    ("mask", key) for key in ("blade_count", "blade_length_m", "blade_width_m",
+                              "plane_depth_m", "axis_offset_m", "attenuation_db")
+] + [
+    ("rotation", "positions_per_rotation"), ("rotation", "rpm"),
+    ("sampling", "spacing_m"), ("sampling", "extent_m"),
+] + [
+    ("grid", key) for key in ("range_m", "az_min_deg", "az_max_deg", "az_step_deg",
+                              "elevations_deg")
+] + [
+    ("targets", key) for key in ("azimuth_deg", "elevation_deg", "amplitude",
+                                 "phase_deg")
+] + [
+    ("noise", "noise_power"), ("noise", "snr_db"), ("noise", "seed"),
+    ("recon", "sigma_max"), ("recon", "rel_threshold"),
+]
+_BAD_NUMBERS = st.sampled_from([NAN, math.inf, -math.inf, 1e300, -1e300, 1e-300,
+                                "abc", "1.0"])
+
+
+class TestConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bad_numbers_never_raise(self, tmp_path_factory, data):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        fields = data.draw(st.lists(st.sampled_from(_NUMERIC_FIELDS), min_size=1,
+                                    max_size=3, unique=True))
+        for section, key in fields:
+            where = (cfg["scene"]["targets"][0] if section == "targets"
+                     else cfg.setdefault(section, {}))
+            where[key] = data.draw(_BAD_NUMBERS)
+        root = tmp_path_factory.mktemp("config-fuzz")
+        path = root / "config.json"
+        path.write_text(json.dumps(cfg))
+        for argv in (["simulate", str(path), "--out-dir", str(root / "sim")],
+                     ["reconstruct", str(root / "sim" / "measurements.bin"),
+                      "--config", str(path), "--out-dir", str(root / "rec")],
+                     ["analyze", "svd", "--config", str(path),
+                      "--out-dir", str(root / "svd")]):
+            assert main(argv) in (0, 2, 3, 4)
 
 
 class TestAnalyze:

@@ -6,7 +6,9 @@ import pytest
 from mmpinhole import (MaskGeometry, MaskPlaneSampling, RotationSampling,
                        assemble_oneway, build_forward, build_scene_grid,
                        default_plane_sampling, default_radar_config)
+from mmpinhole import mask as mask_module
 from mmpinhole.errors import ParameterError, ShapeError
+from mmpinhole.geometry import _ANGLE_CHUNK, blade_frames
 from mmpinhole.mask import (MaskTransmission, count_null_events, find_nulls,
                             inverse_pinhole, null_signature, open_mask,
                             regular_pinhole, soft_edge_transmission,
@@ -150,7 +152,50 @@ class TestAbsorberDipDepth:
         assert depths[0] >= 10.0
 
 
+def _unchunked_soft_values(mask, angles, pts_xy, half_width, inside, outside):
+    """Soft-edge transmission values from one block over all angles."""
+    cov = np.zeros((angles.size, len(pts_xy)))
+    for u, v in blade_frames(mask, angles, pts_xy):
+        du = np.maximum(-u, u - mask.blade_length_m)
+        dv = np.abs(v) - mask.blade_width_m / 2.0
+        sd = np.maximum(du, dv)
+        ramp = np.clip((sd + half_width) / (2.0 * half_width), 0.0, 1.0)
+        np.maximum(cov, 0.5 * (1.0 + np.cos(math.pi * ramp)), out=cov)
+    return outside + (inside - outside) * cov
+
+
 class TestSoftEdges:
+    @pytest.mark.parametrize("blades", [1, 2])
+    @pytest.mark.parametrize("mode", ["regular", "inverse"])
+    def test_angle_blocks_match_unchunked_reference(self, monkeypatch, mode, blades):
+        mask = MaskGeometry(blade_count=blades, blade_length_m=0.024,
+                            blade_width_m=0.012, plane_depth_m=0.03,
+                            axis_offset_m=0.015, attenuation_db=12.0)
+        radar = default_radar_config(mask, wavelength_m=0.04)
+        samp = MaskPlaneSampling(spacing_m=0.01, extent_m=0.036, plane_depth_m=0.03)
+        rot = RotationSampling(2 * _ANGLE_CHUNK + 44)
+        blocks = []
+        coverage = mask_module._footprint_coverage
+
+        def recording(mask, angles_rad, pts_xy, half_width):
+            blocks.append(np.size(angles_rad))
+            return coverage(mask, angles_rad, pts_xy, half_width)
+
+        monkeypatch.setattr(mask_module, "_footprint_coverage", recording)
+        soft = soft_edge_transmission(mask, rot, samp, mode=mode)
+        assert max(blocks) <= _ANGLE_CHUNK and sum(blocks) == rot.count
+        leak = mask.base_attenuation_amp
+        inside, outside = (1.0, leak) if mode == "regular" else (leak, 1.0)
+        ref = _unchunked_soft_values(mask, rot.angles_rad, samp.samples[:, :2],
+                                     samp.spacing_m / 2.0, inside, outside)
+        assert np.array_equal(soft.values, ref)
+        grid = build_scene_grid(2.0, -30.0, 30.0, 4.0, [0.0, 5.0])
+        for directionality in ("unidirectional", "bidirectional"):
+            models = [build_forward(radar, grid, mask, rot, samp, directionality,
+                                    transmission=t)
+                      for t in (soft, MaskTransmission.from_values(ref))]
+            assert np.array_equal(models[0].B, models[1].B)
+
     def test_taper_values_and_interior(self, mid_setup):
         mask, _, _, samp = mid_setup
         rot = RotationSampling(8)
