@@ -15,7 +15,6 @@ Runtime: about one minute (reduced grid).
 import numpy as np
 
 import mmpinhole as mp
-from mmpinhole.mask import regular_pinhole
 from mmpinhole.propagation import assemble_oneway
 
 mask = mp.MaskGeometry(mode="regular-pinhole")
@@ -27,7 +26,7 @@ sampling = mp.default_plane_sampling(radar, mask)
 grid = mp.build_scene_grid(20.0, -50, 50, 0.1, [0])
 print(f"building one-way matrices: {rotation.count} rotation positions x "
       f"{grid.n_points} scene angles, {sampling.n_samples} mask cells")
-trans = regular_pinhole(mask, rotation, sampling)
+trans = mp.transmission_for(mask, rotation, sampling)
 tx, rx = assemble_oneway(radar, grid, mask, rotation, sampling, ("tx", "rx"), trans)
 
 bi = mp.ForwardModel(B=tx * rx, fingerprint="0" * 16,

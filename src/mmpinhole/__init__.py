@@ -9,12 +9,12 @@ the design-space and resolution analyses that motivate the design.
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid, build_scene_grid,
                        default_plane_sampling, default_radar_config,
-                       effective_fov_deg, blade_footprint)
+                       effective_fov_deg)
 from .propagation import (AntennaPattern, assemble_oneway, greens,
                           pattern_weight, rs_weight)
 from .mask import (MaskTransmission, count_null_events, find_nulls,
-                   inverse_pinhole, null_signature, open_mask, regular_pinhole,
-                   soft_edge_transmission, transmission_for)
+                   null_signature, open_mask, soft_edge_transmission,
+                   transmission_for)
 from .forward import (ForwardModel, MeasurementSet, NoiseModel, apply_blade_phase,
                       apply_doppler, build_forward, config_fingerprint,
                       estimate_blade_phase, noise_from_snr, sample_interval_s,

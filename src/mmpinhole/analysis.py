@@ -34,6 +34,12 @@ from .geometry import (MaskGeometry, RadarConfig, RotationSampling, SceneGrid,
 from .recon import ReconConfig, factorize, reconstruct
 
 GRAVITY_MPS2 = 9.81
+PEAK_MATCH_TOL_DEG = 0.7
+PEAK_DIP_DB = 3.0
+SWEEP_USABLE_REL = 1e-2
+SSIM_WINDOW = 8
+SSIM_DYNAMIC_RANGE = 1.0
+POINT_THRESHOLD_REL = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +161,20 @@ def _local_maxima(v):
     return np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])) + 1
 
 
-def peaks_resolved(angles_deg, intensity, target1_deg, target2_deg,
-                   match_tol_deg: float = 0.7, dip_db: float = 3.0) -> bool:
+def peaks_resolved(angles_deg, intensity, target1_deg, target2_deg) -> bool:
     """Two-point resolvability by the -3 dB dip criterion.
 
-    Both targets must produce a local maximum within ``match_tol_deg`` of
-    their true angle and the power valley between the peaks must fall at
-    least ``dip_db`` below the lower peak.
+    Both targets must produce a local maximum within ``PEAK_MATCH_TOL_DEG``
+    of their true angle and the power valley between the peaks must fall at
+    least ``PEAK_DIP_DB`` below the lower peak.
     """
     power = np.asarray(intensity, dtype=float) ** 2
     peaks = _local_maxima(power)
     if peaks.size < 2:
         return False
     angles = np.asarray(angles_deg, dtype=float)
-    c1 = peaks[np.abs(angles[peaks] - target1_deg) <= match_tol_deg]
-    c2 = peaks[np.abs(angles[peaks] - target2_deg) <= match_tol_deg]
+    c1 = peaks[np.abs(angles[peaks] - target1_deg) <= PEAK_MATCH_TOL_DEG]
+    c2 = peaks[np.abs(angles[peaks] - target2_deg) <= PEAK_MATCH_TOL_DEG]
     if c1.size == 0 or c2.size == 0:
         return False
     p1 = c1[np.argmax(power[c1])]
@@ -178,7 +183,7 @@ def peaks_resolved(angles_deg, intensity, target1_deg, target2_deg,
         return False
     lo, hi = sorted((p1, p2))
     valley = power[lo:hi + 1].min()
-    return valley <= 10.0 ** (-dip_db / 10.0) * min(power[p1], power[p2])
+    return valley <= 10.0 ** (-PEAK_DIP_DB / 10.0) * min(power[p1], power[p2])
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +207,12 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
           radar: Optional[RadarConfig] = None, *,
           rotation: Optional[RotationSampling] = None,
           grid: Optional[SceneGrid] = None,
-          directionality: str = "bidirectional",
-          noise_floor: Optional[float] = None,
-          usable_rel: float = 1e-2) -> List[SweepRow]:
+          directionality: str = "bidirectional") -> List[SweepRow]:
     """One (value, fwhp, spectrum summary) row per swept parameter value.
 
     Geometrically infeasible values (blade width above the swept diameter)
-    are skipped with a warning.  ``usable_count`` counts singular values
-    above ``noise_floor`` when given, else above ``usable_rel * sigma_1``.
+    are skipped with a warning.  ``usable_count`` counts singular values at
+    or above ``SWEEP_USABLE_REL * sigma_1``.
     """
     if parameter not in _SWEEP_FIELDS:
         raise ParameterError(f"unknown sweep parameter {parameter!r}")
@@ -234,7 +237,7 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
         fact = factorize(model)
         curve = psf(model, 0.0, ReconConfig(sigma_max=None), fact=fact)
         S = fact.S
-        floor = noise_floor if noise_floor is not None else usable_rel * S[0]
+        floor = SWEEP_USABLE_REL * S[0]
         rows.append(SweepRow(value=float(value), fwhp_deg=curve.fwhp_deg,
                              sigma_1=float(S[0]),
                              sigma_40=float(S[39]) if S.size > 39 else 0.0,
@@ -295,42 +298,44 @@ def sharpness(image, reference) -> float:
 
 
 MSE_REPORT_SCALE = 1e3
+MSE_INTENSITY_WINDOW = (0.01, 1.0)
 
 
-def mse(image, reference, intensity_window=(0.01, 1.0)) -> float:
+def mse(image, reference) -> float:
     """Windowed pixel MSE, scaled by 1e3 for readable magnitudes.
 
-    Only pixels whose reference intensity lies inside the window enter the
-    mean, which keeps empty background out of the score.
+    Only pixels whose reference intensity lies in ``MSE_INTENSITY_WINDOW``
+    enter the mean, which keeps empty background out of the score.
     """
     img = _as_image(image)
     ref = _as_image(reference)
     if img.shape != ref.shape:
         raise ParameterError("image and reference dimensions differ")
-    lo, hi = intensity_window
+    lo, hi = MSE_INTENSITY_WINDOW
     sel = (ref >= lo) & (ref <= hi)
     if not np.any(sel):
         raise UndefinedMetricError("no reference pixels inside the intensity window")
     return MSE_REPORT_SCALE * float(np.mean((img[sel] - ref[sel]) ** 2))
 
 
-def ssim(image, reference, window: int = 8, dynamic_range: float = 1.0) -> float:
-    """Structural similarity with uniform square windows.
+def ssim(image, reference) -> float:
+    """Structural similarity with uniform ``SSIM_WINDOW`` square windows.
 
     Uses the standard stabilization constants C1 = (0.01 L)^2 and
-    C2 = (0.03 L)^2 and valid-region averaging of the local SSIM map.
+    C2 = (0.03 L)^2, L = ``SSIM_DYNAMIC_RANGE``, and valid-region averaging
+    of the local SSIM map.
     """
     img = _as_image(image)
     ref = _as_image(reference)
     if img.shape != ref.shape:
         raise ParameterError("image and reference dimensions differ")
-    if min(img.shape) < window:
-        raise ParameterError(f"images must be at least {window} pixels per axis")
-    c1 = (0.01 * dynamic_range) ** 2
-    c2 = (0.03 * dynamic_range) ** 2
+    if min(img.shape) < SSIM_WINDOW:
+        raise ParameterError(f"images must be at least {SSIM_WINDOW} pixels per axis")
+    c1 = (0.01 * SSIM_DYNAMIC_RANGE) ** 2
+    c2 = (0.03 * SSIM_DYNAMIC_RANGE) ** 2
 
     def filt(a):
-        return uniform_filter(a, size=window, mode="constant")
+        return uniform_filter(a, size=SSIM_WINDOW, mode="constant")
 
     mu_x = filt(img)
     mu_y = filt(ref)
@@ -339,24 +344,24 @@ def ssim(image, reference, window: int = 8, dynamic_range: float = 1.0) -> float
     sxy = filt(img * ref) - mu_x * mu_y
     ssim_map = ((2 * mu_x * mu_y + c1) * (2 * sxy + c2)
                 / ((mu_x ** 2 + mu_y ** 2 + c1) * (sxx + syy + c2)))
-    half = window // 2
+    half = SSIM_WINDOW // 2
     valid = ssim_map[half:img.shape[0] - half or None, half:img.shape[1] - half or None]
     if valid.size == 0:
         valid = ssim_map
     return float(np.clip(np.mean(valid), -1.0, 1.0))
 
 
-def image_to_points(intensity, grid: SceneGrid, threshold_rel: float = 0.5) -> np.ndarray:
+def image_to_points(intensity, grid: SceneGrid) -> np.ndarray:
     """Threshold an image at a fraction of its peak and return 2-D points.
 
-    Pixels at or above the threshold convert to Cartesian (x, z) meters via
-    their azimuth angle at the grid range.
+    Pixels at or above ``POINT_THRESHOLD_REL`` times the peak convert to
+    Cartesian (x, z) meters via their azimuth angle at the grid range.
     """
     img = _as_image(intensity)
     peak = img.max()
     if peak <= 0:
         raise UndefinedMetricError("image has no positive intensity")
-    sel = img >= threshold_rel * peak
+    sel = img >= POINT_THRESHOLD_REL * peak
     if not np.any(sel):
         raise UndefinedMetricError("no pixels above the threshold")
     rows, cols = np.nonzero(sel)

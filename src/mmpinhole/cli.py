@@ -26,7 +26,7 @@ from .analysis import (metric_report, psf, rotational_power, rpm_to_rad_s,
                        sar_baseline, sweep, sweep_to_csv)
 from .errors import (ConfigError, DataFileError, FingerprintMismatchError,
                      NumericError, ParameterError, RankDeficiencyError,
-                     ShapeError, SingularityError)
+                     ShapeError, SingularityError, UndefinedMetricError)
 from .forward import (DEFAULT_ROTATION_RPM, NoiseModel, build_forward,
                       noise_from_snr, simulate)
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
@@ -65,6 +65,11 @@ _SECTION_KEYS = {
 }
 _TARGET_KEYS = {"azimuth_deg", "elevation_deg", "amplitude", "phase_deg"}
 _POWER_KEYS = {"label", "mass_kg", "radius_m", "rpm"}
+_DEFAULT_POWER_CASES = [
+    {"label": "rotating-mask", "mass_kg": 0.010, "radius_m": 0.16, "rpm": 600.0},
+    {"label": "spinning-radar-sar", "mass_kg": 0.120, "radius_m": 0.0225,
+     "rpm": 600.0},
+]
 
 
 def _check_keys(obj: dict, allowed, where: str):
@@ -92,7 +97,6 @@ class ExperimentConfig:
     analysis: dict = field(default_factory=dict)
     snr_db: Optional[float] = None
     config_sha256: str = ""
-    raw: dict = field(default_factory=dict)
 
 
 def _parse_attenuation(value):
@@ -106,11 +110,54 @@ def _parse_attenuation(value):
 def _finite(value, where: str) -> float:
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
     return number
+
+
+def _expect(value, types, where: str):
+    """``value`` unchanged, once it is a JSON value of one of ``types``."""
+    # bool subclasses int, but JSON true is not a number
+    if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise ConfigError(f"{where} must be a JSON {names}, got {value!r}")
+    return value
+
+
+def _parse_analysis(sec: dict, mask: MaskGeometry) -> dict:
+    """The analysis section with its defaults filled in and its values checked.
+
+    Sweep values and power cases keep their JSON form, which ``analyze
+    power`` echoes into its CSV; a non-finite sweep value reaches ``sweep``,
+    which skips the values the mask rejects.
+    """
+    ana = {
+        "psf_kind": sec.get("psf_kind", "bidirectional"),
+        "psf_target_deg": _finite(sec.get("psf_target_deg", 0.0), "analysis.psf_target_deg"),
+        "psf_extent_m": _finite(sec.get("psf_extent_m", mask.blade_length_m),
+                                "analysis.psf_extent_m"),
+        "sar_positions": _expect(sec.get("sar_positions", 720), (int,), "analysis.sar_positions"),
+        "sweep_parameter": _expect(sec.get("sweep_parameter", "radius"), (str,),
+                                   "analysis.sweep_parameter"),
+        "sweep_values": _expect(sec.get("sweep_values", [0.04, 0.08, 0.16]), (list,),
+                                "analysis.sweep_values"),
+        "power_cases": _expect(sec.get("power_cases") or _DEFAULT_POWER_CASES, (list,),
+                               "analysis.power_cases"),
+    }
+    if ana["sar_positions"] < 1:
+        raise ConfigError("analysis.sar_positions must be positive")
+    kinds = (int,) if ana["sweep_parameter"] == "blades" else (int, float)
+    for i, value in enumerate(ana["sweep_values"]):
+        _expect(value, kinds, f"analysis.sweep_values[{i}]")
+    for i, case in enumerate(ana["power_cases"]):
+        where = f"analysis.power_cases[{i}]"
+        if set(_expect(case, (dict,), where)) != _POWER_KEYS:
+            raise ConfigError(f"{where} needs exactly the keys {sorted(_POWER_KEYS)}")
+        for key in ("mass_kg", "radius_m", "rpm"):
+            _finite(_expect(case[key], (int, float), f"{where}.{key}"), f"{where}.{key}")
+    return ana
 
 
 def load_config(path) -> ExperimentConfig:
@@ -140,7 +187,7 @@ def load_config(path) -> ExperimentConfig:
         mask = MaskGeometry(**mask_sec)
 
         radar_sec = dict(raw.get("radar", {}))
-        colocated = bool(radar_sec.pop("colocated", False))
+        colocated = _expect(radar_sec.pop("colocated", False), (bool,), "radar.colocated")
         separation = float(radar_sec.pop("separation_m", 0.01))
         radar = default_radar_config(mask, colocated=colocated,
                                      separation_m=separation, **radar_sec)
@@ -197,7 +244,8 @@ def load_config(path) -> ExperimentConfig:
         recon_sec = dict(raw.get("recon", {}))
         recon_cfg = ReconConfig(
             sigma_max=recon_sec.get("sigma_max", 40),
-            normalize_output=bool(recon_sec.get("normalize", True)),
+            normalize_output=_expect(recon_sec.get("normalize", True), (bool,),
+                                     "recon.normalize"),
             rel_threshold=recon_sec.get("rel_threshold"),
         )
 
@@ -206,11 +254,7 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError("forward.directionality must be 'unidirectional' "
                               "or 'bidirectional'")
 
-        analysis_sec = dict(raw.get("analysis", {}))
-        for i, case in enumerate(analysis_sec.get("power_cases", [])):
-            if not isinstance(case, dict):
-                raise ConfigError(f"analysis.power_cases[{i}] must be an object")
-            _check_keys(case, _POWER_KEYS, f"analysis.power_cases[{i}]")
+        analysis = _parse_analysis(raw.get("analysis", {}), mask)
 
         out_dir = raw.get("output", {}).get("directory", ".")
     except (ParameterError, ShapeError, TypeError, KeyError, ValueError) as exc:
@@ -223,8 +267,8 @@ def load_config(path) -> ExperimentConfig:
                             sampling=sampling, grid=grid, targets=targets,
                             noise=noise, recon=recon_cfg,
                             directionality=directionality, rpm=rpm,
-                            output_dir=out_dir, analysis=analysis_sec,
-                            snr_db=snr_db, config_sha256=sha, raw=raw)
+                            output_dir=out_dir, analysis=analysis,
+                            snr_db=snr_db, config_sha256=sha)
 
 
 def scene_vector(cfg: ExperimentConfig) -> np.ndarray:
@@ -325,10 +369,7 @@ def cmd_reconstruct(measurements_path, config_path, sigma_max=None,
     ks = sigma_max if sigma_max is not None else [cfg.recon.sigma_max]
     metric_rows = []
     for k in ks:
-        if k is not None and not 1 <= int(k) <= fact.S.size:
-            raise ConfigError(f"sigma_max {k} outside [1, {fact.S.size}]")
-        rcfg = replace(cfg.recon, sigma_max=int(k) if k is not None else None)
-        image = reconstruct(fact, y, rcfg)
+        image = reconstruct(fact, y, replace(cfg.recon, sigma_max=k))
         tag = f"_k{k}" if len(ks) > 1 else ""
         image_to_pgm(os.path.join(out, f"image{tag}.pgm"), image)
         image_to_csv(os.path.join(out, f"image{tag}.csv"), image)
@@ -365,17 +406,14 @@ def cmd_analyze(subcommand, config_path, out_dir=None) -> int:
             for i in range(min(s_bi.size, s_uni.size)):
                 fh.write(f"{i},{float(s_bi[i])!r},{float(s_uni[i])!r}\r\n")
     elif subcommand == "psf":
-        kind = ana.get("psf_kind", "bidirectional")
-        target = float(ana.get("psf_target_deg", 0.0))
+        kind, target = ana["psf_kind"], ana["psf_target_deg"]
         if kind in ("bidirectional", "unidirectional"):
             model = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
                                   cfg.sampling, kind)
             curve = psf(model, target, ReconConfig(sigma_max=None))
         elif kind in ("sar-circular", "sar-linear"):
-            extent = float(ana.get("psf_extent_m",
-                                   cfg.mask.blade_length_m))
-            model = sar_baseline(kind.split("-")[1], extent, cfg.radar, cfg.grid,
-                                 positions=int(ana.get("sar_positions", 720)))
+            model = sar_baseline(kind.split("-")[1], ana["psf_extent_m"], cfg.radar,
+                                 cfg.grid, positions=ana["sar_positions"])
             curve = psf(model, target, ReconConfig(rel_threshold=1e-2))
         else:
             raise ConfigError(f"unknown psf_kind {kind!r}")
@@ -385,22 +423,14 @@ def cmd_analyze(subcommand, config_path, out_dir=None) -> int:
             for a, r in zip(curve.angles_deg, curve.response):
                 fh.write(f"{float(a)!r},{float(r)!r}\r\n")
     elif subcommand == "sweep":
-        parameter = ana.get("sweep_parameter", "radius")
-        values = ana.get("sweep_values", [0.04, 0.08, 0.16])
-        rows = sweep(parameter, values, cfg.mask, cfg.radar,
-                     rotation=cfg.rotation,
+        rows = sweep(ana["sweep_parameter"], ana["sweep_values"], cfg.mask,
+                     cfg.radar, rotation=cfg.rotation,
                      directionality=cfg.directionality)
         sweep_to_csv(os.path.join(out, "sweep.csv"), rows)
     elif subcommand == "power":
-        cases = ana.get("power_cases") or [
-            {"label": "rotating-mask", "mass_kg": 0.010, "radius_m": 0.16,
-             "rpm": 600.0},
-            {"label": "spinning-radar-sar", "mass_kg": 0.120, "radius_m": 0.0225,
-             "rpm": 600.0},
-        ]
         with open(os.path.join(out, "power.csv"), "w", newline="") as fh:
             fh.write("label,mass_kg,radius_m,rpm,power_w\r\n")
-            for case in cases:
+            for case in ana["power_cases"]:
                 p = rotational_power(case["mass_kg"], case["radius_m"],
                                      rpm_to_rad_s(case["rpm"]))
                 fh.write(f"{case['label']},{case['mass_kg']!r},"
@@ -466,7 +496,8 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError, SingularityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataFileError, FingerprintMismatchError, ShapeError) as exc:
+    except (DataFileError, FingerprintMismatchError, ShapeError,
+            UndefinedMetricError) as exc:
         print(f"data mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (NumericError, RankDeficiencyError, np.linalg.LinAlgError) as exc:

@@ -23,6 +23,7 @@ from .mask import MaskTransmission, transmission_for
 from .propagation import AntennaPattern, _antenna_to_plane, assemble_oneway
 
 DEFAULT_ROTATION_RPM = 600.0
+CAL_NULL_REL_THRESHOLD = 0.5
 
 
 def sample_interval_s(rpm: float, positions_per_rotation: int) -> float:
@@ -170,14 +171,13 @@ class NoiseModel:
         return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def noise_from_snr(model: ForwardModel, snr_db: float, seed: int = 0,
-                   reference_azimuth_deg: float = 0.0) -> NoiseModel:
-    """Noise power set relative to a unit-reflectivity reference target.
+def noise_from_snr(model: ForwardModel, snr_db: float, seed: int = 0) -> NoiseModel:
+    """Noise power set relative to a unit-reflectivity boresight target.
 
     The reference signal power is the mean squared magnitude of the model
-    column nearest the given azimuth at elevation 0.
+    column nearest azimuth 0 at elevation 0.
     """
-    j = model.grid.index_of(reference_azimuth_deg, 0.0)
+    j = model.grid.index_of(0.0, 0.0)
     sig = float(np.mean(np.abs(model.B[:, j]) ** 2))
     try:
         noise_power = sig / (10.0 ** (snr_db / 10.0))
@@ -238,22 +238,21 @@ def apply_blade_phase(measurements: MeasurementSet, phase_profile) -> Measuremen
     return replace(measurements, y=measurements.y * np.exp(1j * phi))
 
 
-def estimate_blade_phase(y_cal: MeasurementSet, blade_count: int = 2,
-                         null_rel_threshold: float = 0.5) -> np.ndarray:
+def estimate_blade_phase(y_cal: MeasurementSet, blade_count: int = 2) -> np.ndarray:
     """Systematic rotation-locked phase of a calibration point target.
 
     Fits the unwrapped phase with harmonics of the rotation at multiples of
     the blade count up to 2 * blade_count (plus a constant), excluding
     samples inside mask-null neighborhoods where the phase is unreliable.
-    Null neighborhoods are samples below ``null_rel_threshold`` of the open
-    level (the 90th magnitude percentile).  The result is 2 pi / blade_count
-    periodic by construction.
+    Null neighborhoods are samples below ``CAL_NULL_REL_THRESHOLD`` of the
+    open level (the 90th magnitude percentile).  The result is
+    2 pi / blade_count periodic by construction.
     """
     y = y_cal.y
     T = y.size
     mag = np.abs(y)
     open_level = float(np.quantile(mag, 0.9))
-    valid = mag >= null_rel_threshold * open_level
+    valid = mag >= CAL_NULL_REL_THRESHOLD * open_level
     if np.count_nonzero(valid) <= T // 2:
         raise EstimationError("more than half of the calibration samples fall "
                               "in null neighborhoods")

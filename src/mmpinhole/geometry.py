@@ -221,14 +221,6 @@ class MaskGeometry:
         return 10.0 ** (-self.attenuation_db / 20.0)
 
 
-# One-way power attenuations measured for candidate blocker materials.
-MATERIAL_ATTENUATION_DB = {
-    "rf-absorber": 30.0,
-    "metal-strip": 12.0,
-    "pla": 9.0,
-}
-
-
 def effective_fov_deg(mask: MaskGeometry) -> float:
     """Effective half-angle field of view, arctan(blade length / depth)."""
     return math.degrees(math.atan2(mask.blade_length_m, mask.plane_depth_m))
@@ -304,23 +296,6 @@ def footprint_mask_array(mask: MaskGeometry, angles_rad, plane_points_xy):
             hit |= (u >= 0.0) & (u <= mask.blade_length_m) & (np.abs(v) <= half_w)
         out[:, idx] = hit
     return out
-
-
-def blade_footprint(mask: MaskGeometry, rotation_angle_rad: float):
-    """Predicate over mask-plane points covered by any blade.
-
-    The returned callable accepts an (..., 2) or (..., 3) array of mask-plane
-    coordinates and returns a boolean array of the leading shape.
-    """
-    if not 0.0 <= rotation_angle_rad < 2.0 * math.pi + 1e-12:
-        rotation_angle_rad = rotation_angle_rad % (2.0 * math.pi)
-
-    def covered(points):
-        pts = np.asarray(points, dtype=float)
-        hit = footprint_mask_array(mask, [rotation_angle_rad], pts[..., :2].reshape(-1, 2))
-        return hit.reshape(pts.shape[:-1])
-
-    return covered
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,9 @@ from .errors import ParameterError, ShapeError
 from .geometry import (_ANGLE_CHUNK, MaskGeometry, MaskPlaneSampling,
                        RotationSampling, blade_frames, footprint_mask_array)
 
+NULL_REL_THRESHOLD = 0.5
+NULL_MERGE_FRACTION = 0.05
+
 
 @dataclass(frozen=True)
 class MaskTransmission:
@@ -29,7 +32,6 @@ class MaskTransmission:
     dense ``values`` array is materialized on demand.
     """
 
-    mode: str
     n_positions: int
     n_samples: int
     inside_amp: float = 1.0
@@ -55,9 +57,9 @@ class MaskTransmission:
                     raise ParameterError("transmission amplitudes must lie in [0, 1]")
 
     @classmethod
-    def from_values(cls, values, mode="custom") -> "MaskTransmission":
+    def from_values(cls, values) -> "MaskTransmission":
         values = np.asarray(values, dtype=float)
-        return cls(mode=mode, n_positions=values.shape[0], n_samples=values.shape[1],
+        return cls(n_positions=values.shape[0], n_samples=values.shape[1],
                    explicit_values=values)
 
     @property
@@ -82,16 +84,10 @@ def _footprint_indices(mask: MaskGeometry, rotation: RotationSampling,
     return indices
 
 
-def _footprint_amplitudes(mask: MaskGeometry, mode: str = None):
-    """(mode, inside, outside) amplitudes of a "regular" or "inverse" mask.
-
-    A slot is open inside its footprint and the sheet around it leaks the
-    material transmission; a blocker leaks inside and is open around it.
-    ``mode`` defaults to the mask's configured mode.
-    """
-    mode = mode or ("regular" if mask.mode == "regular-pinhole" else "inverse")
+def _footprint_amplitudes(mask: MaskGeometry):
+    """(inside, outside) amplitudes of the mask's mode (see transmission_for)."""
     leak = mask.base_attenuation_amp
-    return (mode, 1.0, leak) if mode == "regular" else (mode, leak, 1.0)
+    return (1.0, leak) if mask.mode == "regular-pinhole" else (leak, 1.0)
 
 
 def _footprint_coverage(mask: MaskGeometry, angles_rad, pts_xy,
@@ -99,29 +95,35 @@ def _footprint_coverage(mask: MaskGeometry, angles_rad, pts_xy,
     """Raised-cosine edge coverage in [0, 1] per (angle, sample).
 
     Coverage follows a half-cosine ramp over +-half_width of signed distance
-    to the blade rectangle boundary (1 deep inside, 0 well outside).
+    to the blade rectangle boundary (1 deep inside, 0 well outside).  Each
+    step writes into the blade frame blocks, which belong to this call.
     """
     cov = np.zeros((np.size(angles_rad), len(pts_xy)))
     for u, v in blade_frames(mask, angles_rad, pts_xy):
-        du = np.maximum(-u, u - mask.blade_length_m)
-        dv = np.abs(v) - mask.blade_width_m / 2.0
-        sd = np.maximum(du, dv)  # signed distance, negative inside
-        ramp = np.clip((sd + half_width) / (2.0 * half_width), 0.0, 1.0)
-        np.maximum(cov, 0.5 * (1.0 + np.cos(math.pi * ramp)), out=cov)
+        sd = np.maximum(-u, np.subtract(u, mask.blade_length_m, out=u), out=u)
+        dv = np.subtract(np.abs(v, out=v), mask.blade_width_m / 2.0, out=v)
+        np.maximum(sd, dv, out=sd)  # signed distance, negative inside
+        sd += half_width
+        sd /= 2.0 * half_width
+        np.clip(sd, 0.0, 1.0, out=sd)
+        sd *= math.pi
+        np.cos(sd, out=sd)
+        sd += 1.0
+        sd *= 0.5
+        np.maximum(cov, sd, out=cov)
     return cov
 
 
 def soft_edge_transmission(mask: MaskGeometry, rotation: RotationSampling,
-                           plane_sampling: MaskPlaneSampling,
-                           mode: str = None) -> MaskTransmission:
+                           plane_sampling: MaskPlaneSampling) -> MaskTransmission:
     """Transmission with raised-cosine tapered footprint edges.
 
     The taper spans half a lattice cell on each side of the blade boundary
     and reduces staircase artifacts in sensitivity studies.  The result is
     a dense (T, M) array, evaluated in blocks of rotation positions.  The
-    default hard-edged builders remain the reproducible reference.
+    hard-edged :func:`transmission_for` remains the reproducible reference.
     """
-    mode, inside, outside = _footprint_amplitudes(mask, mode)
+    inside, outside = _footprint_amplitudes(mask)
     half_width = plane_sampling.spacing_m / 2.0
     pts_xy = plane_sampling.samples[:, :2]
     angles = rotation.angles_rad
@@ -131,36 +133,7 @@ def soft_edge_transmission(mask: MaskGeometry, rotation: RotationSampling,
             mask, angles[start:start + _ANGLE_CHUNK], pts_xy, half_width)
     values *= inside - outside
     values += outside
-    return MaskTransmission.from_values(values, mode=f"{mode}-soft")
-
-
-def _hard_edge(mask: MaskGeometry, rotation: RotationSampling,
-               plane_sampling: MaskPlaneSampling, mode: str = None) -> MaskTransmission:
-    mode, inside, outside = _footprint_amplitudes(mask, mode)
-    return MaskTransmission(
-        mode=mode,
-        n_positions=rotation.count,
-        n_samples=plane_sampling.n_samples,
-        inside_amp=inside,
-        outside_amp=outside,
-        footprint_indices=_footprint_indices(mask, rotation, plane_sampling),
-    )
-
-
-def regular_pinhole(mask: MaskGeometry, rotation: RotationSampling,
-                    plane_sampling: MaskPlaneSampling) -> MaskTransmission:
-    """Transmission of a rotating slot: open inside the blade footprint.
-
-    Outside the footprint the sheet transmits the material leakage
-    ``10^(-attenuation_db/20)``, which is 0 for the default ideal blocker.
-    """
-    return _hard_edge(mask, rotation, plane_sampling, "regular")
-
-
-def inverse_pinhole(mask: MaskGeometry, rotation: RotationSampling,
-                    plane_sampling: MaskPlaneSampling) -> MaskTransmission:
-    """Transmission of a rotating blocker: open everywhere except the blade."""
-    return _hard_edge(mask, rotation, plane_sampling, "inverse")
+    return MaskTransmission.from_values(values)
 
 
 def open_mask(rotation: RotationSampling,
@@ -168,7 +141,6 @@ def open_mask(rotation: RotationSampling,
     """Fully open aperture (transmission 1 everywhere), the background case."""
     T = rotation.count
     return MaskTransmission(
-        mode="open",
         n_positions=T,
         n_samples=plane_sampling.n_samples,
         inside_amp=1.0,
@@ -179,8 +151,20 @@ def open_mask(rotation: RotationSampling,
 
 def transmission_for(mask: MaskGeometry, rotation: RotationSampling,
                      plane_sampling: MaskPlaneSampling) -> MaskTransmission:
-    """Transmission matching the mask's configured mode."""
-    return _hard_edge(mask, rotation, plane_sampling)
+    """Hard-edged transmission of the mask's configured mode.
+
+    A regular pinhole (rotating slot) is open inside the blade footprint and
+    leaks ``10^(-attenuation_db/20)`` elsewhere, 0 for the ideal blocker; an
+    inverse pinhole (rotating blocker) is its complement.
+    """
+    inside, outside = _footprint_amplitudes(mask)
+    return MaskTransmission(
+        n_positions=rotation.count,
+        n_samples=plane_sampling.n_samples,
+        inside_amp=inside,
+        outside_amp=outside,
+        footprint_indices=_footprint_indices(mask, rotation, plane_sampling),
+    )
 
 
 def null_signature(model, target_index: int) -> np.ndarray:
@@ -196,18 +180,18 @@ def null_signature(model, target_index: int) -> np.ndarray:
     return np.abs(B[:, target_index])
 
 
-def find_nulls(trace, rel_threshold: float = 0.5):
+def find_nulls(trace):
     """Locate dominant dips in a rotation trace.
 
-    A null is a contiguous run of samples below ``rel_threshold * median``;
-    the deepest sample of each run is reported.  Returns (indices, depths_db)
-    where depth is the dip below the trace median in amplitude dB.
+    A null is a contiguous run of samples below ``NULL_REL_THRESHOLD`` times
+    the median; the deepest sample of each run is reported.  Returns
+    (indices, depths_db); depth is the dip below the median in amplitude dB.
     """
     trace = np.asarray(trace, dtype=float)
     med = float(np.median(trace))
     if med <= 0.0:
         raise ParameterError("trace median must be positive")
-    below = trace < rel_threshold * med
+    below = trace < NULL_REL_THRESHOLD * med
     indices = []
     depths_db = []
     t = 0
@@ -232,14 +216,13 @@ def find_nulls(trace, rel_threshold: float = 0.5):
     return np.asarray(indices, dtype=int), np.asarray(depths_db, dtype=float)
 
 
-def count_null_events(trace, blade_count: int, rel_threshold: float = 0.5,
-                      merge_fraction: float = 0.05):
+def count_null_events(trace, blade_count: int):
     """Distinct null timings per blade period of a rotation trace.
 
     A trace from a ``blade_count``-blade mask repeats every
     ``T / blade_count`` samples, so physically distinct shadow events are
     counted after folding dip locations onto one blade period; dips closer
-    than ``merge_fraction`` of the period (circularly) merge into one event.
+    than ``NULL_MERGE_FRACTION`` of a period (circularly) merge into one event.
     An angle-ambiguous configuration shows two events per period where an
     unambiguous one shows a single event.
 
@@ -247,14 +230,14 @@ def count_null_events(trace, blade_count: int, rel_threshold: float = 0.5,
     """
     trace = np.asarray(trace, dtype=float)
     period = trace.size // blade_count
-    idx, depths = find_nulls(trace, rel_threshold)
+    idx, depths = find_nulls(trace)
     if idx.size == 0:
         return np.asarray([], dtype=int), np.asarray([], dtype=float)
     folded = idx % period
     order = np.argsort(folded)
     folded = folded[order]
     depths = depths[order]
-    gap = max(1, int(round(merge_fraction * period)))
+    gap = max(1, int(round(NULL_MERGE_FRACTION * period)))
     events = [[folded[0], depths[0]]]
     for f, d in zip(folded[1:], depths[1:]):
         if f - events[-1][0] <= gap:

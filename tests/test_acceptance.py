@@ -32,8 +32,8 @@ from mmpinhole import (MaskGeometry, MaskPlaneSampling, NoiseModel,
                        default_plane_sampling, default_radar_config, factorize,
                        peaks_resolved, psf, reconstruct, rotational_power,
                        rpm_to_rad_s, sar_baseline, simulate)
-from mmpinhole.mask import (count_null_events, inverse_pinhole, null_signature,
-                            open_mask, regular_pinhole)
+from mmpinhole.mask import (count_null_events, null_signature, open_mask,
+                            transmission_for)
 from mmpinhole.propagation import assemble_oneway
 
 SEED_BANK = 1000
@@ -61,7 +61,7 @@ def psf_bundle(default_geometry):
     """Fine full-FoV grid: pinhole bi/uni plus SAR baselines, factorized."""
     mask, radar, rotation, sampling = default_geometry
     grid = build_scene_grid(20.0, -50, 50, 0.05, [0])
-    trans = regular_pinhole(mask, rotation, sampling)
+    trans = transmission_for(mask, rotation, sampling)
     tx, rx = assemble_oneway(radar, grid, mask, rotation, sampling, ("tx", "rx"), trans)
     bi = mp.ForwardModel(B=tx * rx, fingerprint="0" * 16,
                          directionality="bidirectional", grid=grid)
@@ -255,8 +255,8 @@ def test_c07_background_subtraction_identity():
     grid = build_scene_grid(2.0, -30, 30, 4.0, [0])
     assert rotation.count <= 64 and grid.n_points <= 32
     assert sampling.n_samples <= 256
-    reg = regular_pinhole(mask, rotation, sampling)
-    inv = inverse_pinhole(mask, rotation, sampling)
+    reg = transmission_for(replace(mask, mode="regular-pinhole"), rotation, sampling)
+    inv = transmission_for(replace(mask, mode="inverse-pinhole"), rotation, sampling)
     opn = open_mask(rotation, sampling)
     sides = {}
     for end in ("rx", "tx"):

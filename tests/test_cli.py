@@ -117,8 +117,19 @@ class TestSimulate:
         lambda: SceneGrid(range_m=NAN, azimuth_deg=[0.0], elevation_deg=[0.0]),
         lambda: RadarConfig(wavelength_m=NAN),
         lambda: MaskGeometry(plane_depth_m=NAN),
+        {"analysis": {"power_cases": [{"label": "a", "mass_kg": 0.01,
+                                       "radius_m": 0.1}]}},
+        {"analysis": {"power_cases": [{"label": "a", "mass_kg": "abc",
+                                       "radius_m": 0.1, "rpm": 600.0}]}},
+        {"analysis": {"psf_target_deg": "abc"}},
+        {"analysis": {"sar_positions": "many"}},
+        {"analysis": {"sweep_values": "abc"}},
+        {"radar": {"colocated": "false"}},
+        {"recon": {"normalize": "no"}},
     ], ids=["wavelength", "spacing", "rpm", "target-azimuth", "positions",
-            "transmission", "grid-range", "radar-wavelength", "mask-depth"])
+            "transmission", "grid-range", "radar-wavelength", "mask-depth",
+            "power-no-rpm", "power-mass-string", "psf-target", "sar-positions",
+            "sweep-values", "colocated-string", "normalize-string"])
     def test_nan_or_fractional_count_rejected(self, tmp_path, capsys, case):
         if callable(case):
             with pytest.raises(ParameterError):
@@ -186,10 +197,23 @@ class TestReconstruct:
 
     def test_sigma_max_zero_rejected(self, simulated, tmp_path):
         cfg, sim = simulated
-        rc = main(["reconstruct", str(sim / "measurements.bin"),
-                   "--config", cfg, "--sigma-max", "0",
-                   "--out-dir", str(tmp_path / "x")])
-        assert rc == 2
+        # zero, and a count above the rank of the 31-column model
+        for sigma_max in ("0", "5,100"):
+            rc = main(["reconstruct", str(sim / "measurements.bin"),
+                       "--config", cfg, "--sigma-max", sigma_max,
+                       "--out-dir", str(tmp_path / "x")])
+            assert rc == 2
+
+    def test_empty_reference_is_data_error(self, simulated, tmp_path, capsys):
+        cfg, sim = simulated
+        empty = write_config(tmp_path, "empty.json", scene={"targets": []})
+        assert main(["simulate", empty, "--out-dir", str(tmp_path / "empty")]) == 0
+        rc = main(["reconstruct", str(sim / "measurements.bin"), "--config", cfg,
+                   "--reference", str(tmp_path / "empty" / "truth.csv"),
+                   "--out-dir", str(tmp_path / "rec")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data mismatch:") and err.count("\n") == 1
 
     def test_fingerprint_mismatch(self, simulated, tmp_path):
         cfg, sim = simulated
@@ -432,7 +456,8 @@ class TestConfigRoundTrip:
         cfg_path = write_config(tmp_path)
         cfg = load_config(cfg_path)
         rewritten = tmp_path / "rewritten.json"
-        rewritten.write_text(json.dumps(cfg.raw, indent=2))
+        with open(cfg_path) as fh:
+            rewritten.write_text(json.dumps(json.load(fh), indent=2))
         cfg2 = load_config(str(rewritten))
         from mmpinhole import config_fingerprint
         fp1 = config_fingerprint(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,

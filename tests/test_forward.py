@@ -168,7 +168,7 @@ class TestBuildForward:
             values[t, int(rng.integers(base.n_samples))] = rng.uniform(0.05, 0.95)
             other = MaskTransmission.from_values(values)
         else:
-            other = MaskTransmission(mode=base.mode, n_positions=base.n_positions,
+            other = MaskTransmission(n_positions=base.n_positions,
                                      n_samples=base.n_samples, footprint_indices=rows,
                                      **amps)
         model = build_forward(*args, transmission=other, pattern=pattern)

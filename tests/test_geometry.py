@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmpinhole import (MaskGeometry, MaskPlaneSampling, RadarConfig,
-                       RotationSampling, blade_footprint, build_scene_grid,
+                       RotationSampling, build_scene_grid,
                        default_plane_sampling, default_radar_config,
                        effective_fov_deg)
 from mmpinhole import mask as mask_module
@@ -66,24 +66,21 @@ class TestEffectiveFov:
 class TestBladeFootprint:
     def test_single_blade_at_zero(self):
         mask = MaskGeometry()
-        covered = blade_footprint(mask, 0.0)
-        inside = [0.0, mask.blade_length_m / 2, mask.plane_depth_m]
-        outside = [0.0, -mask.blade_length_m / 2, mask.plane_depth_m]
-        assert covered([inside])[0]
-        assert not covered([outside])[0]
+        inside = [0.0, mask.blade_length_m / 2]
+        outside = [0.0, -mask.blade_length_m / 2]
+        assert footprint_mask_array(mask, [0.0], [inside])[0, 0]
+        assert not footprint_mask_array(mask, [0.0], [outside])[0, 0]
 
     def test_two_blades_cover_both_sides(self):
         mask = MaskGeometry(blade_count=2)
-        covered = blade_footprint(mask, 0.0)
-        pts = [[0.0, mask.blade_length_m / 2, 0.12],
-               [0.0, -mask.blade_length_m / 2, 0.12]]
-        assert covered(pts).all()
+        pts = [[0.0, mask.blade_length_m / 2], [0.0, -mask.blade_length_m / 2]]
+        assert footprint_mask_array(mask, [0.0], pts).all()
 
     def test_beyond_tip_never_covered(self):
         mask = MaskGeometry()
-        point = [[0.0, mask.blade_length_m * 1.05, 0.12]]
+        point = [[0.0, mask.blade_length_m * 1.05]]
         for angle in np.linspace(0, 2 * math.pi, 64, endpoint=False):
-            assert not blade_footprint(mask, angle)(point)[0]
+            assert not footprint_mask_array(mask, [angle], point)[0, 0]
 
     def test_unsupported_blade_count(self):
         with pytest.raises(UnsupportedConfigurationError):
@@ -96,11 +93,10 @@ class TestBladeFootprint:
         mask = MaskGeometry(blade_count=blades)
         rng = np.random.default_rng(0)
         pts = np.column_stack([rng.uniform(-0.2, 0.2, 50),
-                               rng.uniform(-0.2, 0.2, 50),
-                               np.full(50, 0.12)])
+                               rng.uniform(-0.2, 0.2, 50)])
         shifted = (angle + 2 * math.pi / blades) % (2 * math.pi)
-        np.testing.assert_array_equal(blade_footprint(mask, angle)(pts),
-                                      blade_footprint(mask, shifted)(pts))
+        np.testing.assert_array_equal(footprint_mask_array(mask, [angle], pts),
+                                      footprint_mask_array(mask, [shifted], pts))
 
     def test_swept_union_fills_disc(self):
         mask = MaskGeometry()

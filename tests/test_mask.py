@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,16 @@ from mmpinhole import mask as mask_module
 from mmpinhole.errors import ParameterError, ShapeError
 from mmpinhole.geometry import _ANGLE_CHUNK, blade_frames
 from mmpinhole.mask import (MaskTransmission, count_null_events, find_nulls,
-                            inverse_pinhole, null_signature, open_mask,
-                            regular_pinhole, soft_edge_transmission,
+                            null_signature, open_mask, soft_edge_transmission,
                             transmission_for)
+
+
+def regular(mask):
+    return replace(mask, mode="regular-pinhole")
+
+
+def inverse(mask):
+    return replace(mask, mode="inverse-pinhole")
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +37,7 @@ def mid_setup():
 class TestRegularPinhole:
     def test_constant_hole_area(self, mid_setup):
         mask, _, rot, samp = mid_setup
-        trans = regular_pinhole(mask, rot, samp)
+        trans = transmission_for(regular(mask), rot, samp)
         counts = np.array([idx.size for idx in trans.footprint_indices])
         expected = mask.blade_length_m * mask.blade_width_m / samp.cell_area
         assert np.all(np.abs(counts - expected) < 0.15 * expected)
@@ -37,7 +45,7 @@ class TestRegularPinhole:
     def test_opposite_angles_disjoint(self, mid_setup):
         mask, _, _, samp = mid_setup
         rot2 = RotationSampling(2)  # angles 0 and pi
-        trans = regular_pinhole(mask, rot2, samp)
+        trans = transmission_for(regular(mask), rot2, samp)
         a, b = trans.footprint_indices
         overlap = np.intersect1d(a, b)
         # supports are disjoint except the shared hub at the rotation axis
@@ -47,7 +55,7 @@ class TestRegularPinhole:
 
     def test_binary_values_in_ideal_mode(self, mid_setup):
         mask, _, rot, samp = mid_setup
-        values = regular_pinhole(mask, rot, samp).values
+        values = transmission_for(regular(mask), rot, samp).values
         assert set(np.unique(values)) <= {0.0, 1.0}
 
 
@@ -55,22 +63,24 @@ class TestInversePinhole:
     @pytest.mark.parametrize("db,amp", [(30.0, 0.0316), (9.0, 0.355)])
     def test_material_leakage(self, mid_setup, db, amp):
         mask, _, rot, samp = mid_setup
-        from dataclasses import replace
-        trans = inverse_pinhole(replace(mask, attenuation_db=db), rot, samp)
+        trans = transmission_for(inverse(replace(mask, attenuation_db=db)), rot, samp)
         assert trans.inside_amp == pytest.approx(amp, abs=2e-3)
         assert trans.outside_amp == 1.0
 
     def test_ideal_complement(self, mid_setup):
         mask, _, rot, samp = mid_setup
-        reg = regular_pinhole(mask, rot, samp).values
-        inv = inverse_pinhole(mask, rot, samp).values
+        reg = transmission_for(regular(mask), rot, samp).values
+        inv = transmission_for(inverse(mask), rot, samp).values
         np.testing.assert_array_equal(reg + inv, np.ones_like(reg))
 
     def test_transmission_for_dispatch(self, mid_setup):
         mask, _, rot, samp = mid_setup
-        from dataclasses import replace
-        assert transmission_for(replace(mask, mode="regular-pinhole"), rot, samp).mode == "regular"
-        assert transmission_for(replace(mask, mode="inverse-pinhole"), rot, samp).mode == "inverse"
+        mask = replace(mask, attenuation_db=12.0)
+        leak = mask.base_attenuation_amp
+        reg = transmission_for(regular(mask), rot, samp)
+        inv = transmission_for(inverse(mask), rot, samp)
+        assert (reg.inside_amp, reg.outside_amp) == (1.0, leak)
+        assert (inv.inside_amp, inv.outside_amp) == (leak, 1.0)
 
 
 class TestTransmissionType:
@@ -80,7 +90,7 @@ class TestTransmissionType:
 
     def test_explicit_shape_checked(self):
         with pytest.raises(ShapeError):
-            MaskTransmission(mode="custom", n_positions=2, n_samples=3,
+            MaskTransmission(n_positions=2, n_samples=3,
                              explicit_values=np.zeros((3, 2)))
 
 
@@ -88,8 +98,8 @@ class TestBackgroundSubtractionIdentity:
     def test_unidirectional_equivalence(self, toy_radar, toy_grid, toy_mask,
                                         toy_rotation, toy_sampling):
         # (1 - H) F - O F = -(H F), entrywise, for one-way propagation
-        reg = regular_pinhole(toy_mask, toy_rotation, toy_sampling)
-        inv = inverse_pinhole(toy_mask, toy_rotation, toy_sampling)
+        reg = transmission_for(regular(toy_mask), toy_rotation, toy_sampling)
+        inv = transmission_for(inverse(toy_mask), toy_rotation, toy_sampling)
         opn = open_mask(toy_rotation, toy_sampling)
         args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, ("rx",))
         HF, = assemble_oneway(*args, reg)
@@ -182,7 +192,7 @@ class TestSoftEdges:
             return coverage(mask, angles_rad, pts_xy, half_width)
 
         monkeypatch.setattr(mask_module, "_footprint_coverage", recording)
-        soft = soft_edge_transmission(mask, rot, samp, mode=mode)
+        soft = soft_edge_transmission(replace(mask, mode=f"{mode}-pinhole"), rot, samp)
         assert max(blocks) <= _ANGLE_CHUNK and sum(blocks) == rot.count
         leak = mask.base_attenuation_amp
         inside, outside = (1.0, leak) if mode == "regular" else (leak, 1.0)
@@ -199,8 +209,8 @@ class TestSoftEdges:
     def test_taper_values_and_interior(self, mid_setup):
         mask, _, _, samp = mid_setup
         rot = RotationSampling(8)
-        soft = soft_edge_transmission(mask, rot, samp, mode="regular")
-        hard = regular_pinhole(mask, rot, samp).values
+        soft = soft_edge_transmission(regular(mask), rot, samp)
+        hard = transmission_for(regular(mask), rot, samp).values
         vals = soft.values
         assert vals.min() >= 0.0 and vals.max() <= 1.0
         # taper only acts near edges: deep-interior cells stay fully open
@@ -212,8 +222,8 @@ class TestSoftEdges:
     def test_inverse_mode_complement_shape(self, mid_setup):
         mask, _, _, samp = mid_setup
         rot = RotationSampling(4)
-        soft_r = soft_edge_transmission(mask, rot, samp, mode="regular").values
-        soft_i = soft_edge_transmission(mask, rot, samp, mode="inverse").values
+        soft_r = soft_edge_transmission(regular(mask), rot, samp).values
+        soft_i = soft_edge_transmission(inverse(mask), rot, samp).values
         np.testing.assert_allclose(soft_r + soft_i, 1.0, atol=1e-12)
 
 
@@ -222,7 +232,7 @@ class TestFindNulls:
         trace = np.ones(200)
         trace[40:45] = [0.4, 0.2, 0.1, 0.2, 0.4]
         trace[120:123] = 0.3
-        idx, depths = find_nulls(trace, rel_threshold=0.5)
+        idx, depths = find_nulls(trace)
         assert list(idx) == [42, 120]
         assert depths[0] == pytest.approx(20.0, abs=1e-9)
 
@@ -230,7 +240,7 @@ class TestFindNulls:
         trace = np.ones(100)
         trace[:3] = 0.2
         trace[-3:] = 0.3
-        idx, _ = find_nulls(trace, rel_threshold=0.5)
+        idx, _ = find_nulls(trace)
         assert idx.size == 1
 
     def test_period_folding(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from mmpinhole import (AntennaPattern, MaskGeometry, MaskPlaneSampling,
                        build_scene_grid, default_radar_config, greens,
                        pattern_weight, rs_weight)
 from mmpinhole.errors import ParameterError, ShapeError, SingularityError
-from mmpinhole.mask import open_mask, regular_pinhole
+from mmpinhole.mask import open_mask, transmission_for
 from mmpinhole.propagation import _SCENE_CHUNK
 
 LAMBDA = 4e-3
@@ -132,7 +133,7 @@ class TestAssembleOneway:
                             plane_depth_m=toy_mask.plane_depth_m,
                             axis_offset_m=toy_mask.axis_offset_m,
                             mode="regular-pinhole")
-        trans = regular_pinhole(mask, rot, toy_sampling)
+        trans = transmission_for(mask, rot, toy_sampling)
         F = _one_way(toy_radar, grid, mask, rot, toy_sampling, trans)
         t_peak = int(np.argmax(np.abs(F[:, 0])))
         expected = rot.count // 2
@@ -159,7 +160,8 @@ class TestAssembleOneway:
         grid = build_scene_grid(2.0, -30.0, 30.0, 0.5, [0.0, 5.0])
         assert grid.n_points > 2 * _SCENE_CHUNK
         if kind == "structured":
-            trans = regular_pinhole(toy_mask, toy_rotation, toy_sampling)
+            trans = transmission_for(replace(toy_mask, mode="regular-pinhole"),
+                                     toy_rotation, toy_sampling)
         else:
             rng = np.random.default_rng(3)
             trans = MaskTransmission.from_values(
