@@ -3,7 +3,8 @@
 Commands read a single JSON experiment config (documented key set, unknown
 keys rejected) and write CSV, PGM and binary-container outputs.  All angles
 are degrees, lengths meters, attenuations dB.  Exit codes: 0 success,
-2 config error, 3 data mismatch, 4 numeric failure.
+2 config error, 3 data mismatch, 4 numeric failure (including running out of
+memory).
 """
 
 from __future__ import annotations
@@ -99,22 +100,21 @@ class ExperimentConfig:
     config_sha256: str = ""
 
 
-def _parse_attenuation(value):
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity", "ideal"):
-            return math.inf
-        raise ConfigError(f"attenuation_db string must be 'inf', got {value!r}")
-    return float(value)
-
-
-def _finite(value, where: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return number
+# numeric fields of each section: float, or int for counts and seeds; the
+# fields in _NULLABLE may also be JSON null, which means "not set"
+_NUMBER_KEYS = {
+    "radar": {"wavelength_m": float, "separation_m": float,
+              "azimuth_fov_deg": float, "elevation_fov_deg": float},
+    "mask": {"blade_count": int, "blade_length_m": float, "blade_width_m": float,
+             "plane_depth_m": float, "axis_offset_m": float},
+    "rotation": {"positions_per_rotation": int, "rpm": float},
+    "sampling": {"spacing_m": float, "extent_m": float},
+    "grid": {"range_m": float, "az_min_deg": float, "az_max_deg": float,
+             "az_step_deg": float},
+    "noise": {"snr_db": float, "noise_power": float, "seed": int},
+    "recon": {"sigma_max": int, "rel_threshold": float},
+}
+_NULLABLE = {"noise.snr_db", "recon.sigma_max", "recon.rel_threshold"}
 
 
 def _expect(value, types, where: str):
@@ -126,6 +126,40 @@ def _expect(value, types, where: str):
     return value
 
 
+def _number(value, where: str, *, integer: bool = False, finite: bool = True):
+    """A JSON number converted where it enters: int for ``integer``, else float.
+
+    JSON true/false are not numbers, and JSON integers must fit in int64,
+    so no Python int too large for numpy reaches an array operation.
+    """
+    _expect(value, (int,) if integer else (int, float), where)
+    if isinstance(value, int) and not -2 ** 63 <= value < 2 ** 63:
+        raise ConfigError(f"{where} must fit in 64 bits, got {value!r}")
+    number = value if integer else float(value)
+    if finite and not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
+
+
+def _section(raw: dict, name: str) -> dict:
+    """A copy of config section ``name`` with its numeric fields converted."""
+    sec = dict(raw.get(name, {}))
+    for key, kind in _NUMBER_KEYS.get(name, {}).items():
+        where = f"{name}.{key}"
+        if key in sec and not (sec[key] is None and where in _NULLABLE):
+            sec[key] = _number(sec[key], where, integer=kind is int)
+    return sec
+
+
+def _parse_attenuation(value):
+    if isinstance(value, str):
+        if value.lower() in ("inf", "infinity", "ideal"):
+            return math.inf
+        raise ConfigError(f"attenuation_db string must be 'inf', got {value!r}")
+    # inf is the ideal blocker; MaskGeometry rejects nan and negatives
+    return _number(value, "mask.attenuation_db", finite=False)
+
+
 def _parse_analysis(sec: dict, mask: MaskGeometry) -> dict:
     """The analysis section with its defaults filled in and its values checked.
 
@@ -135,10 +169,11 @@ def _parse_analysis(sec: dict, mask: MaskGeometry) -> dict:
     """
     ana = {
         "psf_kind": sec.get("psf_kind", "bidirectional"),
-        "psf_target_deg": _finite(sec.get("psf_target_deg", 0.0), "analysis.psf_target_deg"),
-        "psf_extent_m": _finite(sec.get("psf_extent_m", mask.blade_length_m),
+        "psf_target_deg": _number(sec.get("psf_target_deg", 0.0), "analysis.psf_target_deg"),
+        "psf_extent_m": _number(sec.get("psf_extent_m", mask.blade_length_m),
                                 "analysis.psf_extent_m"),
-        "sar_positions": _expect(sec.get("sar_positions", 720), (int,), "analysis.sar_positions"),
+        "sar_positions": _number(sec.get("sar_positions", 720), "analysis.sar_positions",
+                                 integer=True),
         "sweep_parameter": _expect(sec.get("sweep_parameter", "radius"), (str,),
                                    "analysis.sweep_parameter"),
         "sweep_values": _expect(sec.get("sweep_values", [0.04, 0.08, 0.16]), (list,),
@@ -156,7 +191,7 @@ def _parse_analysis(sec: dict, mask: MaskGeometry) -> dict:
         if set(_expect(case, (dict,), where)) != _POWER_KEYS:
             raise ConfigError(f"{where} needs exactly the keys {sorted(_POWER_KEYS)}")
         for key in ("mass_kg", "radius_m", "rpm"):
-            _finite(_expect(case[key], (int, float), f"{where}.{key}"), f"{where}.{key}")
+            _number(case[key], f"{where}.{key}")
     return ana
 
 
@@ -181,24 +216,24 @@ def load_config(path) -> ExperimentConfig:
             _check_keys(raw[section], keys, f"section {section!r}")
 
     try:
-        mask_sec = dict(raw.get("mask", {}))
+        mask_sec = _section(raw, "mask")
         if "attenuation_db" in mask_sec:
             mask_sec["attenuation_db"] = _parse_attenuation(mask_sec["attenuation_db"])
         mask = MaskGeometry(**mask_sec)
 
-        radar_sec = dict(raw.get("radar", {}))
+        radar_sec = _section(raw, "radar")
         colocated = _expect(radar_sec.pop("colocated", False), (bool,), "radar.colocated")
-        separation = float(radar_sec.pop("separation_m", 0.01))
+        separation = radar_sec.pop("separation_m", 0.01)
         radar = default_radar_config(mask, colocated=colocated,
                                      separation_m=separation, **radar_sec)
 
-        rot_sec = dict(raw.get("rotation", {}))
-        rpm = _finite(rot_sec.pop("rpm", DEFAULT_ROTATION_RPM), "rotation.rpm")
+        rot_sec = _section(raw, "rotation")
+        rpm = rot_sec.pop("rpm", DEFAULT_ROTATION_RPM)
         if rpm <= 0:
             raise ParameterError("rotation.rpm must be positive")
         rotation = RotationSampling(**rot_sec)
 
-        samp_sec = dict(raw.get("sampling", {}))
+        samp_sec = _section(raw, "sampling")
         if samp_sec:
             spacing = samp_sec.get("spacing_m", radar.wavelength_m / 2.0)
             extent = samp_sec.get("extent_m",
@@ -208,13 +243,15 @@ def load_config(path) -> ExperimentConfig:
         else:
             sampling = default_plane_sampling(radar, mask)
 
-        grid_sec = dict(raw.get("grid", {}))
+        grid_sec = _section(raw, "grid")
+        elevations = _expect(grid_sec.get("elevations_deg", [0.0]), (list,),
+                             "grid.elevations_deg")
         grid = build_scene_grid(
             grid_sec.get("range_m", 20.0),
             grid_sec.get("az_min_deg", -50.0),
             grid_sec.get("az_max_deg", 50.0),
             grid_sec.get("az_step_deg", 0.5),
-            grid_sec.get("elevations_deg", [0.0]),
+            [_number(el, f"grid.elevations_deg[{i}]") for i, el in enumerate(elevations)],
         )
 
         targets = []
@@ -225,23 +262,20 @@ def load_config(path) -> ExperimentConfig:
             _check_keys(tgt, _TARGET_KEYS, where)
             # a non-finite amplitude reaches simulate's check on x (exit 4)
             targets.append({
-                "azimuth_deg": _finite(tgt["azimuth_deg"], f"{where}.azimuth_deg"),
-                "elevation_deg": _finite(tgt.get("elevation_deg", 0.0),
+                "azimuth_deg": _number(tgt["azimuth_deg"], f"{where}.azimuth_deg"),
+                "elevation_deg": _number(tgt.get("elevation_deg", 0.0),
                                          f"{where}.elevation_deg"),
-                "amplitude": float(tgt.get("amplitude", 1.0)),
-                "phase_deg": _finite(tgt.get("phase_deg", 0.0), f"{where}.phase_deg"),
+                "amplitude": _number(tgt.get("amplitude", 1.0), f"{where}.amplitude",
+                                     finite=False),
+                "phase_deg": _number(tgt.get("phase_deg", 0.0), f"{where}.phase_deg"),
             })
 
-        noise_sec = dict(raw.get("noise", {}))
-        seed = noise_sec.get("seed", 0)
+        noise_sec = _section(raw, "noise")
         snr_db = noise_sec.get("snr_db")
-        if snr_db is not None:
-            snr_db = _finite(snr_db, "noise.snr_db")
-        noise = NoiseModel(noise_power=_finite(noise_sec.get("noise_power", 0.0),
-                                               "noise.noise_power"),
-                           seed=seed)
+        noise = NoiseModel(noise_power=noise_sec.get("noise_power", 0.0),
+                           seed=noise_sec.get("seed", 0))
 
-        recon_sec = dict(raw.get("recon", {}))
+        recon_sec = _section(raw, "recon")
         recon_cfg = ReconConfig(
             sigma_max=recon_sec.get("sigma_max", 40),
             normalize_output=_expect(recon_sec.get("normalize", True), (bool,),
@@ -367,19 +401,19 @@ def cmd_reconstruct(measurements_path, config_path, sigma_max=None,
         raise ShapeError("measurement length does not match the model")
     fact = factorize(model)
     ks = sigma_max if sigma_max is not None else [cfg.recon.sigma_max]
-    metric_rows = []
-    for k in ks:
-        image = reconstruct(fact, y, replace(cfg.recon, sigma_max=k))
+    # every image and metric before the first write: a failing command
+    # leaves no partial outputs
+    images = [reconstruct(fact, y, replace(cfg.recon, sigma_max=k)) for k in ks]
+    reports = ([metric_report(image.intensity, ref_img, cfg.grid) for image in images]
+               if ref_img is not None else [])
+    for k, image in zip(ks, images):
         tag = f"_k{k}" if len(ks) > 1 else ""
         image_to_pgm(os.path.join(out, f"image{tag}.pgm"), image)
         image_to_csv(os.path.join(out, f"image{tag}.csv"), image)
-        if ref_img is not None:
-            rep = metric_report(image.intensity, ref_img, cfg.grid)
-            metric_rows.append((k, rep))
-    if metric_rows:
+    if reports:
         with open(os.path.join(out, "metrics.csv"), "w", newline="") as fh:
             fh.write("sigma_max,sharpness,mse,ssim,chamfer_m\r\n")
-            for k, rep in metric_rows:
+            for k, rep in zip(ks, reports):
                 ssim_s = "" if rep.ssim is None else repr(rep.ssim)
                 cd_s = "" if rep.chamfer_m is None else repr(rep.chamfer_m)
                 fh.write(f"{k},{rep.sharpness_ratio!r},{rep.mse!r},{ssim_s},{cd_s}\r\n")
@@ -502,6 +536,9 @@ def main(argv=None) -> int:
         return EXIT_MISMATCH
     except (NumericError, RankDeficiencyError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

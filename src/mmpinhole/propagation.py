@@ -11,6 +11,14 @@ illumination of the mask plane does.  ``assemble_oneway`` therefore takes
 a tuple of antenna ends and evaluates each kernel chunk once for all of
 them, so the Tx and Rx matrices of a bidirectional model cost one kernel
 pass.
+
+The lattice is symmetric under the mirror y -> -y, and a scene point with
+y = 0 sees cells (x, y) and (x, -y) at bit-equal distances.  For every
+64-column chunk whose scene points all have y == 0 (every chunk of a
+single-elevation-0 grid, and the chunks of any other grid that lie wholly
+in its elevation-0 run) the kernel is evaluated only on the cells with
+y <= 0, and each mirrored cell copies its twin's row.  Other chunks take
+the full lattice.  Either way the assembled matrices carry the same bits.
 """
 
 from __future__ import annotations
@@ -181,6 +189,20 @@ def _plane_to_scene_chunk(plane_pts, scene_pts, wavelength_m):
     return out
 
 
+def _folded_chunk(plane_pts, n, scene_pts, wavelength_m):
+    """Kernel chunk for scene points with y = 0, evaluated on half the lattice.
+
+    Samples run y-major over the symmetric ``axis_coords`` (``n`` per axis),
+    so the cells with y <= 0 are the first (n + 1) // 2 lattice rows and the
+    rows with y > 0 are their mirror twins in reverse order.  A scene point
+    with y = 0 sees each twin at a bit-equal distance, so the twin rows are
+    copies.
+    """
+    rows = _plane_to_scene_chunk(plane_pts[:(n + 1) // 2 * n], scene_pts, wavelength_m)
+    rows = rows.reshape((n + 1) // 2, n, -1)
+    return np.concatenate((rows, rows[-2::-1])).reshape(n * n, -1)
+
+
 def _through_mask(transmission, illum):
     """Map a kernel chunk to rows of one end's matrix: (T, M) weights @ chunk."""
     T, M = transmission.n_positions, transmission.n_samples
@@ -245,10 +267,15 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     through = [_through_mask(transmission, _antenna_to_plane(
                    radar, radar.tx if end == "tx" else radar.rx, plane_pts, pattern))
                for end in ends]
+    n = plane_sampling.axis_coords.size
     matrices = tuple(np.empty((T, N), dtype=np.complex128) for _ in ends)
     for start in range(0, N, _SCENE_CHUNK):
         sl = slice(start, start + _SCENE_CHUNK)
-        prop = _plane_to_scene_chunk(plane_pts, grid.points[sl], radar.wavelength_m)
+        scene = grid.points[sl]
+        if np.all(scene[:, 1] == 0.0):
+            prop = _folded_chunk(plane_pts, n, scene, radar.wavelength_m)
+        else:
+            prop = _plane_to_scene_chunk(plane_pts, scene, radar.wavelength_m)
         for out, through_mask in zip(matrices, through):
             out[:, sl] = through_mask(prop)
         del prop  # free the M x 64 chunk before the next one is computed

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -204,6 +207,23 @@ class TestReconstruct:
                        "--out-dir", str(tmp_path / "x")])
             assert rc == 2
 
+    @pytest.mark.parametrize("case", ["sigma-max-above-rank", "all-zero-reference"])
+    def test_failure_writes_no_images_or_metrics(self, simulated, tmp_path, case):
+        cfg, sim = simulated
+        args = ["--reference", str(sim / "truth.csv")]
+        if case == "sigma-max-above-rank":
+            args += ["--sigma-max", "5,100"]
+        else:
+            empty = write_config(tmp_path, "empty.json", scene={"targets": []})
+            assert main(["simulate", empty, "--out-dir", str(tmp_path / "empty")]) == 0
+            args = ["--reference", str(tmp_path / "empty" / "truth.csv"),
+                    "--sigma-max", "5,12"]
+        out = tmp_path / "rec"
+        rc = main(["reconstruct", str(sim / "measurements.bin"), "--config", cfg,
+                   *args, "--out-dir", str(out)])
+        assert rc == (2 if case == "sigma-max-above-rank" else 3)
+        assert not list(out.glob("image*")) and not (out / "metrics.csv").exists()
+
     def test_empty_reference_is_data_error(self, simulated, tmp_path, capsys):
         cfg, sim = simulated
         empty = write_config(tmp_path, "empty.json", scene={"targets": []})
@@ -363,6 +383,72 @@ _NUMERIC_FIELDS = [
 ]
 _BAD_NUMBERS = st.sampled_from([NAN, math.inf, -math.inf, 1e300, -1e300, 1e-300,
                                 "abc", "1.0"])
+
+
+def _set_field(cfg, section, key, value):
+    if section == "targets":
+        cfg["scene"]["targets"][0][key] = value
+    else:
+        cfg.setdefault(section, {})[key] = [value] if key == "elevations_deg" else value
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize("value", [True, False, 2 ** 63, -2 ** 63 - 1],
+                             ids=["true", "false", "above-int64", "below-int64"])
+    @pytest.mark.parametrize("section,key", _NUMERIC_FIELDS,
+                             ids=[f"{s}.{k}" for s, k in _NUMERIC_FIELDS])
+    def test_bool_or_oversized_integer_is_config_error(self, tmp_path, capsys,
+                                                       section, key, value):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        _set_field(cfg, section, key, value)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_integers_in_float_fields_read_as_floats(self, tmp_path):
+        from mmpinhole import config_fingerprint
+        ints = write_config(tmp_path, "ints.json",
+                            grid={"range_m": 2, "az_min_deg": -30, "az_max_deg": 30,
+                                  "az_step_deg": 2, "elevations_deg": [0]},
+                            mask={"attenuation_db": 40}, rotation={"rpm": 600})
+        floats = write_config(tmp_path, "floats.json",
+                              grid={"range_m": 2.0, "az_min_deg": -30.0,
+                                    "az_max_deg": 30.0, "az_step_deg": 2.0,
+                                    "elevations_deg": [0.0]},
+                              mask={"attenuation_db": 40.0}, rotation={"rpm": 600.0})
+        a, b = load_config(ints), load_config(floats)
+        assert isinstance(a.grid.range_m, float) and isinstance(a.rpm, float)
+        assert isinstance(a.mask.attenuation_db, float)
+        fp_a, fp_b = (config_fingerprint(c.radar, c.grid, c.mask, c.rotation,
+                                         c.sampling, c.directionality) for c in (a, b))
+        assert fp_a == fp_b
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs RLIMIT_AS and /proc/self/statm")
+def test_out_of_memory_is_numeric_failure(tmp_path):
+    # a 100 m lattice at 2 cm pitch has 10,001^2 cells: its first (M,) array
+    # needs 800 MB, four times the headroom the child gets
+    cfg = write_config(tmp_path, sampling={"extent_m": 100.0})
+    code = textwrap.dedent(f"""
+        import resource, sys
+        from mmpinhole.cli import main
+        with open("/proc/self/statm") as fh:
+            limit = int(fh.read().split()[0]) * resource.getpagesize() + 200 * 2 ** 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        sys.exit(main(["simulate", {cfg!r}, "--out-dir", {str(tmp_path / "out")!r}]))
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("numeric failure: out of memory")
+    assert "Traceback" not in proc.stderr
 
 
 class TestConfigFuzz:

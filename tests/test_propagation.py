@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 from mmpinhole import (AntennaPattern, MaskGeometry, MaskPlaneSampling,
                        MaskTransmission, RotationSampling, assemble_oneway,
                        build_scene_grid, default_radar_config, greens,
-                       pattern_weight, rs_weight)
+                       pattern_weight, rs_weight, soft_edge_transmission)
+from mmpinhole import propagation
 from mmpinhole.errors import ParameterError, ShapeError, SingularityError
+from mmpinhole.geometry import angles_to_points
 from mmpinhole.mask import open_mask, transmission_for
-from mmpinhole.propagation import _SCENE_CHUNK
+from mmpinhole.propagation import (_SCENE_CHUNK, _antenna_to_plane,
+                                   _folded_chunk, _plane_to_scene_chunk)
 
 LAMBDA = 4e-3
 
@@ -250,3 +254,96 @@ class TestAssembleOneway:
         assert np.all(smoothed > 0.5 * free)
         assert np.all(smoothed < 1.5 * free)
         assert abs(smoothed[-1] - free) < 0.15 * free
+
+
+def full_lattice_oneway(radar, grid, plane_sampling, transmission, end):
+    """Reference one-way matrix: dense (T, M) weights @ full (M, N) kernel."""
+    pts = plane_sampling.samples
+    illum = _antenna_to_plane(radar, radar.tx if end == "tx" else radar.rx, pts,
+                              AntennaPattern.from_half_power(radar.azimuth_fov_deg,
+                                                             radar.elevation_fov_deg))
+    kernel = _plane_to_scene_chunk(pts, grid.points, radar.wavelength_m)
+    return (transmission.values * illum[None, :]) @ kernel * plane_sampling.cell_area
+
+
+class TestMirrorFold:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-3, 0.05), st.integers(1, 40), st.floats(0.01, 1.0),
+           st.floats(0.5, 50.0), st.sampled_from([0.0, -0.0]),
+           st.integers(1, _SCENE_CHUNK), st.integers(0, 2 ** 32 - 1))
+    def test_folded_kernel_rows_equal_full_lattice(self, spacing, cells, depth,
+                                                   range_m, elevation, n_cols, seed):
+        samp = MaskPlaneSampling(spacing_m=spacing, extent_m=spacing * cells,
+                                 plane_depth_m=depth)
+        pts = samp.samples
+        n = samp.axis_coords.size
+        rng = np.random.default_rng(seed)
+        scene = angles_to_points(range_m, np.sort(rng.uniform(-85.0, 85.0, n_cols)),
+                                 [elevation])
+        folded = _folded_chunk(pts, n, scene, LAMBDA)
+        full = _plane_to_scene_chunk(pts, scene, LAMBDA)
+        assert folded.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("elevations", [[0.0], [-5.0, 0.0, 5.0]],
+                             ids=["flat", "three-elevations"])
+    @pytest.mark.parametrize("edge", ["hard", "soft"])
+    @pytest.mark.parametrize("mode", ["regular-pinhole", "inverse-pinhole"])
+    @pytest.mark.parametrize("blades", [1, 2])
+    def test_assembly_matches_full_lattice_reference(self, toy_radar, toy_mask,
+                                                     toy_rotation, toy_sampling,
+                                                     monkeypatch, elevations,
+                                                     edge, mode, blades):
+        # asymmetric azimuth range; with three elevations the chunks
+        # [64, 128) and [192, 256) mix elevations and [128, 192) is all 0 deg
+        grid = build_scene_grid(2.0, -20.0, 30.0, 0.5, elevations)
+        mask = replace(toy_mask, mode=mode, blade_count=blades, attenuation_db=20.0)
+        make = transmission_for if edge == "hard" else soft_edge_transmission
+        trans = make(mask, toy_rotation, toy_sampling)
+        kernel_rows = []
+
+        def spy(plane_pts, scene_pts, wavelength_m):
+            kernel_rows.append(len(plane_pts))
+            return _plane_to_scene_chunk(plane_pts, scene_pts, wavelength_m)
+        monkeypatch.setattr(propagation, "_plane_to_scene_chunk", spy)
+        tx, rx = assemble_oneway(toy_radar, grid, mask, toy_rotation, toy_sampling,
+                                 ("tx", "rx"), trans)
+        n = toy_sampling.axis_coords.size
+        assert (n + 1) // 2 * n in kernel_rows
+        assert (toy_sampling.n_samples in kernel_rows) == (len(elevations) > 1)
+        ref_tx, ref_rx = (full_lattice_oneway(toy_radar, grid, toy_sampling, trans, end)
+                          for end in ("tx", "rx"))
+        # unidirectional B is the rx end, bidirectional B is tx * rx
+        for got, ref in ((rx, ref_rx), (tx, ref_tx), (tx * rx, ref_tx * ref_rx)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("elevation", [-90.0, 90.0])
+    def test_scene_point_on_mirrored_cell_is_singular(self, tmp_path, capsys,
+                                                      elevation):
+        # straight up or down the point is (0, +-0.25, z) with z tiny; every
+        # square is exact, so its distance to the cell at the same place is 0
+        x, y, z = angles_to_points(0.25, [0.0], [elevation])[0]
+        assert (x, abs(y)) == (0.0, 0.25)
+        mask = MaskGeometry(blade_length_m=0.3, blade_width_m=0.1,
+                            plane_depth_m=z, axis_offset_m=0.1)
+        radar = default_radar_config(mask, wavelength_m=0.5)
+        samp = MaskPlaneSampling(spacing_m=0.25, extent_m=0.4, plane_depth_m=z)
+        elevations = sorted([elevation, 0.0])
+        grid = build_scene_grid(0.25, 0.0, 0.0, 1.0, elevations)
+        rot = RotationSampling(4)
+        with pytest.raises(SingularityError, match="coincides"):
+            assemble_oneway(radar, grid, mask, rot, samp, ("tx", "rx"),
+                            transmission_for(mask, rot, samp))
+        from mmpinhole.cli import main
+        config = {
+            "radar": {"wavelength_m": 0.5},
+            "mask": {"blade_length_m": 0.3, "blade_width_m": 0.1,
+                     "plane_depth_m": z, "axis_offset_m": 0.1},
+            "rotation": {"positions_per_rotation": 4},
+            "sampling": {"spacing_m": 0.25, "extent_m": 0.4},
+            "grid": {"range_m": 0.25, "az_min_deg": 0.0, "az_max_deg": 0.0,
+                     "az_step_deg": 1.0, "elevations_deg": elevations},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "coincides with a mask-plane sample" in capsys.readouterr().err
