@@ -309,7 +309,9 @@ def scene_vector(cfg: ExperimentConfig) -> np.ndarray:
     x = np.zeros(cfg.grid.n_points, dtype=np.complex128)
     for tgt in cfg.targets:
         j = cfg.grid.index_of(tgt["azimuth_deg"], tgt["elevation_deg"])
-        x[j] += tgt["amplitude"] * np.exp(1j * math.radians(tgt["phase_deg"]))
+        # an infinite amplitude gives a non-finite x, which simulate rejects
+        with np.errstate(invalid="ignore"):
+            x[j] += tgt["amplitude"] * np.exp(1j * math.radians(tgt["phase_deg"]))
     return x
 
 

@@ -17,9 +17,10 @@ offset size    field
 ====== ======= ====================================================
 
 The payload is interleaved re/im float32 pairs: the model ``B`` (T x N)
-row major, 8 T N bytes, or the measurements ``y`` (T), 8 T bytes.  A file
-whose payload length disagrees with its header raises ``ShapeError``; one
-with non-zero reserved bytes raises ``ParameterError``.
+row major, 8 T N bytes, or the measurements ``y`` (T), 8 T bytes.  Finite
+values beyond the float32 range raise ``NumericError`` before the file is
+opened.  A file whose payload length disagrees with its header raises
+``ShapeError``; one with non-zero reserved bytes raises ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError
 
 MAGIC = b"MMPINH1\x00"
 _KINDS = {"model": 1, "measurements": 2}
@@ -48,7 +49,10 @@ class ContainerPayload:
 
 
 def _complex_to_f32(arr: np.ndarray) -> bytes:
-    flat = np.ascontiguousarray(arr, dtype=np.complex64).view(np.float32)
+    with np.errstate(over="ignore"):
+        flat = np.ascontiguousarray(arr, dtype=np.complex64).view(np.float32)
+    if not np.all(np.isfinite(flat)) and np.all(np.isfinite(arr)):
+        raise NumericError("values exceed the float32 range of the container")
     return flat.astype("<f4", copy=False).tobytes()
 
 

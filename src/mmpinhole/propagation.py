@@ -19,6 +19,20 @@ single-elevation-0 grid, and the chunks of any other grid that lie wholly
 in its elevation-0 run) the kernel is evaluated only on the cells with
 y <= 0, and each mirrored cell copies its twin's row.  Other chunks take
 the full lattice.  Either way the assembled matrices carry the same bits.
+
+The blade turns a small step between rotation positions, so footprint row
+t differs from row t - 1 only along the blade's moving edges.  The footprint
+product is therefore taken in row-difference form: a sparse matrix of
+signed (+-1) row differences, weighted by one end's illumination, times the
+kernel chunk, then a running sum down the rows.  Every ``_RESTART`` = 50
+rows the sum restarts from an exact footprint row, which bounds how far
+rounding can accumulate.  Cells that stay covered cancel in the sparse
+subtraction and are never stored: on the default 77 GHz geometry (T=1000)
+the differences hold 52,674 entries against 640,384 in the footprint with
+one blade, and 105,134 against 1,279,675 with two.  The result is a
+reassociation of the direct product; the stated bound against it is 1e-12
+of ||B||_F and of max|B| (measured on the default geometry: at most 1.8e-15
+and 7.3e-15).  Explicit (soft-edge) transmissions take the dense product.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid)
 
 _SCENE_CHUNK = 64  # scene columns per assembly chunk, bounds transient memory
+_RESTART = 50  # footprint rows per running sum of row differences
 
 
 def _spherical(d, wavelength_m: float, singular_msg: str):
@@ -203,23 +218,50 @@ def _folded_chunk(plane_pts, n, scene_pts, wavelength_m):
     return np.concatenate((rows, rows[-2::-1])).reshape(n * n, -1)
 
 
-def _through_mask(transmission, illum):
-    """Map a kernel chunk to rows of one end's matrix: (T, M) weights @ chunk."""
-    T, M = transmission.n_positions, transmission.n_samples
+def _footprint_steps(footprint_indices, n_samples):
+    """Signed row differences of a footprint, restarting every ``_RESTART`` rows.
+
+    Row t holds +1 on the cells that enter the footprint at position t and
+    -1 on the cells that leave it; at a restart row (t % _RESTART == 0) it
+    is the footprint row itself.  Cells covered at both t - 1 and t cancel
+    in the sparse subtraction and are not stored.
+    """
+    T = len(footprint_indices)
+    t = np.arange(T)
+    cols = np.concatenate(footprint_indices)
+    # the footprint plus one empty row T, the predecessor of every restart row
+    indptr = np.cumsum([0] + [idx.size for idx in footprint_indices] + [0])
+    fp = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(T + 1, n_samples))
+    return fp[:T] - fp[np.where(t % _RESTART == 0, T, t - 1)]
+
+
+def _through_mask(transmission, steps, illum):
+    """Map a kernel chunk to rows of one end's matrix: (T, M) weights @ chunk.
+
+    ``steps`` is the :func:`_footprint_steps` pattern of a structured
+    transmission, shared by every antenna end.
+    """
     if transmission.explicit_values is not None:
         weighted = transmission.explicit_values * illum[None, :]
         return lambda prop: weighted @ prop
     # transmission(t, m) = outside + (inside - outside) * footprint(t, m):
-    # a time-invariant open term plus a sparse footprint correction.
-    rows = np.repeat(np.arange(T), [idx.size for idx in transmission.footprint_indices])
-    cols = (np.concatenate(transmission.footprint_indices)
-            if T > 0 else np.empty(0, dtype=int))
-    fp = sparse.csr_matrix((illum[cols], (rows, cols)), shape=(T, M))
+    # a time-invariant open term plus a sparse footprint correction, whose
+    # rows are running sums of the weighted row differences
+    weighted = sparse.csr_matrix((steps.data * illum[steps.indices], steps.indices,
+                                  steps.indptr), shape=steps.shape)
     delta = transmission.inside_amp - transmission.outside_amp
 
     def through_mask(prop):
         block = transmission.outside_amp * (illum @ prop)[None, :]
-        return block + delta * (fp @ prop) if delta != 0.0 else block
+        if delta == 0.0:
+            return block
+        rows = weighted @ prop
+        for start in range(0, len(rows), _RESTART):
+            run = rows[start:start + _RESTART]
+            np.cumsum(run, axis=0, out=run)
+        rows *= delta
+        rows += block
+        return rows
     return through_mask
 
 
@@ -243,6 +285,9 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         the plane-to-scene kernel.
     transmission : MaskTransmission
         Per-rotation-position amplitude transmission over the lattice.
+
+    A scene point in front of the mask plane (z below the lattice depth)
+    raises ``ParameterError``; one on a lattice cell ``SingularityError``.
     """
     if (not isinstance(ends, tuple) or not ends
             or any(end not in ("tx", "rx") for end in ends)):
@@ -261,10 +306,19 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
             f"transmission is {transmission.n_positions}x{transmission.n_samples}, "
             f"expected {T}x{M}")
 
+    # squared distances between points within ``reach`` of the origin stay
+    # below 12 reach^2, which must be a finite float
+    reach = max(float(np.max(np.abs(pts))) for pts in
+                (plane_pts, grid.points, radar.tx, radar.rx))
+    if not math.isfinite(12.0 * reach * reach):
+        raise ParameterError(f"coordinates up to {reach!r} m overflow the squared "
+                             "distances of the propagation kernel")
     if pattern is None:
         pattern = AntennaPattern.from_half_power(radar.azimuth_fov_deg,
                                                  radar.elevation_fov_deg)
-    through = [_through_mask(transmission, _antenna_to_plane(
+    steps = (_footprint_steps(transmission.footprint_indices, M)
+             if transmission.explicit_values is None else None)
+    through = [_through_mask(transmission, steps, _antenna_to_plane(
                    radar, radar.tx if end == "tx" else radar.rx, plane_pts, pattern))
                for end in ends]
     n = plane_sampling.axis_coords.size
@@ -276,6 +330,11 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
             prop = _folded_chunk(plane_pts, n, scene, radar.wavelength_m)
         else:
             prop = _plane_to_scene_chunk(plane_pts, scene, radar.wavelength_m)
+        # after the kernel, so that a point on a lattice cell reports that
+        if np.any(scene[:, 2] < plane_sampling.plane_depth_m):
+            raise ParameterError(f"scene points lie in front of the mask plane at "
+                                 f"z = {plane_sampling.plane_depth_m!r} m; the scene "
+                                 "must be at or beyond the plane")
         for out, through_mask in zip(matrices, through):
             out[:, sl] = through_mask(prop)
         del prop  # free the M x 64 chunk before the next one is computed

@@ -149,6 +149,49 @@ class TestSimulate:
         assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
         assert "coincides with a mask-plane sample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"grid": {"range_m": 0.03}},
+        {"mask": {"plane_depth_m": 1e20}},
+    ], ids=["range-inside-plane-depth", "plane-beyond-grid"])
+    def test_scene_in_front_of_mask_plane_is_config_error(self, tmp_path, capsys,
+                                                          overrides):
+        sim = tmp_path / "sim"
+        assert main(["simulate", write_config(tmp_path, "good.json"),
+                     "--out-dir", str(sim)]) == 0
+        cfg = write_config(tmp_path, **overrides)
+        for argv in (["simulate", cfg, "--out-dir", str(tmp_path / "out")],
+                     ["reconstruct", str(sim / "measurements.bin"), "--config", cfg,
+                      "--out-dir", str(tmp_path / "rec")],
+                     ["analyze", "svd", "--config", cfg, "--out-dir", str(tmp_path / "svd")]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert "in front of the mask plane" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "measurements.bin").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("overrides", [
+        {"mask": {"axis_offset_m": 1e300}},
+        {"mask": {"plane_depth_m": 1e300}},
+        {"grid": {"range_m": 1e300}},
+    ], ids=["axis-offset", "plane-depth", "range"])
+    def test_overflowing_distances_are_config_error(self, tmp_path, capsys, overrides):
+        # squared distances would overflow: rejected before any is computed
+        cfg = write_config(tmp_path, **overrides)
+        for argv in (["simulate", cfg, "--out-dir", str(tmp_path / "out")],
+                     ["analyze", "svd", "--config", cfg, "--out-dir", str(tmp_path / "svd")]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert "overflow the squared distances" in capsys.readouterr().err
+
+    def test_measurements_beyond_float32_are_numeric_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scene={"targets": [
+            {"azimuth_deg": 0.0, "amplitude": 1e300}]})
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("numeric failure:")
+        assert not (out / "measurements.bin").exists()
+        assert not (out / "model.bin").exists()
+
 
 class TestReconstruct:
     @pytest.fixture()

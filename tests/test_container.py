@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmpinhole import container
-from mmpinhole.errors import ParameterError, ShapeError
+from mmpinhole.errors import NumericError, ParameterError, ShapeError
 
 
 def _rand_complex(rng, shape):
@@ -43,6 +43,17 @@ class TestContainer:
         raw = path.read_bytes()
         floats = np.frombuffer(raw[40:], dtype="<f4")
         np.testing.assert_array_equal(floats, [1.0, 2.0, -3.0, 0.5])
+
+    @pytest.mark.parametrize("kind, arrays", [
+        ("model", {"B": np.array([[1.0, 1e39 + 0j]])}),
+        ("measurements", {"y": np.array([1.0, -1e300j]), "n_points": 2}),
+    ])
+    def test_values_beyond_float32_rejected(self, tmp_path, kind, arrays):
+        path = tmp_path / "x.bin"
+        with pytest.raises(NumericError, match="float32"):
+            container.write_container(path, kind, fingerprint="f" * 16,
+                                      directionality="bidirectional", arrays=arrays)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

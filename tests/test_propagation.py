@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from mmpinhole import (AntennaPattern, MaskGeometry, MaskPlaneSampling,
                        MaskTransmission, RotationSampling, assemble_oneway,
-                       build_scene_grid, default_radar_config, greens,
-                       pattern_weight, rs_weight, soft_edge_transmission)
+                       build_forward, build_scene_grid, default_radar_config,
+                       greens, pattern_weight, rs_weight, soft_edge_transmission)
 from mmpinhole import propagation
 from mmpinhole.errors import ParameterError, ShapeError, SingularityError
-from mmpinhole.geometry import angles_to_points
+from mmpinhole.geometry import angles_to_points, default_plane_sampling
 from mmpinhole.mask import open_mask, transmission_for
-from mmpinhole.propagation import (_SCENE_CHUNK, _antenna_to_plane,
-                                   _folded_chunk, _plane_to_scene_chunk)
+from mmpinhole.propagation import (_RESTART, _SCENE_CHUNK, _antenna_to_plane,
+                                   _folded_chunk, _footprint_steps,
+                                   _plane_to_scene_chunk, _through_mask)
 
 LAMBDA = 4e-3
 
@@ -347,3 +349,123 @@ class TestMirrorFold:
         path.write_text(json.dumps(config))
         assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         assert "coincides with a mask-plane sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("elevation", [-90.0, 90.0])
+    def test_scene_point_in_mask_plane_between_cells_is_accepted(self, elevation):
+        # (0, +-0.3, z) lies in the plane z but between the cells at +-0.25
+        x, y, z = angles_to_points(0.3, [0.0], [elevation])[0]
+        mask = MaskGeometry(blade_length_m=0.3, blade_width_m=0.1,
+                            plane_depth_m=z, axis_offset_m=0.1)
+        radar = default_radar_config(mask, wavelength_m=0.5)
+        samp = MaskPlaneSampling(spacing_m=0.25, extent_m=0.4, plane_depth_m=z)
+        grid = build_scene_grid(0.3, 0.0, 0.0, 1.0, sorted([elevation, 0.0]))
+        assert np.min(grid.points[:, 2]) == z
+        rot = RotationSampling(4)
+        tx, rx = assemble_oneway(radar, grid, mask, rot, samp, ("tx", "rx"),
+                                 transmission_for(mask, rot, samp))
+        assert np.all(np.isfinite(tx * rx))
+
+
+def direct_through_mask(transmission, illum, prop):
+    """Reference: open term plus a direct CSR (T, M) footprint @ (M, C) product."""
+    T, M = transmission.n_positions, transmission.n_samples
+    rows = np.repeat(np.arange(T), [idx.size for idx in transmission.footprint_indices])
+    cols = np.concatenate(transmission.footprint_indices)
+    fp = sparse.csr_matrix((illum[cols], (rows, cols)), shape=(T, M))
+    delta = transmission.inside_amp - transmission.outside_amp
+    return transmission.outside_amp * (illum @ prop)[None, :] + delta * (fp @ prop)
+
+
+def direct_forward(radar, grid, plane_sampling, transmission, directionality):
+    """Reference B from the full-lattice kernel and the direct footprint product."""
+    pts = plane_sampling.samples
+    kernel = _plane_to_scene_chunk(pts, grid.points, radar.wavelength_m)
+    pattern = AntennaPattern.from_half_power(radar.azimuth_fov_deg,
+                                             radar.elevation_fov_deg)
+
+    def end(antenna):
+        illum = _antenna_to_plane(radar, antenna, pts, pattern)
+        return direct_through_mask(transmission, illum, kernel) * plane_sampling.cell_area
+    rx = end(radar.rx)
+    return rx if directionality == "unidirectional" else end(radar.tx) * rx
+
+
+@st.composite
+def footprints(draw):
+    """Footprint rows over M cells: empty, full, repeated, disjoint or random."""
+    T = draw(st.integers(1, 3 * _RESTART))
+    M = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["empty", "full", "same", "disjoint", "random"]),
+                          min_size=T, max_size=T))
+    rows, prev = [], np.zeros(M, dtype=bool)
+    for kind in kinds:
+        if kind == "empty":
+            row = np.zeros(M, dtype=bool)
+        elif kind == "full":
+            row = np.ones(M, dtype=bool)
+        elif kind == "same":
+            row = prev
+        elif kind == "disjoint":
+            row = ~prev & (rng.uniform(size=M) < 0.7)
+        else:
+            row = rng.uniform(size=M) < rng.uniform()
+        rows.append(np.flatnonzero(row))
+        prev = row
+    return M, rows
+
+
+class TestRowDifferenceProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(footprints(), st.sampled_from([(1.0, 0.0), (1.0, 0.25), (0.25, 1.0),
+                                          (0.0, 1.0), (1.0, 1.0)]),
+           st.integers(1, _SCENE_CHUNK), st.integers(0, 2 ** 32 - 1))
+    def test_matches_direct_csr_product(self, footprint, amps, n_cols, seed):
+        M, rows = footprint
+        T = len(rows)
+        trans = MaskTransmission(n_positions=T, n_samples=M, inside_amp=amps[0],
+                                 outside_amp=amps[1], footprint_indices=rows)
+        rng = np.random.default_rng(seed)
+        illum = rng.normal(size=M) + 1j * rng.normal(size=M)
+        prop = rng.normal(size=(M, n_cols)) + 1j * rng.normal(size=(M, n_cols))
+        steps = _footprint_steps(rows, M)
+        fp = np.zeros((T, M))
+        for t, row in enumerate(rows):
+            fp[t, row] = 1.0
+        expected = np.diff(fp, axis=0, prepend=0.0)
+        expected[::_RESTART] = fp[::_RESTART]
+        # cells that stay covered are not stored, not even as zeros
+        assert np.array_equal(steps.toarray(), expected)
+        assert steps.nnz == np.count_nonzero(expected)
+        got = np.broadcast_to(_through_mask(trans, steps, illum)(prop), (T, n_cols))
+        ref = direct_through_mask(trans, illum, prop)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("directionality", ["unidirectional", "bidirectional"])
+    @pytest.mark.parametrize("geometry", ["warped", "c14"])
+    def test_build_forward_matches_direct_product(self, toy_radar, toy_mask,
+                                                  toy_sampling, directionality,
+                                                  geometry):
+        if geometry == "warped":
+            # non-uniform steps, 2 blades, leaky regular pinhole; 130 rows
+            # leave a 30-row tail after the last restart
+            base = 2.0 * math.pi * np.arange(130) / 130
+            rot = RotationSampling.warped(base + 0.05 * np.sin(3.0 * base) + 0.01)
+            mask = replace(toy_mask, mode="regular-pinhole", blade_count=2,
+                           attenuation_db=12.0)
+            radar, samp = toy_radar, toy_sampling
+            grid = build_scene_grid(2.0, -30.0, 30.0, 1.0, [-5.0, 0.0])
+        else:
+            # the C14 CLI determinism geometry (T=64)
+            mask = MaskGeometry(blade_count=1, blade_length_m=0.12, blade_width_m=0.02,
+                                plane_depth_m=0.06, axis_offset_m=0.06,
+                                mode="inverse-pinhole")
+            radar = default_radar_config(mask, wavelength_m=0.04)
+            samp = default_plane_sampling(radar, mask)
+            rot = RotationSampling(64)
+            grid = build_scene_grid(2.0, -30.0, 30.0, 2.0, [0.0])
+        B = build_forward(radar, grid, mask, rot, samp, directionality).B
+        ref = direct_forward(radar, grid, samp, transmission_for(mask, rot, samp),
+                             directionality)
+        assert np.linalg.norm(B - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.max(np.abs(B - ref)) <= 1e-12 * np.max(np.abs(ref))
