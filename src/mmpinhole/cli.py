@@ -16,8 +16,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, Union, get_args, get_origin
 
 import numpy as np
 from scipy.linalg import svdvals
@@ -32,7 +32,7 @@ from .forward import (DEFAULT_ROTATION_RPM, NoiseModel, build_forward,
                       noise_from_snr, simulate)
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid, build_scene_grid,
-                       default_plane_sampling, default_radar_config)
+                       default_radar_config)
 from .mask import transmission_for
 from .propagation import assemble_oneway
 from .recon import (ImageResult, ReconConfig, factorize, image_to_csv,
@@ -46,76 +46,6 @@ EXIT_NUMERIC = 4
 
 # ---------------------------------------------------------------------------
 # config parsing
-
-_SECTION_KEYS = {
-    "radar": {"wavelength_m", "colocated", "separation_m",
-              "azimuth_fov_deg", "elevation_fov_deg"},
-    "mask": {"blade_count", "blade_length_m", "blade_width_m", "plane_depth_m",
-             "axis_offset_m", "attenuation_db", "mode"},
-    "rotation": {"positions_per_rotation", "rpm"},
-    "sampling": {"spacing_m", "extent_m"},
-    "grid": {"range_m", "az_min_deg", "az_max_deg", "az_step_deg", "elevations_deg"},
-    "scene": {"targets"},
-    "noise": {"snr_db", "noise_power", "seed"},
-    "recon": {"sigma_max", "normalize", "rel_threshold"},
-    "forward": {"directionality"},
-    "analysis": {"psf_kind", "psf_extent_m", "psf_target_deg", "sar_positions",
-                 "sweep_parameter", "sweep_values",
-                 "power_cases"},
-    "output": {"directory"},
-}
-_TARGET_KEYS = {"azimuth_deg", "elevation_deg", "amplitude", "phase_deg"}
-_POWER_KEYS = {"label", "mass_kg", "radius_m", "rpm"}
-_DEFAULT_POWER_CASES = [
-    {"label": "rotating-mask", "mass_kg": 0.010, "radius_m": 0.16, "rpm": 600.0},
-    {"label": "spinning-radar-sar", "mass_kg": 0.120, "radius_m": 0.0225,
-     "rpm": 600.0},
-]
-
-
-def _check_keys(obj: dict, allowed, where: str):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "
-                          f"allowed: {sorted(allowed)}")
-
-
-@dataclass
-class ExperimentConfig:
-    """Materialized experiment description built from a JSON config file."""
-
-    radar: RadarConfig
-    mask: MaskGeometry
-    rotation: RotationSampling
-    sampling: MaskPlaneSampling
-    grid: SceneGrid
-    targets: list
-    noise: NoiseModel
-    recon: ReconConfig
-    directionality: str
-    rpm: float
-    output_dir: str
-    analysis: dict = field(default_factory=dict)
-    snr_db: Optional[float] = None
-    config_sha256: str = ""
-
-
-# numeric fields of each section: float, or int for counts and seeds; the
-# fields in _NULLABLE may also be JSON null, which means "not set"
-_NUMBER_KEYS = {
-    "radar": {"wavelength_m": float, "separation_m": float,
-              "azimuth_fov_deg": float, "elevation_fov_deg": float},
-    "mask": {"blade_count": int, "blade_length_m": float, "blade_width_m": float,
-             "plane_depth_m": float, "axis_offset_m": float},
-    "rotation": {"positions_per_rotation": int, "rpm": float},
-    "sampling": {"spacing_m": float, "extent_m": float},
-    "grid": {"range_m": float, "az_min_deg": float, "az_max_deg": float,
-             "az_step_deg": float},
-    "noise": {"snr_db": float, "noise_power": float, "seed": int},
-    "recon": {"sigma_max": int, "rel_threshold": float},
-}
-_NULLABLE = {"noise.snr_db", "recon.sigma_max", "recon.rel_threshold"}
-
 
 def _expect(value, types, where: str):
     """``value`` unchanged, once it is a JSON value of one of ``types``."""
@@ -141,58 +71,135 @@ def _number(value, where: str, *, integer: bool = False, finite: bool = True):
     return number
 
 
-def _section(raw: dict, name: str) -> dict:
-    """A copy of config section ``name`` with its numeric fields converted."""
-    sec = dict(raw.get(name, {}))
-    for key, kind in _NUMBER_KEYS.get(name, {}).items():
-        where = f"{name}.{key}"
-        if key in sec and not (sec[key] is None and where in _NULLABLE):
-            sec[key] = _number(sec[key], where, integer=kind is int)
-    return sec
+def _any_float(value, where: str) -> float:
+    """A JSON number read as float; inf and nan pass through."""
+    return _number(value, where, finite=False)
 
 
-def _parse_attenuation(value):
+def _attenuation(value, where: str) -> float:
+    """Attenuation in dB, or the ideal blocker as the string ``"inf"``."""
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity", "ideal"):
             return math.inf
-        raise ConfigError(f"attenuation_db string must be 'inf', got {value!r}")
+        raise ConfigError(f"{where} string must be 'inf', got {value!r}")
     # inf is the ideal blocker; MaskGeometry rejects nan and negatives
-    return _number(value, "mask.attenuation_db", finite=False)
+    return _any_float(value, where)
 
 
-def _parse_analysis(sec: dict, mask: MaskGeometry) -> dict:
-    """The analysis section with its defaults filled in and its values checked.
+def _as_written(value, where: str):
+    """A finite JSON number kept as written: ``analyze power`` echoes it."""
+    _number(value, where)
+    return value
 
-    Sweep values and power cases keep their JSON form, which ``analyze
-    power`` echoes into its CSV; a non-finite sweep value reaches ``sweep``,
-    which skips the values the mask rejects.
+
+def _sweep_value(value, where: str):
+    """A JSON number kept as written; ``sweep`` skips what the mask rejects."""
+    return _expect(value, (int, float), where)
+
+
+# The config format, each key once.  A type is float (a finite JSON number,
+# read as float), int (a JSON integer within int64), bool, str, Optional[t]
+# (t or null), [t] (an array of t), a dict (an object with these keys and no
+# others) or a function that checks and converts one value.  An entry
+# (type, default) fills in a missing key, and the default ``...`` makes the
+# key required.  A missing key given by its type alone takes the default of
+# the constructor its section is passed to, or one that load_config derives,
+# and a missing section reads as an empty object.
+_TARGET = {"azimuth_deg": (float, ...), "elevation_deg": (float, 0.0),
+           # a non-finite amplitude reaches simulate's check on x (exit 4)
+           "amplitude": (_any_float, 1.0), "phase_deg": (float, 0.0)}
+_POWER_CASE = {"label": (str, ...), "mass_kg": (_as_written, ...),
+               "radius_m": (_as_written, ...), "rpm": (_as_written, ...)}
+_DEFAULT_POWER_CASES = [
+    {"label": "rotating-mask", "mass_kg": 0.010, "radius_m": 0.16, "rpm": 600.0},
+    {"label": "spinning-radar-sar", "mass_kg": 0.120, "radius_m": 0.0225,
+     "rpm": 600.0},
+]
+_SCHEMA = {
+    "radar": {"wavelength_m": float, "colocated": bool, "separation_m": float,
+              "azimuth_fov_deg": float, "elevation_fov_deg": float},
+    "mask": {"blade_count": int, "blade_length_m": float, "blade_width_m": float,
+             "plane_depth_m": float, "axis_offset_m": float,
+             "attenuation_db": _attenuation, "mode": str},
+    "rotation": {"positions_per_rotation": int,
+                 "rpm": (float, DEFAULT_ROTATION_RPM)},
+    # default: a half-wavelength pitch over the blade length plus its width
+    "sampling": {"spacing_m": float, "extent_m": float},
+    "grid": {"range_m": (float, 20.0), "az_min_deg": (float, -50.0),
+             "az_max_deg": (float, 50.0), "az_step_deg": (float, 0.5),
+             "elevations_deg": ([float], [0.0])},
+    "scene": {"targets": ([_TARGET], [])},
+    "noise": {"snr_db": Optional[float], "noise_power": float, "seed": int},
+    "recon": {"sigma_max": Optional[int], "normalize": (bool, True),
+              "rel_threshold": Optional[float]},
+    "forward": {"directionality": (str, "bidirectional")},
+    # psf_extent_m defaults to the blade length; an empty power_cases list
+    # means the default cases
+    "analysis": {"psf_kind": (str, "bidirectional"), "psf_extent_m": float,
+                 "psf_target_deg": (float, 0.0), "sar_positions": (int, 720),
+                 "sweep_parameter": (str, "radius"),
+                 "sweep_values": ([_sweep_value], [0.04, 0.08, 0.16]),
+                 "power_cases": ([_POWER_CASE], [])},
+    "output": {"directory": (str, ".")},
+}
+
+
+def _check(spec, value, where: str):
+    """``value`` checked against ``spec``, converted, with defaults filled in.
+
+    ``where`` is the key path of ``value``, which every error names.
     """
-    ana = {
-        "psf_kind": sec.get("psf_kind", "bidirectional"),
-        "psf_target_deg": _number(sec.get("psf_target_deg", 0.0), "analysis.psf_target_deg"),
-        "psf_extent_m": _number(sec.get("psf_extent_m", mask.blade_length_m),
-                                "analysis.psf_extent_m"),
-        "sar_positions": _number(sec.get("sar_positions", 720), "analysis.sar_positions",
-                                 integer=True),
-        "sweep_parameter": _expect(sec.get("sweep_parameter", "radius"), (str,),
-                                   "analysis.sweep_parameter"),
-        "sweep_values": _expect(sec.get("sweep_values", [0.04, 0.08, 0.16]), (list,),
-                                "analysis.sweep_values"),
-        "power_cases": _expect(sec.get("power_cases") or _DEFAULT_POWER_CASES, (list,),
-                               "analysis.power_cases"),
-    }
-    if ana["sar_positions"] < 1:
-        raise ConfigError("analysis.sar_positions must be positive")
-    kinds = (int,) if ana["sweep_parameter"] == "blades" else (int, float)
-    for i, value in enumerate(ana["sweep_values"]):
-        _expect(value, kinds, f"analysis.sweep_values[{i}]")
-    for i, case in enumerate(ana["power_cases"]):
-        where = f"analysis.power_cases[{i}]"
-        if set(_expect(case, (dict,), where)) != _POWER_KEYS:
-            raise ConfigError(f"{where} needs exactly the keys {sorted(_POWER_KEYS)}")
-        for key in ("mass_kg", "radius_m", "rpm"):
-            _number(case[key], f"{where}.{key}")
-    return ana
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where or 'config root'} must be a JSON object, "
+                              f"got {value!r}")
+        unknown = set(value) - set(spec)
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} in "
+                              f"{where or 'config root'}; allowed: {sorted(spec)}")
+        out = {}
+        for key, entry in spec.items():
+            kind, default = entry if isinstance(entry, tuple) else (entry, None)
+            if isinstance(kind, dict) and default is None:
+                default = {}
+            if key not in value and default is ...:
+                raise ConfigError(f"{where} needs the key {key!r}")
+            if key in value or default is not None:
+                out[key] = _check(kind, value.get(key, default),
+                                  f"{where}.{key}" if where else key)
+        return out
+    if isinstance(spec, list):
+        return [_check(spec[0], item, f"{where}[{i}]")
+                for i, item in enumerate(_expect(value, (list,), where))]
+    if get_origin(spec) is Union:
+        if value is None:
+            return None
+        spec = get_args(spec)[0]
+    if spec in (float, int):
+        return _number(value, where, integer=spec is int)
+    if spec in (bool, str):
+        return _expect(value, (spec,), where)
+    return spec(value, where)
+
+
+@dataclass
+class ExperimentConfig:
+    """Materialized experiment description built from a JSON config file."""
+
+    radar: RadarConfig
+    mask: MaskGeometry
+    rotation: RotationSampling
+    sampling: MaskPlaneSampling
+    grid: SceneGrid
+    targets: list
+    noise: NoiseModel
+    recon: ReconConfig
+    directionality: str
+    rpm: float
+    output_dir: str
+    analysis: dict
+    snr_db: Optional[float]
+    config_sha256: str
 
 
 def load_config(path) -> ExperimentConfig:
@@ -206,102 +213,45 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}, "
                           f"column {exc.colno}): {exc.msg}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _SECTION_KEYS, "config root")
-    for section, keys in _SECTION_KEYS.items():
-        if section in raw:
-            if not isinstance(raw[section], dict):
-                raise ConfigError(f"section {section!r} must be an object")
-            _check_keys(raw[section], keys, f"section {section!r}")
-
+    sec = _check(_SCHEMA, raw, "")
     try:
-        mask_sec = _section(raw, "mask")
-        if "attenuation_db" in mask_sec:
-            mask_sec["attenuation_db"] = _parse_attenuation(mask_sec["attenuation_db"])
-        mask = MaskGeometry(**mask_sec)
-
-        radar_sec = _section(raw, "radar")
-        colocated = _expect(radar_sec.pop("colocated", False), (bool,), "radar.colocated")
-        separation = radar_sec.pop("separation_m", 0.01)
-        radar = default_radar_config(mask, colocated=colocated,
-                                     separation_m=separation, **radar_sec)
-
-        rot_sec = _section(raw, "rotation")
-        rpm = rot_sec.pop("rpm", DEFAULT_ROTATION_RPM)
+        mask = MaskGeometry(**sec["mask"])
+        radar = default_radar_config(mask, **sec["radar"])
+        rpm = sec["rotation"].pop("rpm")
         if rpm <= 0:
             raise ParameterError("rotation.rpm must be positive")
-        rotation = RotationSampling(**rot_sec)
-
-        samp_sec = _section(raw, "sampling")
-        if samp_sec:
-            spacing = samp_sec.get("spacing_m", radar.wavelength_m / 2.0)
-            extent = samp_sec.get("extent_m",
-                                  mask.blade_length_m + mask.blade_width_m)
-            sampling = MaskPlaneSampling(spacing_m=spacing, extent_m=extent,
-                                         plane_depth_m=mask.plane_depth_m)
-        else:
-            sampling = default_plane_sampling(radar, mask)
-
-        grid_sec = _section(raw, "grid")
-        elevations = _expect(grid_sec.get("elevations_deg", [0.0]), (list,),
-                             "grid.elevations_deg")
-        grid = build_scene_grid(
-            grid_sec.get("range_m", 20.0),
-            grid_sec.get("az_min_deg", -50.0),
-            grid_sec.get("az_max_deg", 50.0),
-            grid_sec.get("az_step_deg", 0.5),
-            [_number(el, f"grid.elevations_deg[{i}]") for i, el in enumerate(elevations)],
-        )
-
-        targets = []
-        for i, tgt in enumerate(raw.get("scene", {}).get("targets", [])):
-            where = f"scene.targets[{i}]"
-            if not isinstance(tgt, dict):
-                raise ConfigError(f"{where} must be an object")
-            _check_keys(tgt, _TARGET_KEYS, where)
-            # a non-finite amplitude reaches simulate's check on x (exit 4)
-            targets.append({
-                "azimuth_deg": _number(tgt["azimuth_deg"], f"{where}.azimuth_deg"),
-                "elevation_deg": _number(tgt.get("elevation_deg", 0.0),
-                                         f"{where}.elevation_deg"),
-                "amplitude": _number(tgt.get("amplitude", 1.0), f"{where}.amplitude",
-                                     finite=False),
-                "phase_deg": _number(tgt.get("phase_deg", 0.0), f"{where}.phase_deg"),
-            })
-
-        noise_sec = _section(raw, "noise")
-        snr_db = noise_sec.get("snr_db")
-        noise = NoiseModel(noise_power=noise_sec.get("noise_power", 0.0),
-                           seed=noise_sec.get("seed", 0))
-
-        recon_sec = _section(raw, "recon")
-        recon_cfg = ReconConfig(
-            sigma_max=recon_sec.get("sigma_max", 40),
-            normalize_output=_expect(recon_sec.get("normalize", True), (bool,),
-                                     "recon.normalize"),
-            rel_threshold=recon_sec.get("rel_threshold"),
-        )
-
-        directionality = raw.get("forward", {}).get("directionality", "bidirectional")
-        if directionality not in ("unidirectional", "bidirectional"):
-            raise ConfigError("forward.directionality must be 'unidirectional' "
-                              "or 'bidirectional'")
-
-        analysis = _parse_analysis(raw.get("analysis", {}), mask)
-
-        out_dir = raw.get("output", {}).get("directory", ".")
-    except (ParameterError, ShapeError, TypeError, KeyError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        rotation = RotationSampling(**sec["rotation"])
+        samp = sec["sampling"]
+        sampling = MaskPlaneSampling(
+            spacing_m=samp.get("spacing_m", radar.wavelength_m / 2.0),
+            extent_m=samp.get("extent_m", mask.blade_length_m + mask.blade_width_m),
+            plane_depth_m=mask.plane_depth_m)
+        grid = build_scene_grid(el_list_deg=sec["grid"].pop("elevations_deg"),
+                                **sec["grid"])
+        snr_db = sec["noise"].pop("snr_db", None)
+        noise = NoiseModel(**sec["noise"])
+        recon_cfg = ReconConfig(normalize_output=sec["recon"].pop("normalize"),
+                                **sec["recon"])
+    except ValueError as exc:  # ParameterError and ShapeError among them
         raise ConfigError(str(exc))
+    directionality = sec["forward"]["directionality"]
+    if directionality not in ("unidirectional", "bidirectional"):
+        raise ConfigError("forward.directionality must be 'unidirectional' "
+                          "or 'bidirectional'")
+    analysis = sec["analysis"]
+    analysis.setdefault("psf_extent_m", mask.blade_length_m)
+    if analysis["sar_positions"] < 1:
+        raise ConfigError("analysis.sar_positions must be positive")
+    if analysis["sweep_parameter"] == "blades":
+        for i, value in enumerate(analysis["sweep_values"]):
+            _expect(value, (int,), f"analysis.sweep_values[{i}]")
 
     sha = hashlib.sha256(text.encode()).hexdigest()
     return ExperimentConfig(radar=radar, mask=mask, rotation=rotation,
-                            sampling=sampling, grid=grid, targets=targets,
+                            sampling=sampling, grid=grid, targets=sec["scene"]["targets"],
                             noise=noise, recon=recon_cfg,
                             directionality=directionality, rpm=rpm,
-                            output_dir=out_dir, analysis=analysis,
+                            output_dir=sec["output"]["directory"], analysis=analysis,
                             snr_db=snr_db, config_sha256=sha)
 
 
@@ -343,10 +293,7 @@ def _read_reference_csv(path, grid: SceneGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_simulate(config_path, out_dir=None) -> int:
-    cfg = load_config(config_path)
-    out = out_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+def cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
     model = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
                           cfg.sampling, cfg.directionality)
     noise = cfg.noise
@@ -374,11 +321,8 @@ def cmd_simulate(config_path, out_dir=None) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(measurements_path, config_path, sigma_max=None,
-                    reference=None, out_dir=None) -> int:
-    cfg = load_config(config_path)
-    out = out_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+def cmd_reconstruct(cfg: ExperimentConfig, out: str, measurements_path,
+                    sigma_max=None, reference=None) -> int:
     try:
         payload = container.read_container(measurements_path)
     except (OSError, ParameterError) as exc:
@@ -425,10 +369,7 @@ def cmd_reconstruct(measurements_path, config_path, sigma_max=None,
     return EXIT_OK
 
 
-def cmd_analyze(subcommand, config_path, out_dir=None) -> int:
-    cfg = load_config(config_path)
-    out = out_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+def cmd_analyze(cfg: ExperimentConfig, out: str, subcommand) -> int:
     ana = cfg.analysis
     if subcommand == "svd":
         # the unidirectional model is the rx end of the bidirectional one
@@ -466,7 +407,7 @@ def cmd_analyze(subcommand, config_path, out_dir=None) -> int:
     elif subcommand == "power":
         with open(os.path.join(out, "power.csv"), "w", newline="") as fh:
             fh.write("label,mass_kg,radius_m,rpm,power_w\r\n")
-            for case in ana["power_cases"]:
+            for case in ana["power_cases"] or _DEFAULT_POWER_CASES:
                 p = rotational_power(case["mass_kg"], case["radius_m"],
                                      rpm_to_rad_s(case["rpm"]))
                 fh.write(f"{case['label']},{case['mass_kg']!r},"
@@ -511,24 +452,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        ks = None
+        if args.command == "reconstruct" and args.sigma_max is not None:
+            try:
+                ks = [int(v) for v in str(args.sigma_max).split(",")]
+            except ValueError:
+                raise ConfigError(f"--sigma-max must be integers, got "
+                                  f"{args.sigma_max!r}")
+            for k in ks:
+                if k < 1:
+                    raise ConfigError("--sigma-max values must be >= 1")
+        cfg = load_config(args.config)
+        out = args.out_dir or cfg.output_dir
+        try:
+            os.makedirs(out, exist_ok=True)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise ConfigError(f"cannot create output directory {out!r}: {exc}")
         if args.command == "simulate":
-            return cmd_simulate(args.config, out_dir=args.out_dir)
+            return cmd_simulate(cfg, out)
         if args.command == "reconstruct":
-            ks = None
-            if args.sigma_max is not None:
-                try:
-                    ks = [int(v) for v in str(args.sigma_max).split(",")]
-                except ValueError:
-                    raise ConfigError(f"--sigma-max must be integers, got "
-                                      f"{args.sigma_max!r}")
-                for k in ks:
-                    if k < 1:
-                        raise ConfigError("--sigma-max values must be >= 1")
-            return cmd_reconstruct(args.measurements, args.config, sigma_max=ks,
-                                   reference=args.reference, out_dir=args.out_dir)
-        if args.command == "analyze":
-            return cmd_analyze(args.subcommand, args.config, out_dir=args.out_dir)
-        return EXIT_CONFIG
+            return cmd_reconstruct(cfg, out, args.measurements, sigma_max=ks,
+                                   reference=args.reference)
+        return cmd_analyze(cfg, out, args.subcommand)
     except (ConfigError, ParameterError, SingularityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

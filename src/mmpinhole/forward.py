@@ -157,7 +157,6 @@ class NoiseModel:
 
     noise_power: float = 0.0   # variance per complex measurement sample
     seed: int = 0
-    kind: str = "complex-gaussian"
 
     def __post_init__(self):
         if not math.isfinite(self.noise_power) or self.noise_power < 0:

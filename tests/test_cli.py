@@ -494,6 +494,51 @@ def test_out_of_memory_is_numeric_failure(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# every key of the config format with its JSON type; 0 steps into the
+# first scene target or power case
+_KEY_TYPES = (
+    [((section,), "object") for section in (
+        "radar", "mask", "rotation", "sampling", "grid", "scene", "noise", "recon",
+        "forward", "analysis", "output")]
+    + [(("scene", "targets", 0, key) if section == "targets" else (section, key),
+        "array" if key == "elevations_deg" else "number")
+       for section, key in _NUMERIC_FIELDS]
+    + [(("analysis", key), "number")
+       for key in ("psf_extent_m", "psf_target_deg", "sar_positions")]
+    + [(("analysis", "power_cases", 0, key), "number")
+       for key in ("mass_kg", "radius_m", "rpm")]
+    + [(path, "string") for path in (
+        ("mask", "mode"), ("forward", "directionality"), ("analysis", "psf_kind"),
+        ("analysis", "sweep_parameter"), ("output", "directory"),
+        ("analysis", "power_cases", 0, "label"))]
+    + [(("radar", "colocated"), "bool"), (("recon", "normalize"), "bool")]
+    + [(path, "array") for path in (
+        ("scene", "targets"), ("analysis", "sweep_values"), ("analysis", "power_cases"))]
+    + [(("scene", "targets", 0), "object"), (("analysis", "power_cases", 0), "object")]
+)
+_NULLABLE_KEYS = {("noise", "snr_db"), ("recon", "sigma_max"), ("recon", "rel_threshold")}
+_JSON_VALUES = {
+    "number": st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats()),
+    "string": st.text(max_size=8),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "array": st.lists(st.one_of(st.integers(-9, 9), st.floats(-9, 9),
+                                st.text(max_size=3)), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(-9, 9), max_size=2),
+}
+# the analyze subcommand that reads each analysis key
+_ANALYSIS_READERS = {"psf_kind": "psf", "psf_extent_m": "psf", "psf_target_deg": "psf",
+                     "sar_positions": "psf", "sweep_parameter": "sweep",
+                     "sweep_values": "sweep", "power_cases": "power"}
+
+
+def _set_path(cfg, path, value):
+    *parents, last = path
+    for key in parents:
+        cfg = cfg.setdefault(key, {}) if isinstance(key, str) else cfg[key]
+    cfg[last] = value
+
+
 class TestConfigFuzz:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -514,6 +559,34 @@ class TestConfigFuzz:
                      ["analyze", "svd", "--config", str(path),
                       "--out-dir", str(root / "svd")]):
             assert main(argv) in (0, 2, 3, 4)
+
+    @pytest.mark.parametrize("path,kind", _KEY_TYPES,
+                             ids=[".".join(map(str, path)) for path, _ in _KEY_TYPES])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_wrong_json_types_never_raise(self, tmp_path_factory, path, kind, data):
+        root = tmp_path_factory.mktemp("type-fuzz")
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["output"]["directory"] = str(root / "out")
+        cfg["analysis"] = {"power_cases": [{"label": "a", "mass_kg": 0.01,
+                                            "radius_m": 0.1, "rpm": 600.0}]}
+        wrong = [k for k in _JSON_VALUES
+                 if k != kind and not (k == "null" and path in _NULLABLE_KEYS)]
+        _set_path(cfg, path, data.draw(st.sampled_from(wrong).flatmap(_JSON_VALUES.get)))
+        config = str(root / "config.json")
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+        if path[0] == "analysis" and len(path) > 1:
+            subcommands = [_ANALYSIS_READERS[path[1]]]
+        else:
+            subcommands = ["svd", "psf", "sweep", "power"]
+        argvs = [["simulate", config, "--out-dir", str(root / "sim")],
+                 ["reconstruct", str(root / "sim" / "measurements.bin"),
+                  "--config", config, "--out-dir", str(root / "rec")]]
+        # analyze writes to output.directory
+        argvs += [["analyze", sub, "--config", config] for sub in subcommands]
+        for argv in argvs:
+            assert main(argv) in (0, 2, 3, 4), (path, argv)
 
 
 class TestAnalyze:
@@ -556,6 +629,26 @@ class TestAnalyze:
         assert lines[0] == "label,mass_kg,radius_m,rpm,power_w"
         rows = {ln.split(",")[0]: float(ln.split(",")[-1]) for ln in lines[1:]}
         assert rows["rotating-mask"] < rows["spinning-radar-sar"]
+
+    @pytest.mark.parametrize("source,directory", [
+        ("config", 5), ("config", None), ("config", []), ("config", True),
+        ("config", ""), ("config", "file"), ("config", "file/sub"),
+        ("config", "nul\0byte"), ("--out-dir", "file"), ("--out-dir", "file/sub"),
+    ], ids=["number", "null", "array", "true", "empty", "existing-file",
+            "through-file", "nul-byte", "flag-existing-file", "flag-through-file"])
+    def test_bad_output_directory_is_config_error(self, tmp_path, capsys, source,
+                                                  directory):
+        (tmp_path / "file").write_text("")
+        if isinstance(directory, str) and directory:
+            directory = str(tmp_path / directory)
+        argv = ["analyze", "power", "--config"]
+        if source == "config":
+            argv.append(write_config(tmp_path, output={"directory": directory}))
+        else:
+            argv += [write_config(tmp_path), "--out-dir", directory]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "output" in err
 
     def test_sweep_csv(self, tmp_path):
         cfg = write_config(
