@@ -13,9 +13,13 @@ around the same circle.
 """
 
 import math
+from dataclasses import astuple, fields
 
 import mmpinhole as mp
-from mmpinhole.analysis import sweep, sweep_to_csv
+from mmpinhole.analysis import SweepRow, sweep
+from mmpinhole.container import write_csv
+
+SWEEP_HEADER = [f.name for f in fields(SweepRow)]
 
 mask = mp.MaskGeometry(mode="regular-pinhole")
 rotation = mp.RotationSampling(500)
@@ -25,7 +29,7 @@ rows = sweep("radius", [0.04, 0.08, 0.16], mask, rotation=rotation)
 print(f"{'radius':>8s} {'fwhp(deg)':>10s} {'sigma_1':>10s}")
 for r in rows:
     print(f"{r.value:8.2f} {r.fwhp_deg:10.3f} {r.sigma_1:10.3e}")
-sweep_to_csv("sweep_radius.csv", rows)
+write_csv("sweep_radius.csv", [SWEEP_HEADER, *map(astuple, rows)])
 
 print("\nsweeping blade width (m) at 16 cm radius ...")
 grid = mp.build_scene_grid(20.0, -8, 8, 0.25, [0])
@@ -34,7 +38,7 @@ rows = sweep("width", [0.008, 0.016, 0.032], mask,
 print(f"{'width':>8s} {'sigma_1':>10s} {'usable':>7s}")
 for r in rows:
     print(f"{r.value:8.3f} {r.sigma_1:10.3e} {r.usable_count:7d}")
-sweep_to_csv("sweep_width.csv", rows)
+write_csv("sweep_width.csv", [SWEEP_HEADER, *map(astuple, rows)])
 
 print("\ntrajectory references over the same field of view ...")
 radar = mp.default_radar_config(mask)

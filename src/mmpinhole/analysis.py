@@ -245,15 +245,6 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
     return rows
 
 
-def sweep_to_csv(path, rows: List[SweepRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("value,fwhp_deg,sigma_1,sigma_40,usable_count\r\n")
-        for r in rows:
-            fh.write(f"{float(r.value)!r},{float(r.fwhp_deg)!r},"
-                     f"{float(r.sigma_1)!r},{float(r.sigma_40)!r},"
-                     f"{r.usable_count}\r\n")
-
-
 # ---------------------------------------------------------------------------
 # image-quality metrics
 

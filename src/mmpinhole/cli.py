@@ -16,15 +16,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional, Union, get_args, get_origin
 
 import numpy as np
 from scipy.linalg import svdvals
 
 from . import __version__, container
-from .analysis import (metric_report, psf, rotational_power, rpm_to_rad_s,
-                       sar_baseline, sweep, sweep_to_csv)
+from .analysis import (SweepRow, metric_report, psf, rotational_power,
+                       rpm_to_rad_s, sar_baseline, sweep)
 from .errors import (ConfigError, DataFileError, FingerprintMismatchError,
                      NumericError, ParameterError, RankDeficiencyError,
                      ShapeError, SingularityError, UndefinedMetricError)
@@ -97,6 +97,15 @@ def _sweep_value(value, where: str):
     return _expect(value, (int, float), where)
 
 
+def _one_of(*names):
+    """The spec of a JSON string that must be one of ``names``."""
+    def check(value, where: str):
+        if _expect(value, (str,), where) not in names:
+            raise ConfigError(f"{where} must be one of {list(names)}, got {value!r}")
+        return value
+    return check
+
+
 # The config format, each key once.  A type is float (a finite JSON number,
 # read as float), int (a JSON integer within int64), bool, str, Optional[t]
 # (t or null), [t] (an array of t), a dict (an object with these keys and no
@@ -132,12 +141,16 @@ _SCHEMA = {
     "noise": {"snr_db": Optional[float], "noise_power": float, "seed": int},
     "recon": {"sigma_max": Optional[int], "normalize": (bool, True),
               "rel_threshold": Optional[float]},
-    "forward": {"directionality": (str, "bidirectional")},
+    "forward": {"directionality": (_one_of("unidirectional", "bidirectional"),
+                                   "bidirectional")},
     # psf_extent_m defaults to the blade length; an empty power_cases list
     # means the default cases
-    "analysis": {"psf_kind": (str, "bidirectional"), "psf_extent_m": float,
-                 "psf_target_deg": (float, 0.0), "sar_positions": (int, 720),
-                 "sweep_parameter": (str, "radius"),
+    "analysis": {"psf_kind": (_one_of("bidirectional", "unidirectional",
+                                      "sar-circular", "sar-linear"), "bidirectional"),
+                 "psf_extent_m": float, "psf_target_deg": (float, 0.0),
+                 "sar_positions": (int, 720),
+                 "sweep_parameter": (_one_of("width", "radius", "depth", "blades",
+                                             "attenuation"), "radius"),
                  "sweep_values": ([_sweep_value], [0.04, 0.08, 0.16]),
                  "power_cases": ([_POWER_CASE], [])},
     "output": {"directory": (str, ".")},
@@ -234,10 +247,6 @@ def load_config(path) -> ExperimentConfig:
                                 **sec["recon"])
     except ValueError as exc:  # ParameterError and ShapeError among them
         raise ConfigError(str(exc))
-    directionality = sec["forward"]["directionality"]
-    if directionality not in ("unidirectional", "bidirectional"):
-        raise ConfigError("forward.directionality must be 'unidirectional' "
-                          "or 'bidirectional'")
     analysis = sec["analysis"]
     analysis.setdefault("psf_extent_m", mask.blade_length_m)
     if analysis["sar_positions"] < 1:
@@ -250,7 +259,7 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(radar=radar, mask=mask, rotation=rotation,
                             sampling=sampling, grid=grid, targets=sec["scene"]["targets"],
                             noise=noise, recon=recon_cfg,
-                            directionality=directionality, rpm=rpm,
+                            directionality=sec["forward"]["directionality"], rpm=rpm,
                             output_dir=sec["output"]["directory"], analysis=analysis,
                             snr_db=snr_db, config_sha256=sha)
 
@@ -293,7 +302,7 @@ def _read_reference_csv(path, grid: SceneGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out: str) -> dict:
     model = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
                           cfg.sampling, cfg.directionality)
     noise = cfg.noise
@@ -310,19 +319,18 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
         fingerprint=model.fingerprint, directionality=cfg.directionality,
         arrays={"B": model.B})
     if measured.y.size <= 4096:
-        container.measurements_to_csv(os.path.join(out, "measurements.csv"),
-                                      measured.y)
+        container.write_csv(os.path.join(out, "measurements.csv"),
+                            [("sample", "re", "im"),
+                             *((t, v.real, v.imag) for t, v in enumerate(measured.y))])
     truth = ImageResult(intensity=np.abs(x).reshape(cfg.grid.shape),
                         complex_amplitude=x, grid=cfg.grid)
     image_to_csv(os.path.join(out, "truth.csv"), truth)
-    _write_manifest(os.path.join(out, "manifest.json"), cfg,
-                    {"command": "simulate", "fingerprint": model.fingerprint,
-                     "noise_power": noise.noise_power})
-    return EXIT_OK
+    return {"command": "simulate", "fingerprint": model.fingerprint,
+            "noise_power": noise.noise_power}
 
 
 def cmd_reconstruct(cfg: ExperimentConfig, out: str, measurements_path,
-                    sigma_max=None, reference=None) -> int:
+                    sigma_max=None, reference=None) -> dict:
     try:
         payload = container.read_container(measurements_path)
     except (OSError, ParameterError) as exc:
@@ -357,19 +365,15 @@ def cmd_reconstruct(cfg: ExperimentConfig, out: str, measurements_path,
         image_to_pgm(os.path.join(out, f"image{tag}.pgm"), image)
         image_to_csv(os.path.join(out, f"image{tag}.csv"), image)
     if reports:
-        with open(os.path.join(out, "metrics.csv"), "w", newline="") as fh:
-            fh.write("sigma_max,sharpness,mse,ssim,chamfer_m\r\n")
-            for k, rep in zip(ks, reports):
-                ssim_s = "" if rep.ssim is None else repr(rep.ssim)
-                cd_s = "" if rep.chamfer_m is None else repr(rep.chamfer_m)
-                fh.write(f"{k},{rep.sharpness_ratio!r},{rep.mse!r},{ssim_s},{cd_s}\r\n")
-    _write_manifest(os.path.join(out, "manifest.json"), cfg,
-                    {"command": "reconstruct", "fingerprint": model.fingerprint,
-                     "sigma_max": list(ks)})
-    return EXIT_OK
+        container.write_csv(os.path.join(out, "metrics.csv"),
+                            [("sigma_max", "sharpness", "mse", "ssim", "chamfer_m"),
+                             *((k, r.sharpness_ratio, r.mse, r.ssim, r.chamfer_m)
+                               for k, r in zip(ks, reports))])
+    return {"command": "reconstruct", "fingerprint": model.fingerprint,
+            "sigma_max": list(ks)}
 
 
-def cmd_analyze(cfg: ExperimentConfig, out: str, subcommand) -> int:
+def cmd_analyze(cfg: ExperimentConfig, out: str, subcommand) -> dict:
     ana = cfg.analysis
     if subcommand == "svd":
         # the unidirectional model is the rx end of the bidirectional one
@@ -378,45 +382,36 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, subcommand) -> int:
                                  cfg.sampling, ("tx", "rx"), transmission)
         s_bi = svdvals(tx * rx)
         s_uni = svdvals(rx)
-        with open(os.path.join(out, "svd.csv"), "w", newline="") as fh:
-            fh.write("index,sigma_bidirectional,sigma_unidirectional\r\n")
-            for i in range(min(s_bi.size, s_uni.size)):
-                fh.write(f"{i},{float(s_bi[i])!r},{float(s_uni[i])!r}\r\n")
+        container.write_csv(os.path.join(out, "svd.csv"),
+                            [("index", "sigma_bidirectional", "sigma_unidirectional"),
+                             *((i, a, b) for i, (a, b) in enumerate(zip(s_bi, s_uni)))])
     elif subcommand == "psf":
         kind, target = ana["psf_kind"], ana["psf_target_deg"]
         if kind in ("bidirectional", "unidirectional"):
             model = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
                                   cfg.sampling, kind)
             curve = psf(model, target, ReconConfig(sigma_max=None))
-        elif kind in ("sar-circular", "sar-linear"):
+        else:  # sar-circular or sar-linear
             model = sar_baseline(kind.split("-")[1], ana["psf_extent_m"], cfg.radar,
                                  cfg.grid, positions=ana["sar_positions"])
             curve = psf(model, target, ReconConfig(rel_threshold=1e-2))
-        else:
-            raise ConfigError(f"unknown psf_kind {kind!r}")
-        with open(os.path.join(out, "psf.csv"), "w", newline="") as fh:
-            fh.write(f"# fwhp_deg,{float(curve.fwhp_deg)!r}\r\n")
-            fh.write("angle_deg,response\r\n")
-            for a, r in zip(curve.angles_deg, curve.response):
-                fh.write(f"{float(a)!r},{float(r)!r}\r\n")
+        container.write_csv(os.path.join(out, "psf.csv"),
+                            [("# fwhp_deg", curve.fwhp_deg), ("angle_deg", "response"),
+                             *zip(curve.angles_deg, curve.response)])
     elif subcommand == "sweep":
         rows = sweep(ana["sweep_parameter"], ana["sweep_values"], cfg.mask,
                      cfg.radar, rotation=cfg.rotation,
                      directionality=cfg.directionality)
-        sweep_to_csv(os.path.join(out, "sweep.csv"), rows)
-    elif subcommand == "power":
-        with open(os.path.join(out, "power.csv"), "w", newline="") as fh:
-            fh.write("label,mass_kg,radius_m,rpm,power_w\r\n")
-            for case in ana["power_cases"] or _DEFAULT_POWER_CASES:
-                p = rotational_power(case["mass_kg"], case["radius_m"],
-                                     rpm_to_rad_s(case["rpm"]))
-                fh.write(f"{case['label']},{case['mass_kg']!r},"
-                         f"{case['radius_m']!r},{case['rpm']!r},{p!r}\r\n")
-    else:
-        raise ConfigError(f"unknown analyze subcommand {subcommand!r}")
-    _write_manifest(os.path.join(out, "manifest.json"), cfg,
-                    {"command": f"analyze {subcommand}"})
-    return EXIT_OK
+        container.write_csv(os.path.join(out, "sweep.csv"),
+                            [[f.name for f in fields(SweepRow)], *map(astuple, rows)])
+    else:  # power
+        container.write_csv(os.path.join(out, "power.csv"),
+                            [("label", "mass_kg", "radius_m", "rpm", "power_w"),
+                             *((c["label"], c["mass_kg"], c["radius_m"], c["rpm"],
+                                rotational_power(c["mass_kg"], c["radius_m"],
+                                                 rpm_to_rad_s(c["rpm"])))
+                               for c in ana["power_cases"] or _DEFAULT_POWER_CASES)])
+    return {"command": f"analyze {subcommand}"}
 
 
 # ---------------------------------------------------------------------------
@@ -459,23 +454,32 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError(f"--sigma-max must be integers, got "
                                   f"{args.sigma_max!r}")
-            for k in ks:
-                if k < 1:
-                    raise ConfigError("--sigma-max values must be >= 1")
+            if min(ks) < 1:
+                raise ConfigError("--sigma-max values must be >= 1")
         cfg = load_config(args.config)
-        out = args.out_dir or cfg.output_dir
+        if ks is not None and cfg.recon.rel_threshold is not None:
+            raise ConfigError("--sigma-max has no effect while recon.rel_threshold "
+                              "is set; drop one of them")
+        out = cfg.output_dir if args.out_dir is None else args.out_dir
         try:
             os.makedirs(out, exist_ok=True)
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ConfigError(f"cannot create output directory {out!r}: {exc}")
         if args.command == "simulate":
-            return cmd_simulate(cfg, out)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, out, args.measurements, sigma_max=ks,
-                                   reference=args.reference)
-        return cmd_analyze(cfg, out, args.subcommand)
+            summary = cmd_simulate(cfg, out)
+        elif args.command == "reconstruct":
+            summary = cmd_reconstruct(cfg, out, args.measurements, sigma_max=ks,
+                                      reference=args.reference)
+        else:
+            summary = cmd_analyze(cfg, out, args.subcommand)
+        _write_manifest(os.path.join(out, "manifest.json"), cfg, summary)
+        return EXIT_OK
     except (ConfigError, ParameterError, SingularityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # input reads raise ConfigError or DataFileError
+        print(f"config error: cannot write {exc.filename}: {exc.strerror or exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (DataFileError, FingerprintMismatchError, ShapeError,
             UndefinedMetricError) as exc:

@@ -1,6 +1,6 @@
-"""Binary container for sensing matrices and measurement vectors.
+"""File formats: the binary container of models and measurements, and CSV.
 
-Layout (all integers little-endian):
+Container layout (all integers little-endian):
 
 ====== ======= ====================================================
 offset size    field
@@ -25,6 +25,7 @@ opened.  A file whose payload length disagrees with its header raises
 
 from __future__ import annotations
 
+import csv
 import struct
 from dataclasses import dataclass
 
@@ -110,9 +111,13 @@ def read_container(path) -> ContainerPayload:
                             fingerprint=fp.decode(errors="replace"), arrays=arrays)
 
 
-def measurements_to_csv(path, y: np.ndarray) -> None:
-    """Small-case CSV form: one row per sample with re/im columns."""
+def write_csv(path, rows) -> None:
+    """Write ``rows``, the header first, in the toolkit's one CSV dialect.
+
+    RFC 4180 with CRLF line ends: a float (numpy too) as ``repr(float(v))``,
+    ``None`` as an empty cell, anything else through ``str``, quoted if needed.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write("sample,re,im\r\n")
-        for t, v in enumerate(np.asarray(y)):
-            fh.write(f"{t},{float(v.real)!r},{float(v.imag)!r}\r\n")
+        csv.writer(fh, lineterminator="\r\n").writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows)

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg
 
+from .container import write_csv
 from .errors import (NumericError, ParameterError, RankDeficiencyError,
                      ShapeError)
 from .forward import ForwardModel
@@ -148,9 +149,7 @@ def image_to_pgm(path, image: ImageResult) -> None:
 def image_to_csv(path, image: ImageResult) -> None:
     """CSV rows of (azimuth_deg, elevation_deg, intensity) in grid order."""
     grid = image.grid
-    with open(path, "w", newline="") as fh:
-        fh.write("azimuth_deg,elevation_deg,intensity\r\n")
-        for i, el in enumerate(grid.elevation_deg):
-            for j, az in enumerate(grid.azimuth_deg):
-                fh.write(f"{float(az)!r},{float(el)!r},"
-                         f"{float(image.intensity[i, j])!r}\r\n")
+    write_csv(path, [("azimuth_deg", "elevation_deg", "intensity"),
+                     *((az, el, image.intensity[i, j])
+                       for i, el in enumerate(grid.elevation_deg)
+                       for j, az in enumerate(grid.azimuth_deg))])

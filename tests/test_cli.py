@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -129,10 +130,14 @@ class TestSimulate:
         {"analysis": {"sweep_values": "abc"}},
         {"radar": {"colocated": "false"}},
         {"recon": {"normalize": "no"}},
+        {"forward": {"directionality": "sideways"}},
+        {"analysis": {"psf_kind": "foo"}},
+        {"analysis": {"sweep_parameter": "foo"}},
     ], ids=["wavelength", "spacing", "rpm", "target-azimuth", "positions",
             "transmission", "grid-range", "radar-wavelength", "mask-depth",
             "power-no-rpm", "power-mass-string", "psf-target", "sar-positions",
-            "sweep-values", "colocated-string", "normalize-string"])
+            "sweep-values", "colocated-string", "normalize-string",
+            "directionality-name", "psf-kind-name", "sweep-parameter-name"])
     def test_nan_or_fractional_count_rejected(self, tmp_path, capsys, case):
         if callable(case):
             with pytest.raises(ParameterError):
@@ -249,6 +254,16 @@ class TestReconstruct:
                        "--config", cfg, "--sigma-max", sigma_max,
                        "--out-dir", str(tmp_path / "x")])
             assert rc == 2
+
+    def test_sigma_max_with_rel_threshold_rejected(self, simulated, tmp_path, capsys):
+        _, sim = simulated
+        cfg = write_config(tmp_path, "rel.json", recon={"rel_threshold": 0.05})
+        out = tmp_path / "rec"
+        rc = main(["reconstruct", str(sim / "measurements.bin"), "--config", cfg,
+                   "--sigma-max", "5,12", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: --sigma-max")
+        assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("case", ["sigma-max-above-rank", "all-zero-reference"])
     def test_failure_writes_no_images_or_metrics(self, simulated, tmp_path, case):
@@ -634,8 +649,10 @@ class TestAnalyze:
         ("config", 5), ("config", None), ("config", []), ("config", True),
         ("config", ""), ("config", "file"), ("config", "file/sub"),
         ("config", "nul\0byte"), ("--out-dir", "file"), ("--out-dir", "file/sub"),
+        ("--out-dir", ""),
     ], ids=["number", "null", "array", "true", "empty", "existing-file",
-            "through-file", "nul-byte", "flag-existing-file", "flag-through-file"])
+            "through-file", "nul-byte", "flag-existing-file", "flag-through-file",
+            "flag-empty"])
     def test_bad_output_directory_is_config_error(self, tmp_path, capsys, source,
                                                   directory):
         (tmp_path / "file").write_text("")
@@ -649,6 +666,21 @@ class TestAnalyze:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "output" in err
+
+    @pytest.mark.parametrize("argv,blocked", [
+        (["analyze", "power"], "power.csv"), (["simulate"], "model.bin"),
+        (["analyze", "svd"], "manifest.json"),
+    ], ids=["power-csv", "model-bin", "manifest"])
+    def test_unwritable_output_file_is_config_error(self, tmp_path, capsys, argv,
+                                                    blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        cfg = write_config(tmp_path)
+        argv = argv + ([cfg] if argv[0] == "simulate" else ["--config", cfg])
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / blocked}")
+        assert err.count("\n") == 1
 
     def test_sweep_csv(self, tmp_path):
         cfg = write_config(
@@ -689,3 +721,38 @@ class TestConfigRoundTrip:
         assert fp1 == fp2
         assert cfg.targets == cfg2.targets
         assert cfg.noise == cfg2.noise
+
+
+def test_every_csv_in_one_dialect(tmp_path):
+    """Each CSV of the toy pipeline: a header, CRLF lines, exact float cells."""
+    cfg = write_config(tmp_path)
+    sim, rec = tmp_path / "sim", tmp_path / "rec"
+    assert main(["simulate", cfg, "--out-dir", str(sim)]) == 0
+    assert main(["reconstruct", str(sim / "measurements.bin"), "--config", cfg,
+                 "--sigma-max", "5,12", "--reference", str(sim / "truth.csv"),
+                 "--out-dir", str(rec)]) == 0
+    for sub in ("svd", "psf", "sweep", "power"):
+        assert main(["analyze", sub, "--config", cfg,
+                     "--out-dir", str(tmp_path / sub)]) == 0
+    paths = sorted(tmp_path.glob("*/*.csv"))
+    assert [p.name for p in paths] == [
+        "power.csv", "psf.csv", "image_k12.csv", "image_k5.csv", "metrics.csv",
+        "measurements.csv", "truth.csv", "svd.csv", "sweep.csv"]
+    for path in paths:
+        raw = path.read_bytes()
+        assert raw.endswith(b"\r\n") and b"\n" not in raw.replace(b"\r\n", b""), path
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        if path.name == "psf.csv":
+            assert rows[0][0] == "# fwhp_deg"
+            rows = rows[1:]
+        header, body = rows[0], rows[1:]
+        assert body and all(len(row) == len(header) for row in body), path
+        assert all(cell.replace("_", "").isalnum() for cell in header), path
+        for row in body:
+            # power.csv starts each row with a text label
+            for cell in row[1:] if path.name == "power.csv" else row:
+                if cell.lstrip("-").isdigit():
+                    assert str(int(cell)) == cell, (path, cell)
+                elif cell:
+                    assert repr(float(cell)) == cell, (path, cell)

@@ -78,12 +78,18 @@ class TestContainer:
                                       fingerprint="e" * 16,
                                       directionality="bidirectional", arrays={})
 
-    def test_csv_small_cases(self, tmp_path):
-        y = np.array([0.5 - 0.25j, 1.5 + 1.0j])
-        container.measurements_to_csv(tmp_path / "y.csv", y)
-        text = (tmp_path / "y.csv").read_text()
-        assert text.splitlines()[0] == "sample,re,im"
-        assert "0,0.5,-0.25" in text
+    def test_write_csv_dialect(self, tmp_path):
+        path = tmp_path / "t.csv"
+        container.write_csv(path, [
+            ("sample", "re", "im", "label"),
+            (0, 0.5, np.float64(-0.25), "a,b"),
+            (np.int64(1), np.float32(0.1), None, 'say "hi"'),
+            (2, 1e-300, float("inf"), None)])
+        assert path.read_bytes() == (
+            b'sample,re,im,label\r\n'
+            b'0,0.5,-0.25,"a,b"\r\n'
+            b'1,0.10000000149011612,,"say ""hi"""\r\n'
+            b'2,1e-300,inf,\r\n')
 
     @pytest.mark.parametrize("kind, arrays", [
         ("model", {"B": np.ones((3, 4), dtype=complex)}),
