@@ -11,6 +11,10 @@ Two practical effects on top of the static model:
   period and a mirror ghost appears in the image.  Offsetting the antenna
   (with its narrow elevation beam) keeps only one blade in the beam at a
   time: one null timing per period, unambiguous image.
+* A flexing or wobbling rotor adds a rotation-locked phase to every return.
+  A calibration point target at a known angle measures it: its return,
+  referenced to its model column, is fitted by harmonics of the blade
+  rate, and the conjugate phase is applied before inversion.
 """
 
 import math
@@ -68,3 +72,31 @@ for name, offset in (("centered antenna", 0.0), ("offset antenna", 0.12)):
     print(f"{name:17s}: {timings.size} null timing(s) per blade period, "
           f"mirror-image level {mirror:.2f}")
 print("-> the offset antenna removes the twin-blade direction ambiguity")
+
+# --- rotation-locked blade phase ---------------------------------------------
+# model2 is the offset-antenna twin-blade model of the last loop pass
+print()
+w = rotation.angles_rad
+phase = 1.2 * np.sin(2 * w + 0.3) + 0.6 * np.sin(4 * w - 1.1)
+b_cal = model2.B[:, grid11.index_of(0.0)]  # calibration target at boresight
+cal = mp.apply_blade_phase(mp.MeasurementSet(y=b_cal), phase)
+# referenced to its model column, the calibration return keeps only the phase
+estimate = mp.estimate_blade_phase(mp.MeasurementSet(y=cal.y * np.conj(b_cal)),
+                                   blade_count=2)
+residual = np.angle(np.exp(1j * (phase - estimate)))
+print(f"blade phase: injected {np.ptp(phase):.2f} rad peak-to-peak, "
+      f"estimate off by {np.max(np.abs(residual - residual.mean())):.1e} rad "
+      "(after its constant)")
+x2 = np.eye(grid11.n_points)[jt]
+fact2 = mp.factorize(model2)
+noise2 = mp.NoiseModel(mp.calibrate_noise_power(fact2.S, 40, margin=0.2), seed=2)
+distorted = mp.apply_blade_phase(mp.simulate(model2, x2, noise2), phase)
+cfg2 = mp.ReconConfig(sigma_max=40, normalize_output=True)
+for name, meas in (("phase uncorrected", distorted),
+                   ("phase removed", mp.apply_blade_phase(distorted, -estimate))):
+    inten = mp.reconstruct(fact2, meas.y, cfg2).intensity[0]
+    peak_az = grid11.azimuth_deg[int(np.argmax(inten))]
+    mirror = inten[grid11.index_of(-10.0)]
+    print(f"{name:17s}: image peak at {peak_az:+.1f} deg, "
+          f"mirror-image level {mirror:.2f}")
+print("-> a calibration target measures the blade phase; removing it restores the image")

@@ -211,14 +211,16 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
     """One (value, fwhp, spectrum summary) row per swept parameter value.
 
     Geometrically infeasible values (blade width above the swept diameter)
-    are skipped with a warning.  ``usable_count`` counts singular values at
-    or above ``SWEEP_USABLE_REL * sigma_1``.
+    are skipped with a warning; ``ParameterError`` names them when no value
+    is left.  ``usable_count`` counts singular values at or above
+    ``SWEEP_USABLE_REL * sigma_1``.
     """
     if parameter not in _SWEEP_FIELDS:
         raise ParameterError(f"unknown sweep parameter {parameter!r}")
     if len(values) == 0:
         raise ParameterError("sweep needs at least one value")
     rows: List[SweepRow] = []
+    skipped = []
     for value in values:
         field_value = int(value) if parameter == "blades" else value
         kwargs = {_SWEEP_FIELDS[parameter]: field_value}
@@ -228,6 +230,7 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
                 raise ParameterError("blade width exceeds the swept diameter")
         except ParameterError as exc:
             warnings.warn(f"skipping {parameter}={value}: {exc}")
+            skipped.append(value)
             continue
         r = radar if radar is not None else default_radar_config(mask)
         rot = rotation if rotation is not None else RotationSampling(1000)
@@ -242,6 +245,8 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
                              sigma_1=float(S[0]),
                              sigma_40=float(S[39]) if S.size > 39 else 0.0,
                              usable_count=int(np.count_nonzero(S >= floor))))
+    if not rows:
+        raise ParameterError(f"the mask rejects every {parameter} value: {skipped}")
     return rows
 
 

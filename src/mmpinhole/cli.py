@@ -243,8 +243,13 @@ def load_config(path) -> ExperimentConfig:
                                 **sec["grid"])
         snr_db = sec["noise"].pop("snr_db", None)
         noise = NoiseModel(**sec["noise"])
-        recon_cfg = ReconConfig(normalize_output=sec["recon"].pop("normalize"),
-                                **sec["recon"])
+        recon = sec["recon"]
+        if recon.get("rel_threshold") is not None:
+            if recon.get("sigma_max") is not None:
+                raise ConfigError("recon.sigma_max has no effect while "
+                                  "recon.rel_threshold is set; drop one of them")
+            recon["sigma_max"] = None
+        recon_cfg = ReconConfig(normalize_output=recon.pop("normalize"), **recon)
     except ValueError as exc:  # ParameterError and ShapeError among them
         raise ConfigError(str(exc))
     analysis = sec["analysis"]

@@ -34,17 +34,13 @@ def sample_interval_s(rpm: float, positions_per_rotation: int) -> float:
 
 
 def _transmission_digest(transmission: MaskTransmission) -> str:
-    """Digest of the transmission values (or footprint rows and amplitudes)."""
+    """Digest of the transmission's amplitudes and footprint rows."""
     h = hashlib.sha256()
     h.update(repr((transmission.n_positions, transmission.n_samples)).encode())
-    if transmission.explicit_values is not None:
-        h.update(b"explicit")
-        h.update(np.ascontiguousarray(transmission.explicit_values).tobytes())
-    else:
-        rows = transmission.footprint_indices
-        h.update(repr((transmission.inside_amp, transmission.outside_amp)).encode())
-        h.update(np.array([row.size for row in rows], dtype=np.int64).tobytes())
-        h.update(np.concatenate(rows).astype(np.int64).tobytes())
+    rows = transmission.footprint_indices
+    h.update(repr((transmission.inside_amp, transmission.outside_amp)).encode())
+    h.update(np.array([row.size for row in rows], dtype=np.int64).tobytes())
+    h.update(np.concatenate(rows).astype(np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -53,7 +49,7 @@ def _pattern_digest(radar: RadarConfig, plane_sampling: MaskPlaneSampling,
     """Digest of each antenna's illumination of the mask cells.
 
     The pattern enters ``B`` only through this illumination, so the digest
-    covers cosine-power, tabulated and custom shapes alike.
+    covers cosine-power and custom shapes alike.
     """
     h = hashlib.sha256()
     for antenna in (radar.tx, radar.rx):

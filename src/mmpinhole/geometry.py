@@ -221,11 +221,6 @@ class MaskGeometry:
         return 10.0 ** (-self.attenuation_db / 20.0)
 
 
-def effective_fov_deg(mask: MaskGeometry) -> float:
-    """Effective half-angle field of view, arctan(blade length / depth)."""
-    return math.degrees(math.atan2(mask.blade_length_m, mask.plane_depth_m))
-
-
 def blade_frames(mask: MaskGeometry, angles_rad, pts_xy):
     """Yield each blade's (u, v) coordinates of mask-plane points.
 

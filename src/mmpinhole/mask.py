@@ -8,15 +8,14 @@ structure: a uniform value outside the blade footprint and another inside.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .geometry import (_ANGLE_CHUNK, MaskGeometry, MaskPlaneSampling,
-                       RotationSampling, blade_frames, footprint_mask_array)
+                       RotationSampling, footprint_mask_array)
 
 NULL_REL_THRESHOLD = 0.5
 NULL_MERGE_FRACTION = 0.05
@@ -26,47 +25,31 @@ NULL_MERGE_FRACTION = 0.05
 class MaskTransmission:
     """Amplitude transmission per rotation position and mask-plane sample.
 
-    Structured transmissions (the usual case) store the blade footprint as
-    per-position index arrays plus the inside/outside amplitudes; arbitrary
-    maps can be supplied through ``explicit_values`` (shape T x M).  The
-    dense ``values`` array is materialized on demand.
+    The blade footprint at each rotation position is an array of covered
+    sample indices; covered samples transmit ``inside_amp`` and the rest
+    ``outside_amp``.  The dense (T, M) ``values`` array is materialized on
+    demand.
     """
 
     n_positions: int
     n_samples: int
+    footprint_indices: List[np.ndarray] = field(repr=False)
     inside_amp: float = 1.0
     outside_amp: float = 0.0
-    footprint_indices: Optional[List[np.ndarray]] = field(default=None, repr=False)
-    explicit_values: Optional[np.ndarray] = field(default=None, repr=False)
+    # read only by the benchmark's oracle and tracer; always None
+    explicit_values = None
 
     def __post_init__(self):
-        if self.explicit_values is not None:
-            vals = np.asarray(self.explicit_values, dtype=float)
-            if vals.shape != (self.n_positions, self.n_samples):
-                raise ShapeError(f"explicit values must have shape "
-                                 f"({self.n_positions}, {self.n_samples})")
-            if not np.all((vals >= 0.0) & (vals <= 1.0)):
-                raise ParameterError("transmission values must lie in [0, 1]")
-            object.__setattr__(self, "explicit_values", vals)
-        else:
-            if self.footprint_indices is None or len(self.footprint_indices) != self.n_positions:
-                raise ShapeError("structured transmission needs one footprint "
-                                 "index array per rotation position")
-            for amp in (self.inside_amp, self.outside_amp):
-                if not 0.0 <= amp <= 1.0:
-                    raise ParameterError("transmission amplitudes must lie in [0, 1]")
-
-    @classmethod
-    def from_values(cls, values) -> "MaskTransmission":
-        values = np.asarray(values, dtype=float)
-        return cls(n_positions=values.shape[0], n_samples=values.shape[1],
-                   explicit_values=values)
+        if len(self.footprint_indices) != self.n_positions:
+            raise ShapeError("transmission needs one footprint index array per "
+                             "rotation position")
+        for amp in (self.inside_amp, self.outside_amp):
+            if not 0.0 <= amp <= 1.0:
+                raise ParameterError("transmission amplitudes must lie in [0, 1]")
 
     @property
     def values(self) -> np.ndarray:
         """Dense (T, M) transmission array."""
-        if self.explicit_values is not None:
-            return self.explicit_values
         out = np.full((self.n_positions, self.n_samples), self.outside_amp)
         for t, idx in enumerate(self.footprint_indices):
             out[t, idx] = self.inside_amp
@@ -88,52 +71,6 @@ def _footprint_amplitudes(mask: MaskGeometry):
     """(inside, outside) amplitudes of the mask's mode (see transmission_for)."""
     leak = mask.base_attenuation_amp
     return (1.0, leak) if mask.mode == "regular-pinhole" else (leak, 1.0)
-
-
-def _footprint_coverage(mask: MaskGeometry, angles_rad, pts_xy,
-                        half_width: float) -> np.ndarray:
-    """Raised-cosine edge coverage in [0, 1] per (angle, sample).
-
-    Coverage follows a half-cosine ramp over +-half_width of signed distance
-    to the blade rectangle boundary (1 deep inside, 0 well outside).  Each
-    step writes into the blade frame blocks, which belong to this call.
-    """
-    cov = np.zeros((np.size(angles_rad), len(pts_xy)))
-    for u, v in blade_frames(mask, angles_rad, pts_xy):
-        sd = np.maximum(-u, np.subtract(u, mask.blade_length_m, out=u), out=u)
-        dv = np.subtract(np.abs(v, out=v), mask.blade_width_m / 2.0, out=v)
-        np.maximum(sd, dv, out=sd)  # signed distance, negative inside
-        sd += half_width
-        sd /= 2.0 * half_width
-        np.clip(sd, 0.0, 1.0, out=sd)
-        sd *= math.pi
-        np.cos(sd, out=sd)
-        sd += 1.0
-        sd *= 0.5
-        np.maximum(cov, sd, out=cov)
-    return cov
-
-
-def soft_edge_transmission(mask: MaskGeometry, rotation: RotationSampling,
-                           plane_sampling: MaskPlaneSampling) -> MaskTransmission:
-    """Transmission with raised-cosine tapered footprint edges.
-
-    The taper spans half a lattice cell on each side of the blade boundary
-    and reduces staircase artifacts in sensitivity studies.  The result is
-    a dense (T, M) array, evaluated in blocks of rotation positions.  The
-    hard-edged :func:`transmission_for` remains the reproducible reference.
-    """
-    inside, outside = _footprint_amplitudes(mask)
-    half_width = plane_sampling.spacing_m / 2.0
-    pts_xy = plane_sampling.samples[:, :2]
-    angles = rotation.angles_rad
-    values = np.empty((angles.size, len(pts_xy)))
-    for start in range(0, angles.size, _ANGLE_CHUNK):
-        values[start:start + _ANGLE_CHUNK] = _footprint_coverage(
-            mask, angles[start:start + _ANGLE_CHUNK], pts_xy, half_width)
-    values *= inside - outside
-    values += outside
-    return MaskTransmission.from_values(values)
 
 
 def open_mask(rotation: RotationSampling,

@@ -32,7 +32,7 @@ the differences hold 52,674 entries against 640,384 in the footprint with
 one blade, and 105,134 against 1,279,675 with two.  The result is a
 reassociation of the direct product; the stated bound against it is 1e-12
 of ||B||_F and of max|B| (measured on the default geometry: at most 1.8e-15
-and 7.3e-15).  Explicit (soft-edge) transmissions take the dense product.
+and 7.3e-15).
 """
 
 from __future__ import annotations
@@ -57,45 +57,10 @@ def _spherical(d, wavelength_m: float, singular_msg: str):
     if np.any(d == 0.0):
         raise SingularityError(singular_msg)
     # one complex buffer, updated in place: a kernel chunk is M x 64 entries
-    out = 2j * math.pi * np.atleast_1d(d)
+    out = 2j * math.pi * d
     out /= wavelength_m
     np.exp(out, out=out)
     out /= d
-    return out.reshape(np.shape(d))
-
-
-def greens(p, q, wavelength_m: float) -> complex:
-    """Free-space spherical wave factor (1/d) * exp(i 2 pi d / lambda).
-
-    ``p`` and ``q`` are 3-vectors in meters; broadcasting over leading
-    dimensions is supported.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    d = np.linalg.norm(p - q, axis=-1)
-    out = _spherical(d, wavelength_m, "greens is singular for coincident points")
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
-def rs_weight(source, dest, plane_normal, wavelength_m: float):
-    """Rayleigh-Sommerfeld secondary-source factor from a mask cell.
-
-    Returns ``(1/(i lambda)) * cos(chi) * greens(source, dest)`` where chi is
-    the angle between the plane normal and the source->dest direction.
-    """
-    source = np.asarray(source, dtype=float)
-    dest = np.asarray(dest, dtype=float)
-    n = np.asarray(plane_normal, dtype=float)
-    n = n / np.linalg.norm(n)
-    diff = dest - source
-    d = np.linalg.norm(diff, axis=-1)
-    g = _spherical(d, wavelength_m, "rs_weight is singular for coincident points")
-    cos_chi = (diff @ n) / d
-    out = (1.0 / (1j * wavelength_m)) * cos_chi * g
-    if out.ndim == 0:
-        return complex(out)
     return out
 
 
@@ -134,32 +99,6 @@ class AntennaPattern:
 
         return cls(azimuth_shape=shape(p_az), elevation_shape=shape(p_el))
 
-    @classmethod
-    def from_tables(cls, az_table, el_table) -> "AntennaPattern":
-        """Pattern from tabulated (angle_deg, amplitude) rows, one table per axis.
-
-        Tables may be file paths or (K, 2) arrays; amplitudes are linearly
-        interpolated and rescaled so that boresight weight is exactly 1.
-        """
-        def load(table):
-            arr = np.loadtxt(table, dtype=float) if isinstance(table, (str, bytes)) else np.asarray(table, dtype=float)
-            arr = arr.reshape(-1, 2)
-            order = np.argsort(arr[:, 0])
-            ang, amp = arr[order, 0], arr[order, 1]
-            if np.any(amp < 0):
-                raise ParameterError("tabulated pattern amplitudes must be non-negative")
-            ref = np.interp(0.0, ang, amp)
-            if ref <= 0:
-                raise ParameterError("tabulated pattern must be positive at boresight")
-            amp = amp / ref
-
-            def f(angle_deg):
-                return np.interp(np.asarray(angle_deg, dtype=float), ang, amp,
-                                 left=amp[0], right=amp[-1])
-            return f
-
-        return cls(azimuth_shape=load(az_table), elevation_shape=load(el_table))
-
 
 def direction_angles_deg(directions):
     """(azimuth, elevation) in degrees for an (..., 3) array of directions."""
@@ -179,7 +118,7 @@ def pattern_weight(pattern: AntennaPattern, direction) -> np.ndarray:
 
 
 def _antenna_to_plane(radar: RadarConfig, antenna_pos, plane_pts, pattern):
-    """Per-cell illumination: pattern * greens from the antenna to each cell."""
+    """Per-cell illumination: pattern * spherical wave from the antenna to each cell."""
     diff = plane_pts - antenna_pos[None, :]
     d = np.linalg.norm(diff, axis=1)
     g = _spherical(d, radar.wavelength_m, "antenna lies on the mask plane sample lattice")
@@ -238,12 +177,9 @@ def _footprint_steps(footprint_indices, n_samples):
 def _through_mask(transmission, steps, illum):
     """Map a kernel chunk to rows of one end's matrix: (T, M) weights @ chunk.
 
-    ``steps`` is the :func:`_footprint_steps` pattern of a structured
-    transmission, shared by every antenna end.
+    ``steps`` is the :func:`_footprint_steps` pattern of the transmission,
+    shared by every antenna end.
     """
-    if transmission.explicit_values is not None:
-        weighted = transmission.explicit_values * illum[None, :]
-        return lambda prop: weighted @ prop
     # transmission(t, m) = outside + (inside - outside) * footprint(t, m):
     # a time-invariant open term plus a sparse footprint correction, whose
     # rows are running sums of the weighted row differences
@@ -316,8 +252,7 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     if pattern is None:
         pattern = AntennaPattern.from_half_power(radar.azimuth_fov_deg,
                                                  radar.elevation_fov_deg)
-    steps = (_footprint_steps(transmission.footprint_indices, M)
-             if transmission.explicit_values is None else None)
+    steps = _footprint_steps(transmission.footprint_indices, M)
     through = [_through_mask(transmission, steps, _antenna_to_plane(
                    radar, radar.tx if end == "tx" else radar.rx, plane_pts, pattern))
                for end in ends]

@@ -121,15 +121,6 @@ def reconstruct(fact: SvdFactorization, y, cfg: ReconConfig) -> ImageResult:
                        complex_amplitude=x_hat, grid=fact.grid, truncation_used=k)
 
 
-def background_subtract(y, y_background) -> np.ndarray:
-    """Elementwise difference, removing the static open-aperture return."""
-    y = np.asarray(y)
-    y_background = np.asarray(y_background)
-    if y.shape != y_background.shape:
-        raise ShapeError("measurement vectors must have equal length")
-    return y - y_background
-
-
 # ---------------------------------------------------------------------------
 # image export
 

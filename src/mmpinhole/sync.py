@@ -116,13 +116,6 @@ def warped_rotation_angles(rotation: RotationSampling, speed_profile_rpm) -> np.
     return np.concatenate([[0.0], np.cumsum(increments[:-1])])
 
 
-def signature_from_csv(path, nominal_period_samples: int) -> RotationSignature:
-    """Load a signature trace from CSV, one magnitude per line."""
-    samples = np.loadtxt(path, dtype=float, delimiter=",").reshape(-1)
-    return RotationSignature(samples=samples,
-                             nominal_period_samples=nominal_period_samples)
-
-
 def dtw_align(template: RotationSignature, observed: RotationSignature,
               band_fraction: float = 0.1) -> WarpPath:
     """Optimal monotone alignment under squared-difference local cost.

@@ -103,10 +103,15 @@ class TestSweep:
     def test_infeasible_width_skipped(self):
         mask = MaskGeometry(mode="regular-pinhole")
         grid = build_scene_grid(20.0, -8, 8, 0.5, [0])
-        with pytest.warns(UserWarning):
-            rows = sweep("width", [0.5], mask, rotation=RotationSampling(64),
-                         grid=grid)
-        assert rows == []
+        with pytest.warns(UserWarning, match="width=0.5"):
+            rows = sweep("width", [0.5, mask.blade_width_m], mask,
+                         rotation=RotationSampling(64), grid=grid)
+        assert [row.value for row in rows] == [mask.blade_width_m]
+
+    def test_all_infeasible_values_raise(self):
+        with pytest.warns(UserWarning), \
+                pytest.raises(ParameterError, match=r"\[0\.5, 0\.6\]"):
+            sweep("width", [0.5, 0.6], MaskGeometry(), rotation=RotationSampling(64))
 
     def test_unknown_parameter(self):
         with pytest.raises(ParameterError):

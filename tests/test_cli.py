@@ -117,7 +117,8 @@ class TestSimulate:
         {"rotation": {"rpm": NAN}},
         {"scene": {"targets": [{"azimuth_deg": NAN}]}},
         {"rotation": {"positions_per_rotation": 64.5}},
-        lambda: MaskTransmission.from_values(np.full((2, 3), NAN)),
+        lambda: MaskTransmission(n_positions=2, n_samples=3, inside_amp=NAN,
+                                 footprint_indices=[np.empty(0, dtype=int)] * 2),
         lambda: SceneGrid(range_m=NAN, azimuth_deg=[0.0], elevation_deg=[0.0]),
         lambda: RadarConfig(wavelength_m=NAN),
         lambda: MaskGeometry(plane_depth_m=NAN),
@@ -257,13 +258,42 @@ class TestReconstruct:
 
     def test_sigma_max_with_rel_threshold_rejected(self, simulated, tmp_path, capsys):
         _, sim = simulated
-        cfg = write_config(tmp_path, "rel.json", recon={"rel_threshold": 0.05})
+        cfg = write_config(tmp_path, "rel.json",
+                           recon={"sigma_max": None, "rel_threshold": 0.05})
         out = tmp_path / "rec"
         rc = main(["reconstruct", str(sim / "measurements.bin"), "--config", cfg,
                    "--sigma-max", "5,12", "--out-dir", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: --sigma-max")
         assert not list(out.glob("*"))
+
+    def test_config_sigma_max_with_rel_threshold_rejected(self, simulated, tmp_path,
+                                                           capsys):
+        _, sim = simulated
+        cfg = write_config(tmp_path, "both.json", recon={"rel_threshold": 0.05})
+        with pytest.raises(ConfigError, match="recon.sigma_max"):
+            load_config(cfg)
+        out = tmp_path / "rec"
+        rc = main(["reconstruct", str(sim / "measurements.bin"), "--config", cfg,
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: recon.sigma_max")
+        assert not out.exists()
+
+    def test_rel_threshold_reports_no_count(self, simulated, tmp_path):
+        _, sim = simulated
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["recon"] = {"normalize": True, "rel_threshold": 0.05}
+        cfg = tmp_path / "rel.json"
+        cfg.write_text(json.dumps(config))
+        assert load_config(cfg).recon.sigma_max is None
+        out = tmp_path / "rec"
+        rc = main(["reconstruct", str(sim / "measurements.bin"), "--config", str(cfg),
+                   "--reference", str(sim / "truth.csv"), "--out-dir", str(out)])
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["sigma_max"] == [None]
+        row = (out / "metrics.csv").read_text().splitlines()[1]
+        assert row.startswith(",") and len(row.split(",")) == 5
 
     @pytest.mark.parametrize("case", ["sigma-max-above-rank", "all-zero-reference"])
     def test_failure_writes_no_images_or_metrics(self, simulated, tmp_path, case):
@@ -694,6 +724,18 @@ class TestAnalyze:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "value,fwhp_deg,sigma_1,sigma_40,usable_count"
         assert len(lines) == 3
+
+    def test_all_rejected_sweep_is_config_error(self, tmp_path, capsys):
+        # both widths exceed the 0.24 m swept diameter of the 0.12 m blade
+        cfg = write_config(tmp_path, analysis={"sweep_parameter": "width",
+                                               "sweep_values": [2, 3]})
+        out = tmp_path / "sweep"
+        with pytest.warns(UserWarning):
+            assert main(["analyze", "sweep", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "[2, 3]" in err
+        assert not (out / "sweep.csv").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_analyze_determinism(self, tmp_path):
         cfg = write_config(tmp_path)

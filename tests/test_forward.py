@@ -70,8 +70,8 @@ class TestBuildForward:
         samp = MaskPlaneSampling(spacing_m=TOY_WAVELENGTH / 8,
                                  extent_m=0.96, plane_depth_m=mask.plane_depth_m)
         rot = RotationSampling(1)
-        flat = AntennaPattern.from_tables(np.array([[-90.0, 1.0], [90.0, 1.0]]),
-                                          np.array([[-90.0, 1.0], [90.0, 1.0]]))
+        flat = AntennaPattern(azimuth_shape=lambda a: np.ones(np.shape(a)),
+                              elevation_shape=lambda a: np.ones(np.shape(a)))
         grid = build_scene_grid(2.0, 0, 0, 1, [0])
         model = build_forward(radar, grid, mask, rot, samp, "bidirectional",
                               transmission=open_mask(rot, samp), pattern=flat)
@@ -137,7 +137,7 @@ class TestBuildForward:
 
     @settings(max_examples=30, deadline=None)
     @given(change=st.sampled_from(["drop-cell", "add-cell", "inside-amp",
-                                   "outside-amp", "explicit", "pattern-table"]),
+                                   "outside-amp", "pattern-table"]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_any_change_to_b_changes_fingerprint(
             self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling,
@@ -158,19 +158,18 @@ class TestBuildForward:
             amps[change.replace("-", "_")] = float(rng.uniform(0.05, 0.95))
         elif change == "pattern-table":
             angles = np.linspace(-90, 90, 19)
-            table = np.column_stack([angles, np.cos(np.radians(angles))])
-            base_pattern = AntennaPattern.from_tables(table, table)
+            table = np.cos(np.radians(angles))
+
+            def tabulated(weights):
+                return lambda a: np.interp(a, angles, weights)
+            base_pattern = AntennaPattern(tabulated(table), tabulated(table))
             # every row within 40 degrees of boresight shapes the toy lattice
-            table[int(rng.integers(5, 14)), 1] *= 1.0 + rng.uniform(0.01, 0.5)
-            pattern = AntennaPattern.from_tables(table, table)
-        if change == "explicit":
-            values = base.values.copy()
-            values[t, int(rng.integers(base.n_samples))] = rng.uniform(0.05, 0.95)
-            other = MaskTransmission.from_values(values)
-        else:
-            other = MaskTransmission(n_positions=base.n_positions,
-                                     n_samples=base.n_samples, footprint_indices=rows,
-                                     **amps)
+            bumped = table.copy()
+            bumped[int(rng.integers(5, 14))] *= 1.0 + rng.uniform(0.01, 0.5)
+            pattern = AntennaPattern(tabulated(bumped), tabulated(bumped))
+        other = MaskTransmission(n_positions=base.n_positions,
+                                 n_samples=base.n_samples, footprint_indices=rows,
+                                 **amps)
         model = build_forward(*args, transmission=other, pattern=pattern)
         reference = build_forward(*args, pattern=base_pattern)
         assert not np.array_equal(model.B, reference.B)
@@ -190,10 +189,9 @@ class TestBuildForward:
         ring = np.column_stack([0.015 * np.cos(angles), 0.015 * np.sin(angles)])
         cells = [int(np.argmin(np.linalg.norm(pts[:, :2] - c, axis=1)))
                  for c in ring]
-        values = np.zeros((T, samp.n_samples))
-        for t, c in enumerate(cells):
-            values[t, c] = 1.0
-        trans = MaskTransmission.from_values(values)
+        trans = MaskTransmission(n_positions=T, n_samples=samp.n_samples,
+                                 inside_amp=1.0, outside_amp=0.0,
+                                 footprint_indices=[np.array([c]) for c in cells])
         grid = build_scene_grid(3.0, 10, 10, 1, [0])
         model = build_forward(radar, grid, toy_mask, RotationSampling(T), samp,
                               "bidirectional", transmission=trans)

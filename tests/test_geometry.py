@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from mmpinhole import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, build_scene_grid,
-                       default_plane_sampling, default_radar_config,
-                       effective_fov_deg)
+                       default_plane_sampling, default_radar_config)
 from mmpinhole import mask as mask_module
 from mmpinhole import sync as sync_module
 from mmpinhole.errors import ParameterError, UnsupportedConfigurationError
@@ -50,17 +49,6 @@ class TestSceneGrid:
         grid = build_scene_grid(20.0, -10, 10, 1.0, [0])
         assert grid.index_of(0.2) == 10
         assert grid.index_of(-10.0) == 0
-
-
-class TestEffectiveFov:
-    @pytest.mark.parametrize("length,depth,expected", [
-        (0.16, 0.12, 53.13),
-        (0.12, 0.12, 45.0),
-        (0.16, 0.08, 63.43),
-    ])
-    def test_values(self, length, depth, expected):
-        mask = MaskGeometry(blade_length_m=length, plane_depth_m=depth)
-        assert effective_fov_deg(mask) == pytest.approx(expected, abs=0.01)
 
 
 class TestBladeFootprint:

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +8,9 @@ from mmpinhole import (MaskGeometry, MaskPlaneSampling, RotationSampling,
                        default_plane_sampling, default_radar_config)
 from mmpinhole import mask as mask_module
 from mmpinhole.errors import ParameterError, ShapeError
-from mmpinhole.geometry import _ANGLE_CHUNK, blade_frames
+from mmpinhole.geometry import _ANGLE_CHUNK, footprint_mask_array
 from mmpinhole.mask import (MaskTransmission, count_null_events, find_nulls,
-                            null_signature, open_mask, soft_edge_transmission,
-                            transmission_for)
+                            null_signature, open_mask, transmission_for)
 
 
 def regular(mask):
@@ -84,14 +82,55 @@ class TestInversePinhole:
 
 
 class TestTransmissionType:
-    def test_values_bounds_checked(self):
+    @pytest.mark.parametrize("amps", [(1.5, 0.0), (1.0, -0.1), (float("nan"), 0.0)])
+    def test_amplitudes_bounds_checked(self, amps):
         with pytest.raises(ParameterError):
-            MaskTransmission.from_values(np.full((2, 3), 1.5))
+            MaskTransmission(n_positions=2, n_samples=3, inside_amp=amps[0],
+                             outside_amp=amps[1],
+                             footprint_indices=[np.empty(0, dtype=int)] * 2)
 
-    def test_explicit_shape_checked(self):
+    def test_footprint_count_checked(self):
         with pytest.raises(ShapeError):
             MaskTransmission(n_positions=2, n_samples=3,
-                             explicit_values=np.zeros((3, 2)))
+                             footprint_indices=[np.empty(0, dtype=int)] * 3)
+
+
+class TestFootprintIndices:
+    @pytest.mark.parametrize("blades", [1, 2])
+    @pytest.mark.parametrize("mode", ["regular", "inverse"])
+    def test_angle_blocks_match_unchunked_reference(self, monkeypatch, mode, blades):
+        mask = MaskGeometry(blade_count=blades, blade_length_m=0.024,
+                            blade_width_m=0.012, plane_depth_m=0.03,
+                            axis_offset_m=0.015, attenuation_db=12.0,
+                            mode=f"{mode}-pinhole")
+        radar = default_radar_config(mask, wavelength_m=0.04)
+        samp = MaskPlaneSampling(spacing_m=0.01, extent_m=0.036, plane_depth_m=0.03)
+        rot = RotationSampling(2 * _ANGLE_CHUNK + 44)
+        blocks = []
+
+        def recording(mask, angles_rad, pts_xy):
+            blocks.append(np.size(angles_rad))
+            return footprint_mask_array(mask, angles_rad, pts_xy)
+
+        monkeypatch.setattr(mask_module, "footprint_mask_array", recording)
+        trans = transmission_for(mask, rot, samp)
+        assert max(blocks) <= _ANGLE_CHUNK and sum(blocks) == rot.count
+        # one block over every angle
+        ref = footprint_mask_array(mask, rot.angles_rad, samp.samples[:, :2])
+        assert len(trans.footprint_indices) == rot.count
+        for got, row in zip(trans.footprint_indices, ref):
+            assert np.array_equal(got, np.flatnonzero(row))
+        assert any(idx.size for idx in trans.footprint_indices)
+        ref_trans = MaskTransmission(n_positions=rot.count, n_samples=samp.n_samples,
+                                     inside_amp=trans.inside_amp,
+                                     outside_amp=trans.outside_amp,
+                                     footprint_indices=[np.flatnonzero(r) for r in ref])
+        grid = build_scene_grid(2.0, -30.0, 30.0, 4.0, [0.0, 5.0])
+        for directionality in ("unidirectional", "bidirectional"):
+            models = [build_forward(radar, grid, mask, rot, samp, directionality,
+                                    transmission=t)
+                      for t in (trans, ref_trans)]
+            assert np.array_equal(models[0].B, models[1].B)
 
 
 class TestBackgroundSubtractionIdentity:
@@ -160,71 +199,6 @@ class TestAbsorberDipDepth:
         timings, depths = count_null_events(null_signature(model, 0), 1)
         assert timings.size == 1
         assert depths[0] >= 10.0
-
-
-def _unchunked_soft_values(mask, angles, pts_xy, half_width, inside, outside):
-    """Soft-edge transmission values from one block over all angles."""
-    cov = np.zeros((angles.size, len(pts_xy)))
-    for u, v in blade_frames(mask, angles, pts_xy):
-        du = np.maximum(-u, u - mask.blade_length_m)
-        dv = np.abs(v) - mask.blade_width_m / 2.0
-        sd = np.maximum(du, dv)
-        ramp = np.clip((sd + half_width) / (2.0 * half_width), 0.0, 1.0)
-        np.maximum(cov, 0.5 * (1.0 + np.cos(math.pi * ramp)), out=cov)
-    return outside + (inside - outside) * cov
-
-
-class TestSoftEdges:
-    @pytest.mark.parametrize("blades", [1, 2])
-    @pytest.mark.parametrize("mode", ["regular", "inverse"])
-    def test_angle_blocks_match_unchunked_reference(self, monkeypatch, mode, blades):
-        mask = MaskGeometry(blade_count=blades, blade_length_m=0.024,
-                            blade_width_m=0.012, plane_depth_m=0.03,
-                            axis_offset_m=0.015, attenuation_db=12.0)
-        radar = default_radar_config(mask, wavelength_m=0.04)
-        samp = MaskPlaneSampling(spacing_m=0.01, extent_m=0.036, plane_depth_m=0.03)
-        rot = RotationSampling(2 * _ANGLE_CHUNK + 44)
-        blocks = []
-        coverage = mask_module._footprint_coverage
-
-        def recording(mask, angles_rad, pts_xy, half_width):
-            blocks.append(np.size(angles_rad))
-            return coverage(mask, angles_rad, pts_xy, half_width)
-
-        monkeypatch.setattr(mask_module, "_footprint_coverage", recording)
-        soft = soft_edge_transmission(replace(mask, mode=f"{mode}-pinhole"), rot, samp)
-        assert max(blocks) <= _ANGLE_CHUNK and sum(blocks) == rot.count
-        leak = mask.base_attenuation_amp
-        inside, outside = (1.0, leak) if mode == "regular" else (leak, 1.0)
-        ref = _unchunked_soft_values(mask, rot.angles_rad, samp.samples[:, :2],
-                                     samp.spacing_m / 2.0, inside, outside)
-        assert np.array_equal(soft.values, ref)
-        grid = build_scene_grid(2.0, -30.0, 30.0, 4.0, [0.0, 5.0])
-        for directionality in ("unidirectional", "bidirectional"):
-            models = [build_forward(radar, grid, mask, rot, samp, directionality,
-                                    transmission=t)
-                      for t in (soft, MaskTransmission.from_values(ref))]
-            assert np.array_equal(models[0].B, models[1].B)
-
-    def test_taper_values_and_interior(self, mid_setup):
-        mask, _, _, samp = mid_setup
-        rot = RotationSampling(8)
-        soft = soft_edge_transmission(regular(mask), rot, samp)
-        hard = transmission_for(regular(mask), rot, samp).values
-        vals = soft.values
-        assert vals.min() >= 0.0 and vals.max() <= 1.0
-        # taper only acts near edges: deep-interior cells stay fully open
-        interior = (hard == 1.0) & (np.abs(vals - 1.0) < 1e-12)
-        assert interior.sum() > 0.5 * (hard == 1.0).sum()
-        # edge cells take intermediate values
-        assert np.any((vals > 0.05) & (vals < 0.95))
-
-    def test_inverse_mode_complement_shape(self, mid_setup):
-        mask, _, _, samp = mid_setup
-        rot = RotationSampling(4)
-        soft_r = soft_edge_transmission(regular(mask), rot, samp).values
-        soft_i = soft_edge_transmission(inverse(mask), rot, samp).values
-        np.testing.assert_allclose(soft_r + soft_i, 1.0, atol=1e-12)
 
 
 class TestFindNulls:

@@ -11,7 +11,7 @@ from scipy import sparse
 from mmpinhole import (AntennaPattern, MaskGeometry, MaskPlaneSampling,
                        MaskTransmission, RotationSampling, assemble_oneway,
                        build_forward, build_scene_grid, default_radar_config,
-                       greens, pattern_weight, rs_weight, soft_edge_transmission)
+                       pattern_weight)
 from mmpinhole import propagation
 from mmpinhole.errors import ParameterError, ShapeError, SingularityError
 from mmpinhole.geometry import angles_to_points, default_plane_sampling
@@ -23,56 +23,56 @@ from mmpinhole.propagation import (_RESTART, _SCENE_CHUNK, _antenna_to_plane,
 LAMBDA = 4e-3
 
 
-class TestGreens:
-    def test_full_wavelength_wraps_phase(self):
-        g = greens((0, 0, 0), (0, 0, LAMBDA), LAMBDA)
-        assert abs(g) == pytest.approx(1 / LAMBDA)
-        assert math.remainder(np.angle(g), 2 * math.pi) == pytest.approx(0.0, abs=1e-9)
+def kernel(p, q, wavelength_m=LAMBDA):
+    """Rayleigh-Sommerfeld factor from a plane cell at ``p`` to a point ``q``."""
+    return _plane_to_scene_chunk(np.array([p], dtype=float), np.array([q], dtype=float),
+                                 wavelength_m)[0, 0]
 
-    def test_half_wavelength_phase_pi(self):
-        g = greens((0, 0, 0), (0, 0, LAMBDA / 2), LAMBDA)
-        assert abs(np.angle(g)) == pytest.approx(math.pi, abs=1e-9)
 
-    def test_five_meter_target(self):
-        g = greens((0, 0, 0), (0, 0, 5.0), LAMBDA)
-        assert abs(g) == pytest.approx(0.2)
-        assert math.remainder(np.angle(g), 2 * math.pi) == pytest.approx(0.0, abs=1e-7)
+def free_space_phase(k):
+    """Phase of the spherical wave, after removing the 1/(i lambda) factor."""
+    return math.remainder(np.angle(1j * k), 2 * math.pi)
 
-    def test_singularity(self):
-        with pytest.raises(SingularityError):
-            greens((1, 2, 3), (1, 2, 3), LAMBDA)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1))
-    def test_reciprocity(self, seed):
-        rng = np.random.default_rng(seed)
-        p, q = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        if np.allclose(p, q):
-            return
-        assert greens(p, q, LAMBDA) == greens(q, p, LAMBDA)
+class TestPlaneToSceneKernel:
+    # closed form on the +z axis: exp(i 2 pi d / lambda) / (i lambda d)
+    @pytest.mark.parametrize("d", [LAMBDA / 2, LAMBDA, 2.0, 5.0])
+    def test_on_axis_magnitude_and_phase(self, d):
+        k = kernel((0, 0, 0), (0, 0, d))
+        assert abs(k) == pytest.approx(1 / (LAMBDA * d), rel=1e-12)
+        expected = math.remainder(2 * math.pi * d / LAMBDA, 2 * math.pi)
+        assert abs(math.remainder(free_space_phase(k) - expected, 2 * math.pi)) < 1e-7
 
     def test_wavelength_doubling_halves_phase(self):
         # sub-wavelength distance keeps the phase unwrapped
         d = 1e-3
-        p1 = np.angle(greens((0, 0, 0), (0, 0, d), 4e-3))
-        p2 = np.angle(greens((0, 0, 0), (0, 0, d), 8e-3))
+        p1 = free_space_phase(kernel((0, 0, 0), (0, 0, d), 4e-3))
+        p2 = free_space_phase(kernel((0, 0, 0), (0, 0, d), 8e-3))
         assert p1 == pytest.approx(2 * p2)
-        assert p1 * 4e-3 == pytest.approx(p2 * 8e-3)
-
-
-class TestRsWeight:
-    def test_on_axis_magnitude(self):
-        w = rs_weight((0, 0, 0), (0, 0, 2.0), (0, 0, 1), LAMBDA)
-        assert abs(w) == pytest.approx(1 / (LAMBDA * 2.0))
 
     def test_grazing_obliquity_null(self):
-        w = rs_weight((0, 0, 0), (1.0, 0, 0), (0, 0, 1), LAMBDA)
-        assert abs(w) == pytest.approx(0.0, abs=1e-15)
+        assert kernel((0, 0, 0), (1.0, 0, 0)) == 0
 
-    def test_45_degree_magnitude(self):
-        w = rs_weight((0, 0, 0), (math.sqrt(0.5), 0, math.sqrt(0.5)), (0, 0, 1), LAMBDA)
-        assert abs(w) == pytest.approx(math.cos(math.radians(45)) / LAMBDA, rel=1e-9)
-        assert abs(w) == pytest.approx(176.8, abs=0.1)
+    def test_45_degree_obliquity(self):
+        k = kernel((0, 0, 0), (math.sqrt(0.5), 0, math.sqrt(0.5)))
+        assert abs(k) == pytest.approx(math.cos(math.radians(45)) / LAMBDA, rel=1e-9)
+        assert abs(k) == pytest.approx(176.8, abs=0.1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_reciprocity(self, seed):
+        # swapping the ends keeps the distance and flips the obliquity sign
+        rng = np.random.default_rng(seed)
+        p, q = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+        assert kernel(q, p) == pytest.approx(-kernel(p, q), rel=1e-9)
+
+    def test_point_on_lattice_cell_is_singular(self):
+        # quarter-metre coordinates square exactly, so the distance is 0
+        cells = MaskPlaneSampling(spacing_m=0.25, extent_m=0.5,
+                                  plane_depth_m=0.5).samples
+        for cell in (cells[0], cells[7]):
+            with pytest.raises(SingularityError, match="coincides"):
+                _plane_to_scene_chunk(cells, cell[None, :], LAMBDA)
 
 
 class TestAntennaPattern:
@@ -98,13 +98,6 @@ class TestAntennaPattern:
         assert np.all(np.diff(w) <= 1e-12)
         assert np.all(w >= 0)
 
-    def test_tabulated_pattern(self, tmp_path):
-        table = tmp_path / "az.txt"
-        table.write_text("-90 0.0\n0 2.0\n90 0.0\n")
-        pat = AntennaPattern.from_tables(str(table), np.array([[-90, 0], [0, 1], [90, 0]]))
-        assert pat.azimuth_shape(0.0) == pytest.approx(1.0)  # rescaled to boresight
-        assert pat.azimuth_shape(45.0) == pytest.approx(0.5)
-
 
 def _one_way(radar, grid, mask, rot, samp, trans):
     rx, = assemble_oneway(radar, grid, mask, rot, samp, ("rx",), trans)
@@ -121,8 +114,10 @@ class TestAssembleOneway:
 
     def test_full_block_zero_matrix(self, toy_radar, toy_grid, toy_mask,
                                     toy_rotation, toy_sampling):
-        values = np.zeros((toy_rotation.count, toy_sampling.n_samples))
-        trans = MaskTransmission.from_values(values)
+        T = toy_rotation.count
+        trans = MaskTransmission(n_positions=T, n_samples=toy_sampling.n_samples,
+                                 inside_amp=0.0, outside_amp=0.0,
+                                 footprint_indices=[np.empty(0, dtype=int)] * T)
         F = _one_way(toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, trans)
         assert np.all(F == 0)
 
@@ -159,19 +154,13 @@ class TestAssembleOneway:
         with pytest.raises(ParameterError):
             _one_way(toy_radar, toy_grid, toy_mask, toy_rotation, small, trans)
 
-    @pytest.mark.parametrize("kind", ["structured", "explicit"])
     def test_two_ends_match_single_end_calls(self, toy_radar, toy_mask,
-                                             toy_rotation, toy_sampling, kind):
+                                             toy_rotation, toy_sampling):
         # several scene chunks and two elevations
         grid = build_scene_grid(2.0, -30.0, 30.0, 0.5, [0.0, 5.0])
         assert grid.n_points > 2 * _SCENE_CHUNK
-        if kind == "structured":
-            trans = transmission_for(replace(toy_mask, mode="regular-pinhole"),
-                                     toy_rotation, toy_sampling)
-        else:
-            rng = np.random.default_rng(3)
-            trans = MaskTransmission.from_values(
-                rng.uniform(size=(toy_rotation.count, toy_sampling.n_samples)))
+        trans = transmission_for(replace(toy_mask, mode="regular-pinhole"),
+                                 toy_rotation, toy_sampling)
         args = (toy_radar, grid, toy_mask, toy_rotation, toy_sampling)
         tx, rx = assemble_oneway(*args, ("tx", "rx"), trans)
         rx2, tx2 = assemble_oneway(*args, ("rx", "tx"), trans)
@@ -215,10 +204,9 @@ class TestAssembleOneway:
         theta = math.radians(20.0)
         grid = build_scene_grid(r, 20.0, 20.0, 1.0, [0])
         T = len(cells)
-        values = np.zeros((T, samp.n_samples))
-        for t, c in enumerate(cells):
-            values[t, c] = 1.0
-        trans = MaskTransmission.from_values(values)
+        trans = MaskTransmission(n_positions=T, n_samples=samp.n_samples,
+                                 inside_amp=1.0, outside_amp=0.0,
+                                 footprint_indices=[np.array([c]) for c in cells])
         rot = RotationSampling(T)
         F, = assemble_oneway(radar, grid, toy_mask, rot, samp, ("rx",), trans)
         cell_x = pts[cells, 0]
@@ -246,12 +234,14 @@ class TestAssembleOneway:
         center = np.array([0.0, -toy_mask.axis_offset_m * (1 - depth / 3.0)])
         rr = np.linalg.norm(pts[:, :2] - center, axis=1)
         r2 = np.linspace(0.5 * period_r2, 6 * period_r2, 34)
-        values = np.stack([(rr <= rad).astype(float) for rad in np.sqrt(r2)])
-        trans = MaskTransmission.from_values(values)
+        trans = MaskTransmission(n_positions=len(r2), n_samples=samp.n_samples,
+                                 inside_amp=1.0, outside_amp=0.0,
+                                 footprint_indices=[np.flatnonzero(rr <= rad)
+                                                    for rad in np.sqrt(r2)])
         rot = RotationSampling(len(r2))
         F, = assemble_oneway(radar, grid, toy_mask, rot, samp, ("rx",), trans)
         mags = np.abs(F[:, 0])
-        free = abs(greens(radar.rx, grid.points[0], wavelength))
+        free = 1.0 / np.linalg.norm(grid.points[0] - radar.rx)
         smoothed = np.convolve(mags, np.ones(6) / 6, mode="valid")
         assert np.all(smoothed > 0.5 * free)
         assert np.all(smoothed < 1.5 * free)
@@ -288,19 +278,23 @@ class TestMirrorFold:
 
     @pytest.mark.parametrize("elevations", [[0.0], [-5.0, 0.0, 5.0]],
                              ids=["flat", "three-elevations"])
-    @pytest.mark.parametrize("edge", ["hard", "soft"])
+    @pytest.mark.parametrize("amps", ["mode", "partial"])
     @pytest.mark.parametrize("mode", ["regular-pinhole", "inverse-pinhole"])
     @pytest.mark.parametrize("blades", [1, 2])
     def test_assembly_matches_full_lattice_reference(self, toy_radar, toy_mask,
                                                      toy_rotation, toy_sampling,
                                                      monkeypatch, elevations,
-                                                     edge, mode, blades):
+                                                     amps, mode, blades):
         # asymmetric azimuth range; with three elevations the chunks
         # [64, 128) and [192, 256) mix elevations and [128, 192) is all 0 deg
         grid = build_scene_grid(2.0, -20.0, 30.0, 0.5, elevations)
         mask = replace(toy_mask, mode=mode, blade_count=blades, attenuation_db=20.0)
-        make = transmission_for if edge == "hard" else soft_edge_transmission
-        trans = make(mask, toy_rotation, toy_sampling)
+        trans = transmission_for(mask, toy_rotation, toy_sampling)
+        if amps == "partial":
+            # neither amplitude 0 or 1, so both the footprint and the
+            # open-plane terms of the assembly carry a scale factor
+            inside, outside = (0.7, 0.2) if mode == "regular-pinhole" else (0.2, 0.7)
+            trans = replace(trans, inside_amp=inside, outside_amp=outside)
         kernel_rows = []
 
         def spy(plane_pts, scene_pts, wavelength_m):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mmpinhole import (ForwardModel, ReconConfig, background_subtract,
-                       build_scene_grid, factorize, numerical_rank,
-                       reconstruct)
+from mmpinhole import (ForwardModel, ReconConfig, build_scene_grid, factorize,
+                       numerical_rank, reconstruct)
 from mmpinhole.errors import (NumericError, ParameterError, RankDeficiencyError,
                               ShapeError)
 from mmpinhole.recon import image_to_csv, image_to_pgm
@@ -179,16 +178,6 @@ class TestNumericalRank:
         assert numerical_rank(S, rtol=1e-10) == 3
         assert numerical_rank(S, rtol=1e-2) == 2
         assert numerical_rank(np.array([])) == 0
-
-
-class TestBackgroundSubtract:
-    def test_zero_for_identical(self):
-        y = np.arange(5, dtype=complex)
-        np.testing.assert_array_equal(background_subtract(y, y), np.zeros(5))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            background_subtract(np.ones(4), np.ones(5))
 
 
 class TestExports:

@@ -8,8 +8,7 @@ from mmpinhole import (MaskGeometry, MeasurementSet, RotationSampling,
                        resample_to_uniform, synth_signature,
                        warped_rotation_angles)
 from mmpinhole.errors import AlignmentError, InterpolationError, ParameterError
-from mmpinhole.sync import (RotationSignature, WarpPath, path_observed_index,
-                            signature_from_csv)
+from mmpinhole.sync import RotationSignature, WarpPath, path_observed_index
 
 
 def _sig(samples, period=None):
@@ -151,13 +150,7 @@ class TestResample:
             WarpPath(pairs=np.array([[0, 0], [2, 1]]))  # step too large
 
 
-class TestSignatureCsv:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "sig.csv"
-        path.write_text("1.0\n0.5\n0.25\n1.5\n")
-        sig = signature_from_csv(path, nominal_period_samples=4)
-        np.testing.assert_array_equal(sig.samples, [1.0, 0.5, 0.25, 1.5])
-
+class TestRotationSignature:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             RotationSignature(samples=np.array([1.0, -0.1]),
