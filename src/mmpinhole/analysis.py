@@ -17,8 +17,8 @@ and both appear below:
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
@@ -40,6 +40,8 @@ SWEEP_USABLE_REL = 1e-2
 SSIM_WINDOW = 8
 SSIM_DYNAMIC_RANGE = 1.0
 POINT_THRESHOLD_REL = 0.5
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +113,7 @@ def psf(model: ForwardModel, target_angle_deg: float,
 
 
 def sar_baseline(kind: str, extent_m: float, radar: RadarConfig,
-                 grid: SceneGrid, positions: int = 720) -> ForwardModel:
+                 grid: SceneGrid, positions: int) -> ForwardModel:
     """Colocated-antenna SAR reference model over a circle or line.
 
     ``extent_m`` is the circle radius for ``kind="circular"`` (matching the
@@ -210,10 +212,10 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
           directionality: str = "bidirectional") -> List[SweepRow]:
     """One (value, fwhp, spectrum summary) row per swept parameter value.
 
-    Geometrically infeasible values (blade width above the swept diameter)
-    are skipped with a warning; ``ParameterError`` names them when no value
-    is left.  ``usable_count`` counts singular values at or above
-    ``SWEEP_USABLE_REL * sigma_1``.
+    Values the mask rejects (e.g. a blade width above the swept diameter)
+    are skipped, each logged as a warning; ``ParameterError`` names them
+    when no value is left.  ``usable_count`` counts singular values at or
+    above ``SWEEP_USABLE_REL * sigma_1``.
     """
     if parameter not in _SWEEP_FIELDS:
         raise ParameterError(f"unknown sweep parameter {parameter!r}")
@@ -226,10 +228,8 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
         kwargs = {_SWEEP_FIELDS[parameter]: field_value}
         try:
             mask = replace(base_mask, **kwargs)
-            if mask.blade_width_m > 2.0 * mask.blade_length_m:
-                raise ParameterError("blade width exceeds the swept diameter")
         except ParameterError as exc:
-            warnings.warn(f"skipping {parameter}={value}: {exc}")
+            logger.warning("skipping %s=%s: %s", parameter, value, exc)
             skipped.append(value)
             continue
         r = radar if radar is not None else default_radar_config(mask)
@@ -238,7 +238,7 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
         sampling = default_plane_sampling(r, mask)
         model = build_forward(r, g, mask, rot, sampling, directionality)
         fact = factorize(model)
-        curve = psf(model, 0.0, ReconConfig(sigma_max=None), fact=fact)
+        curve = psf(model, 0.0, fact=fact)
         S = fact.S
         floor = SWEEP_USABLE_REL * S[0]
         rows.append(SweepRow(value=float(value), fwhp_deg=curve.fwhp_deg,
@@ -376,7 +376,7 @@ def chamfer(points_a, points_b) -> float:
     return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
 
 
-def metric_report(image, reference, grid: Optional[SceneGrid] = None) -> MetricReport:
+def metric_report(image, reference, grid: SceneGrid) -> MetricReport:
     """All Table-style metrics at once; SSIM and chamfer when computable."""
     img = _as_image(image)
     ref = _as_image(reference)
@@ -386,12 +386,10 @@ def metric_report(image, reference, grid: Optional[SceneGrid] = None) -> MetricR
         q = ssim(img, ref)
     except ParameterError:
         q = None
-    c = None
-    if grid is not None:
-        try:
-            c = chamfer(image_to_points(img, grid), image_to_points(ref, grid))
-        except UndefinedMetricError:
-            c = None
+    try:
+        c = chamfer(image_to_points(img, grid), image_to_points(ref, grid))
+    except UndefinedMetricError:
+        c = None
     return MetricReport(sharpness_ratio=s, mse=m, ssim=q, chamfer_m=c)
 
 

@@ -32,7 +32,7 @@ from .forward import (DEFAULT_ROTATION_RPM, NoiseModel, build_forward,
                       noise_from_snr, simulate)
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid, build_scene_grid,
-                       default_radar_config)
+                       default_plane_sampling, default_radar_config)
 from .mask import transmission_for
 from .propagation import assemble_oneway
 from .recon import (ImageResult, ReconConfig, factorize, image_to_csv,
@@ -132,7 +132,7 @@ _SCHEMA = {
              "attenuation_db": _attenuation, "mode": str},
     "rotation": {"positions_per_rotation": int,
                  "rpm": (float, DEFAULT_ROTATION_RPM)},
-    # default: a half-wavelength pitch over the blade length plus its width
+    # a missing key takes the value of default_plane_sampling
     "sampling": {"spacing_m": float, "extent_m": float},
     "grid": {"range_m": (float, 20.0), "az_min_deg": (float, -50.0),
              "az_max_deg": (float, 50.0), "az_step_deg": (float, 0.5),
@@ -234,14 +234,21 @@ def load_config(path) -> ExperimentConfig:
         if rpm <= 0:
             raise ParameterError("rotation.rpm must be positive")
         rotation = RotationSampling(**sec["rotation"])
-        samp = sec["sampling"]
-        sampling = MaskPlaneSampling(
-            spacing_m=samp.get("spacing_m", radar.wavelength_m / 2.0),
-            extent_m=samp.get("extent_m", mask.blade_length_m + mask.blade_width_m),
-            plane_depth_m=mask.plane_depth_m)
+        sampling = replace(default_plane_sampling(radar, mask), **sec["sampling"])
         grid = build_scene_grid(el_list_deg=sec["grid"].pop("elevations_deg"),
                                 **sec["grid"])
+        # a target off the grid would snap to an edge bin
+        for i, target in enumerate(sec["scene"]["targets"]):
+            for key, bins in (("azimuth_deg", grid.azimuth_deg),
+                              ("elevation_deg", grid.elevation_deg)):
+                lo, hi = float(bins[0]), float(bins[-1])
+                if not lo <= target[key] <= hi:
+                    raise ConfigError(f"scene.targets[{i}].{key} = {target[key]!r} lies "
+                                      f"outside the grid's bins [{lo!r}, {hi!r}]")
         snr_db = sec["noise"].pop("snr_db", None)
+        if snr_db is not None and "noise_power" in sec["noise"]:
+            raise ConfigError("noise.noise_power has no effect while noise.snr_db "
+                              "is set; drop one of them")
         noise = NoiseModel(**sec["noise"])
         recon = sec["recon"]
         if recon.get("rel_threshold") is not None:
@@ -395,7 +402,7 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, subcommand) -> dict:
         if kind in ("bidirectional", "unidirectional"):
             model = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
                                   cfg.sampling, kind)
-            curve = psf(model, target, ReconConfig(sigma_max=None))
+            curve = psf(model, target)
         else:  # sar-circular or sar-linear
             model = sar_baseline(kind.split("-")[1], ana["psf_extent_m"], cfg.radar,
                                  cfg.grid, positions=ana["sar_positions"])

@@ -20,7 +20,8 @@ from .errors import EstimationError, NumericError, ParameterError, ShapeError
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid)
 from .mask import MaskTransmission, transmission_for
-from .propagation import AntennaPattern, _antenna_to_plane, assemble_oneway
+from .propagation import (AntennaPattern, _antenna_to_plane, _radar_pattern,
+                          assemble_oneway)
 
 DEFAULT_ROTATION_RPM = 600.0
 CAL_NULL_REL_THRESHOLD = 0.5
@@ -59,20 +60,16 @@ def _pattern_digest(radar: RadarConfig, plane_sampling: MaskPlaneSampling,
 
 def config_fingerprint(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                        rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
-                       directionality: str,
-                       transmission: Optional[MaskTransmission] = None,
+                       directionality: str, transmission: MaskTransmission,
                        pattern: Optional[AntennaPattern] = None) -> str:
     """Stable hex digest of every input that shapes the sensing matrix.
 
-    ``transmission`` and ``pattern`` default as in :func:`build_forward`;
-    both enter through their content, so passing the default explicitly
-    gives the same digest as ``None``.
+    ``pattern`` defaults as in :func:`build_forward`; the transmission and
+    the pattern enter through their content, so passing the default pattern
+    explicitly gives the same digest as ``None``.
     """
-    if transmission is None:
-        transmission = transmission_for(mask, rotation, plane_sampling)
     if pattern is None:
-        pattern = AntennaPattern.from_half_power(radar.azimuth_fov_deg,
-                                                 radar.elevation_fov_deg)
+        pattern = _radar_pattern(radar)
     h = hashlib.sha256()
     parts = [
         repr(radar.wavelength_m), repr(radar.tx_position), repr(radar.rx_position),
@@ -104,7 +101,7 @@ class ForwardModel:
     B: np.ndarray
     fingerprint: str
     directionality: str  # "unidirectional" | "bidirectional"
-    grid: SceneGrid = field(repr=False, default=None)
+    grid: SceneGrid = field(repr=False)
 
     def __post_init__(self):
         if self.directionality not in ("unidirectional", "bidirectional"):

@@ -59,16 +59,15 @@ def angles_to_points(range_m, azimuth_deg, elevation_deg):
 class RadarConfig:
     """Single Tx/Rx antenna pair operating at a fixed wavelength.
 
-    The default positions put the pair 1 cm apart along the azimuth (x) axis,
-    12 cm below the rotation axis, matching the default mask geometry.  Use
-    :func:`default_radar_config` to derive positions from a mask.
+    Every field is required; :func:`default_radar_config` holds the default
+    values and derives the antenna positions from a mask.
     """
 
-    wavelength_m: float = 4.0e-3
-    tx_position: tuple = (-0.005, -0.12, 0.0)
-    rx_position: tuple = (0.005, -0.12, 0.0)
-    azimuth_fov_deg: float = 50.0   # half-power half-angle
-    elevation_fov_deg: float = 20.0
+    wavelength_m: float
+    tx_position: tuple
+    rx_position: tuple
+    azimuth_fov_deg: float   # half-power half-angle
+    elevation_fov_deg: float
 
     def __post_init__(self):
         if not 0.0 < self.wavelength_m < math.inf:
@@ -119,7 +118,7 @@ class SceneGrid:
     range_m: float
     azimuth_deg: np.ndarray
     elevation_deg: np.ndarray
-    points: np.ndarray = field(repr=False, default=None)
+    points: np.ndarray = field(init=False, repr=False)  # from the angles
 
     def __post_init__(self):
         az = np.asarray(self.azimuth_deg, dtype=float)
@@ -136,8 +135,7 @@ class SceneGrid:
             raise ParameterError("elevation angles must be strictly increasing")
         object.__setattr__(self, "azimuth_deg", az)
         object.__setattr__(self, "elevation_deg", el)
-        pts = angles_to_points(self.range_m, az, el)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", angles_to_points(self.range_m, az, el))
 
     @property
     def n_azimuth(self) -> int:
@@ -221,24 +219,6 @@ class MaskGeometry:
         return 10.0 ** (-self.attenuation_db / 20.0)
 
 
-def blade_frames(mask: MaskGeometry, angles_rad, pts_xy):
-    """Yield each blade's (u, v) coordinates of mask-plane points.
-
-    ``u`` runs radially along the blade and ``v`` across it; both have shape
-    (len(angles), M).  Blades are spaced uniformly in angle, blade 0 at the
-    given rotation angle.
-    """
-    angles = np.asarray(angles_rad, dtype=float)
-    pts = np.asarray(pts_xy, dtype=float)
-    x = pts[None, :, 0]
-    y = pts[None, :, 1]
-    for b in range(mask.blade_count):
-        a = angles + 2.0 * math.pi * b / mask.blade_count
-        sin_a = np.sin(a)[:, None]
-        cos_a = np.cos(a)[:, None]
-        yield -x * sin_a + y * cos_a, x * cos_a + y * sin_a
-
-
 def _reachable_cells(mask: MaskGeometry, angles, pts) -> np.ndarray:
     """Indices of the points some blade may cover at one of ``angles``.
 
@@ -279,6 +259,8 @@ def footprint_mask_array(mask: MaskGeometry, angles_rad, plane_points_xy):
     candidate set is widened by a tolerance a million times the rounding
     error of the blade frame, so it never drops a point the test would
     accept, and every point gets the same result as on the full lattice.
+    Blades are spaced uniformly in angle, blade 0 at the given rotation
+    angle.
     """
     angles = np.asarray(angles_rad, dtype=float).reshape(-1)
     pts = np.asarray(plane_points_xy, dtype=float)
@@ -286,8 +268,16 @@ def footprint_mask_array(mask: MaskGeometry, angles_rad, plane_points_xy):
     idx = _reachable_cells(mask, angles, pts)
     if idx.size:
         half_w = mask.blade_width_m / 2.0
+        x = pts[None, idx, 0]
+        y = pts[None, idx, 1]
         hit = np.zeros((angles.size, idx.size), dtype=bool)
-        for u, v in blade_frames(mask, angles, pts[idx]):
+        for b in range(mask.blade_count):
+            a = angles + 2.0 * math.pi * b / mask.blade_count
+            sin_a = np.sin(a)[:, None]
+            cos_a = np.cos(a)[:, None]
+            # u runs radially along blade b and v across it
+            u = -x * sin_a + y * cos_a
+            v = x * cos_a + y * sin_a
             hit |= (u >= 0.0) & (u <= mask.blade_length_m) & (np.abs(v) <= half_w)
         out[:, idx] = hit
     return out
@@ -304,7 +294,6 @@ class RotationSampling:
 
     positions_per_rotation: int = 1000
     angles_rad: np.ndarray = field(default=None, repr=False)
-    uniform: bool = True
 
     def __post_init__(self):
         if (not isinstance(self.positions_per_rotation, numbers.Integral)
@@ -312,24 +301,17 @@ class RotationSampling:
             raise ParameterError("positions_per_rotation must be a positive integer")
         if self.angles_rad is None:
             angles = 2.0 * math.pi * np.arange(self.positions_per_rotation) / self.positions_per_rotation
-            object.__setattr__(self, "angles_rad", angles)
         else:
             angles = np.asarray(self.angles_rad, dtype=float)
             if angles.size != self.positions_per_rotation:
                 raise ParameterError("angles_rad length must equal positions_per_rotation")
-            object.__setattr__(self, "angles_rad", angles)
-            if self.uniform:
-                step = 2.0 * math.pi / self.positions_per_rotation
-                expect = step * np.arange(self.positions_per_rotation)
-                if angles[0] != 0.0 or not np.allclose(angles, expect, atol=1e-9):
-                    raise ParameterError("angles_rad must be uniform starting at 0; "
-                                         "use RotationSampling.warped for non-uniform angles")
+        object.__setattr__(self, "angles_rad", angles)
 
     @classmethod
     def warped(cls, angles_rad) -> "RotationSampling":
         """Sampling with explicit, possibly non-uniform rotation angles."""
         angles = np.asarray(angles_rad, dtype=float)
-        return cls(positions_per_rotation=angles.size, angles_rad=angles, uniform=False)
+        return cls(positions_per_rotation=angles.size, angles_rad=angles)
 
     @property
     def count(self) -> int:
@@ -374,12 +356,8 @@ class MaskPlaneSampling:
         return self.spacing_m ** 2
 
 
-def default_plane_sampling(radar: RadarConfig, mask: MaskGeometry,
-                           spacing_m=None) -> MaskPlaneSampling:
+def default_plane_sampling(radar: RadarConfig, mask: MaskGeometry) -> MaskPlaneSampling:
     """Half-wavelength lattice covering the swept circle plus one blade width."""
-    spacing = radar.wavelength_m / 2.0 if spacing_m is None else spacing_m
-    if spacing > radar.wavelength_m / 2.0 + 1e-15:
-        raise ParameterError("plane sampling pitch must be at most wavelength/2")
-    extent = mask.blade_length_m + mask.blade_width_m
-    return MaskPlaneSampling(spacing_m=spacing, extent_m=extent,
+    return MaskPlaneSampling(spacing_m=radar.wavelength_m / 2.0,
+                             extent_m=mask.blade_length_m + mask.blade_width_m,
                              plane_depth_m=mask.plane_depth_m)

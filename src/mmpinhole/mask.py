@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .geometry import (_ANGLE_CHUNK, MaskGeometry, MaskPlaneSampling,
                        RotationSampling, footprint_mask_array)
 
@@ -31,7 +31,6 @@ class MaskTransmission:
     demand.
     """
 
-    n_positions: int
     n_samples: int
     footprint_indices: List[np.ndarray] = field(repr=False)
     inside_amp: float = 1.0
@@ -40,12 +39,14 @@ class MaskTransmission:
     explicit_values = None
 
     def __post_init__(self):
-        if len(self.footprint_indices) != self.n_positions:
-            raise ShapeError("transmission needs one footprint index array per "
-                             "rotation position")
         for amp in (self.inside_amp, self.outside_amp):
             if not 0.0 <= amp <= 1.0:
                 raise ParameterError("transmission amplitudes must lie in [0, 1]")
+
+    @property
+    def n_positions(self) -> int:
+        """Rotation positions: one footprint index array each."""
+        return len(self.footprint_indices)
 
     @property
     def values(self) -> np.ndarray:
@@ -67,22 +68,14 @@ def _footprint_indices(mask: MaskGeometry, rotation: RotationSampling,
     return indices
 
 
-def _footprint_amplitudes(mask: MaskGeometry):
-    """(inside, outside) amplitudes of the mask's mode (see transmission_for)."""
-    leak = mask.base_attenuation_amp
-    return (1.0, leak) if mask.mode == "regular-pinhole" else (leak, 1.0)
-
-
 def open_mask(rotation: RotationSampling,
               plane_sampling: MaskPlaneSampling) -> MaskTransmission:
     """Fully open aperture (transmission 1 everywhere), the background case."""
-    T = rotation.count
     return MaskTransmission(
-        n_positions=T,
         n_samples=plane_sampling.n_samples,
         inside_amp=1.0,
         outside_amp=1.0,
-        footprint_indices=[np.empty(0, dtype=int)] * T,
+        footprint_indices=[np.empty(0, dtype=int)] * rotation.count,
     )
 
 
@@ -94,9 +87,9 @@ def transmission_for(mask: MaskGeometry, rotation: RotationSampling,
     leaks ``10^(-attenuation_db/20)`` elsewhere, 0 for the ideal blocker; an
     inverse pinhole (rotating blocker) is its complement.
     """
-    inside, outside = _footprint_amplitudes(mask)
+    leak = mask.base_attenuation_amp
+    inside, outside = (1.0, leak) if mask.mode == "regular-pinhole" else (leak, 1.0)
     return MaskTransmission(
-        n_positions=rotation.count,
         n_samples=plane_sampling.n_samples,
         inside_amp=inside,
         outside_amp=outside,

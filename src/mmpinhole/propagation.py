@@ -100,17 +100,16 @@ class AntennaPattern:
         return cls(azimuth_shape=shape(p_az), elevation_shape=shape(p_el))
 
 
-def direction_angles_deg(directions):
-    """(azimuth, elevation) in degrees for an (..., 3) array of directions."""
-    v = np.asarray(directions, dtype=float)
-    az = np.degrees(np.arctan2(v[..., 0], v[..., 2]))
-    el = np.degrees(np.arctan2(v[..., 1], np.hypot(v[..., 0], v[..., 2])))
-    return az, el
+def _radar_pattern(radar: RadarConfig) -> AntennaPattern:
+    """The radar's cosine-power pattern, fitted to its half-power FoV."""
+    return AntennaPattern.from_half_power(radar.azimuth_fov_deg, radar.elevation_fov_deg)
 
 
 def pattern_weight(pattern: AntennaPattern, direction) -> np.ndarray:
     """Amplitude weight of the pattern along unit direction(s)."""
-    az, el = direction_angles_deg(direction)
+    v = np.asarray(direction, dtype=float)
+    az = np.degrees(np.arctan2(v[..., 0], v[..., 2]))
+    el = np.degrees(np.arctan2(v[..., 1], np.hypot(v[..., 0], v[..., 2])))
     w = pattern.azimuth_shape(az) * pattern.elevation_shape(el)
     if np.ndim(w) == 0:
         return float(w)
@@ -250,8 +249,7 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         raise ParameterError(f"coordinates up to {reach!r} m overflow the squared "
                              "distances of the propagation kernel")
     if pattern is None:
-        pattern = AntennaPattern.from_half_power(radar.azimuth_fov_deg,
-                                                 radar.elevation_fov_deg)
+        pattern = _radar_pattern(radar)
     steps = _footprint_steps(transmission.footprint_indices, M)
     through = [_through_mask(transmission, steps, _antenna_to_plane(
                    radar, radar.tx if end == "tx" else radar.rx, plane_pts, pattern))

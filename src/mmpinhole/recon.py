@@ -29,7 +29,7 @@ class SvdFactorization:
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-    grid: SceneGrid = field(repr=False, default=None)
+    grid: SceneGrid = field(repr=False)
 
 
 def factorize(model: ForwardModel) -> SvdFactorization:
@@ -91,7 +91,7 @@ class ImageResult:
 
     intensity: np.ndarray
     complex_amplitude: np.ndarray
-    grid: SceneGrid = field(repr=False, default=None)
+    grid: SceneGrid = field(repr=False)
     truncation_used: int = 0
 
 
@@ -116,8 +116,7 @@ def reconstruct(fact: SvdFactorization, y, cfg: ReconConfig) -> ImageResult:
         peak = intensity.max()
         if peak > 0:
             intensity = intensity / peak
-    shape = fact.grid.shape if fact.grid is not None else (1, x_hat.size)
-    return ImageResult(intensity=intensity.reshape(shape),
+    return ImageResult(intensity=intensity.reshape(fact.grid.shape),
                        complex_amplitude=x_hat, grid=fact.grid, truncation_used=k)
 
 

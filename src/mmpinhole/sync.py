@@ -18,9 +18,8 @@ import numpy as np
 from .errors import AlignmentError, InterpolationError, ParameterError
 from .forward import MeasurementSet
 from .geometry import (_ANGLE_CHUNK, MaskGeometry, MaskPlaneSampling,
-                       RadarConfig, RotationSampling, default_plane_sampling,
-                       default_radar_config, footprint_mask_array)
-from .propagation import AntennaPattern, pattern_weight
+                       RadarConfig, RotationSampling, footprint_mask_array)
+from .propagation import _radar_pattern, pattern_weight
 
 
 @dataclass(frozen=True)
@@ -67,12 +66,10 @@ def blade_return_profile(radar: RadarConfig, mask: MaskGeometry,
     mask cell returns power weighted by the antenna pattern squared and the
     two-way spreading loss.
     """
-    pattern = AntennaPattern.from_half_power(radar.azimuth_fov_deg,
-                                             radar.elevation_fov_deg)
     pts = plane_sampling.samples
     diff = pts - radar.rx[None, :]
     d = np.linalg.norm(diff, axis=1)
-    w = pattern_weight(pattern, diff / d[:, None]) ** 2 / d ** 4
+    w = pattern_weight(_radar_pattern(radar), diff / d[:, None]) ** 2 / d ** 4
     out = np.empty(len(angles_rad))
     angles = np.asarray(angles_rad, dtype=float)
     for start in range(0, angles.size, _ANGLE_CHUNK):
@@ -82,8 +79,8 @@ def blade_return_profile(radar: RadarConfig, mask: MaskGeometry,
 
 
 def synth_signature(mask: MaskGeometry, rotation: RotationSampling,
-                    speed_profile_rpm, *, radar: RadarConfig = None,
-                    plane_sampling: MaskPlaneSampling = None) -> RotationSignature:
+                    speed_profile_rpm, *, radar: RadarConfig,
+                    plane_sampling: MaskPlaneSampling) -> RotationSignature:
     """Simulated near-range signature under a per-sample rpm profile.
 
     Rotation angles follow :func:`warped_rotation_angles`, so a constant
@@ -95,10 +92,6 @@ def synth_signature(mask: MaskGeometry, rotation: RotationSampling,
     T = rotation.count
     if speeds.size != T:
         raise ParameterError("speed profile length must match rotation positions")
-    if radar is None:
-        radar = default_radar_config(mask)
-    if plane_sampling is None:
-        plane_sampling = default_plane_sampling(radar, mask)
     angles = warped_rotation_angles(rotation, speeds)
     samples = blade_return_profile(radar, mask, plane_sampling, angles)
     return RotationSignature(samples=samples, nominal_period_samples=T)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -100,18 +101,23 @@ class TestSweep:
         sig1 = [r.sigma_1 for r in rows]
         assert sig1[0] < sig1[1] < sig1[2]
 
-    def test_infeasible_width_skipped(self):
+    def test_infeasible_width_skipped(self, caplog):
         mask = MaskGeometry(mode="regular-pinhole")
         grid = build_scene_grid(20.0, -8, 8, 0.5, [0])
-        with pytest.warns(UserWarning, match="width=0.5"):
+        with caplog.at_level(logging.WARNING, logger="mmpinhole"):
             rows = sweep("width", [0.5, mask.blade_width_m], mask,
                          rotation=RotationSampling(64), grid=grid)
         assert [row.value for row in rows] == [mask.blade_width_m]
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("mmpinhole.analysis", logging.WARNING)]
+        assert caplog.records[0].getMessage().startswith("skipping width=0.5: ")
 
-    def test_all_infeasible_values_raise(self):
-        with pytest.warns(UserWarning), \
+    def test_all_infeasible_values_raise(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="mmpinhole"), \
                 pytest.raises(ParameterError, match=r"\[0\.5, 0\.6\]"):
             sweep("width", [0.5, 0.6], MaskGeometry(), rotation=RotationSampling(64))
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "skipping width=0.5", "skipping width=0.6"]
 
     def test_unknown_parameter(self):
         with pytest.raises(ParameterError):

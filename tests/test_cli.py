@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
-from mmpinhole import (MaskGeometry, MaskTransmission, RadarConfig, SceneGrid,
-                       build_forward)
+from mmpinhole import (MaskGeometry, MaskPlaneSampling, MaskTransmission,
+                       RadarConfig, SceneGrid, build_forward, transmission_for)
 from mmpinhole.cli import load_config, main
 from mmpinhole.errors import ConfigError, ParameterError
 
@@ -54,6 +54,15 @@ def write_config(tmp_path, name="config.json", **overrides):
 def read_bytes(*parts):
     with open(os.path.join(*parts), "rb") as fh:
         return fh.read()
+
+
+def run_child(args):
+    """``python args`` with this tree's package first on the path."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
 
 
 class TestSimulate:
@@ -101,9 +110,48 @@ class TestSimulate:
 
     @pytest.mark.parametrize("snr_db", [-4000.0, 4000.0])
     def test_out_of_range_snr_is_config_error(self, tmp_path, capsys, snr_db):
-        cfg = write_config(tmp_path, noise={"snr_db": snr_db})
-        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
-        assert "snr_db" in capsys.readouterr().err
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["noise"] = {"snr_db": snr_db, "seed": 7}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "floating-point range" in capsys.readouterr().err
+
+    def test_snr_beside_noise_power_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, noise={"snr_db": 20.0})  # beside noise_power
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="noise.noise_power .* noise.snr_db"):
+            load_config(cfg)
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: noise.noise_power")
+        assert not out.exists()
+        # a null snr_db leaves noise_power in charge
+        cfg = write_config(tmp_path, noise={"snr_db": None})
+        assert load_config(cfg).noise.noise_power == 1e-8
+
+    @pytest.mark.parametrize("key,value", [
+        ("azimuth_deg", 85.0), ("azimuth_deg", -30.5), ("elevation_deg", 40.0),
+        ("elevation_deg", -0.1)])
+    def test_target_outside_grid_is_config_error(self, tmp_path, capsys, key, value):
+        target = {"azimuth_deg": 0.0, key: value}
+        cfg = write_config(tmp_path, scene={"targets": [
+            {"azimuth_deg": 10.0}, target]})
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=rf"scene\.targets\[1\]\.{key}"):
+            load_config(cfg)
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: scene.targets[1].{key}")
+        assert not out.exists()
+
+    def test_target_between_bins_snaps_to_nearest(self, tmp_path):
+        # bins run -30, -28, ..., 30 at elevation 0
+        cfg = write_config(tmp_path, scene={"targets": [
+            {"azimuth_deg": 30.0}, {"azimuth_deg": -29.2, "amplitude": 0.5}]})
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+        with open(out / "truth.csv", newline="") as fh:
+            rows = [(float(az), float(v)) for az, _, v in list(csv.reader(fh))[1:]]
+        assert [row for row in rows if row[1]] == [(-30.0, 0.5), (30.0, 1.0)]
 
     def test_invalid_json_line_diagnostics(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -117,10 +165,12 @@ class TestSimulate:
         {"rotation": {"rpm": NAN}},
         {"scene": {"targets": [{"azimuth_deg": NAN}]}},
         {"rotation": {"positions_per_rotation": 64.5}},
-        lambda: MaskTransmission(n_positions=2, n_samples=3, inside_amp=NAN,
+        lambda: MaskTransmission(n_samples=3, inside_amp=NAN,
                                  footprint_indices=[np.empty(0, dtype=int)] * 2),
         lambda: SceneGrid(range_m=NAN, azimuth_deg=[0.0], elevation_deg=[0.0]),
-        lambda: RadarConfig(wavelength_m=NAN),
+        lambda: RadarConfig(wavelength_m=NAN, tx_position=(0.0, 0.0, 0.0),
+                            rx_position=(0.0, 0.0, 0.0), azimuth_fov_deg=50.0,
+                            elevation_fov_deg=20.0),
         lambda: MaskGeometry(plane_depth_m=NAN),
         {"analysis": {"power_cases": [{"label": "a", "mass_kg": 0.01,
                                        "radius_m": 0.1}]}},
@@ -478,6 +528,8 @@ def _set_field(cfg, section, key, value):
         cfg["scene"]["targets"][0][key] = value
     else:
         cfg.setdefault(section, {})[key] = [value] if key == "elevations_deg" else value
+    if key == "snr_db":  # noise_power may not stand beside it
+        del cfg["noise"]["noise_power"]
 
 
 class TestConfigNumbers:
@@ -511,7 +563,9 @@ class TestConfigNumbers:
         assert isinstance(a.grid.range_m, float) and isinstance(a.rpm, float)
         assert isinstance(a.mask.attenuation_db, float)
         fp_a, fp_b = (config_fingerprint(c.radar, c.grid, c.mask, c.rotation,
-                                         c.sampling, c.directionality) for c in (a, b))
+                                         c.sampling, c.directionality,
+                                         transmission_for(c.mask, c.rotation, c.sampling))
+                      for c in (a, b))
         assert fp_a == fp_b
 
 
@@ -529,11 +583,7 @@ def test_out_of_memory_is_numeric_failure(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         sys.exit(main(["simulate", {cfg!r}, "--out-dir", {str(tmp_path / "out")!r}]))
     """)
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=300)
+    proc = run_child(["-c", code])
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("numeric failure: out of memory")
     assert "Traceback" not in proc.stderr
@@ -595,6 +645,8 @@ class TestConfigFuzz:
             where = (cfg["scene"]["targets"][0] if section == "targets"
                      else cfg.setdefault(section, {}))
             where[key] = data.draw(_BAD_NUMBERS)
+        if "snr_db" in cfg["noise"]:  # noise_power may not stand beside it
+            cfg["noise"].pop("noise_power")
         root = tmp_path_factory.mktemp("config-fuzz")
         path = root / "config.json"
         path.write_text(json.dumps(cfg))
@@ -725,17 +777,31 @@ class TestAnalyze:
         assert lines[0] == "value,fwhp_deg,sigma_1,sigma_40,usable_count"
         assert len(lines) == 3
 
-    def test_all_rejected_sweep_is_config_error(self, tmp_path, capsys):
+    def test_all_rejected_sweep_is_config_error(self, tmp_path, capsys, caplog):
         # both widths exceed the 0.24 m swept diameter of the 0.12 m blade
         cfg = write_config(tmp_path, analysis={"sweep_parameter": "width",
                                                "sweep_values": [2, 3]})
         out = tmp_path / "sweep"
-        with pytest.warns(UserWarning):
-            assert main(["analyze", "sweep", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert main(["analyze", "sweep", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "skipping width=2", "skipping width=3"]
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "[2, 3]" in err
         assert not (out / "sweep.csv").exists()
         assert not (out / "manifest.json").exists()
+
+    def test_sweep_prints_one_line_per_skipped_value(self, tmp_path):
+        # 0.5 m and 0.3 m exceed the 0.24 m swept diameter of the 0.12 m blade
+        cfg = write_config(tmp_path, analysis={"sweep_parameter": "width",
+                                               "sweep_values": [0.5, 0.02, 0.3]})
+        out = tmp_path / "sweep"
+        proc = run_child(["-m", "mmpinhole.cli", "analyze", "sweep", "--config", cfg,
+                          "--out-dir", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"skipping width={w}: need a finite blade_length_m > blade_width_m/2 > 0"
+            for w in (0.5, 0.3)]
+        assert len((out / "sweep.csv").read_text().splitlines()) == 2
 
     def test_analyze_determinism(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -748,6 +814,14 @@ class TestAnalyze:
 
 
 class TestConfigRoundTrip:
+    @pytest.mark.parametrize("sampling", [{}, {"spacing_m": 0.015}, {"extent_m": 0.2}],
+                             ids=["empty", "spacing", "extent"])
+    def test_missing_sampling_keys_take_the_defaults(self, tmp_path, sampling):
+        cfg = load_config(write_config(tmp_path, sampling=sampling))
+        # half the 0.04 m wavelength; the 0.12 m blade plus its 0.02 m width
+        expected = {"spacing_m": 0.04 / 2.0, "extent_m": 0.12 + 0.02, **sampling}
+        assert cfg.sampling == MaskPlaneSampling(plane_depth_m=0.06, **expected)
+
     def test_reserialized_config_materializes_identically(self, tmp_path):
         cfg_path = write_config(tmp_path)
         cfg = load_config(cfg_path)
@@ -756,10 +830,10 @@ class TestConfigRoundTrip:
             rewritten.write_text(json.dumps(json.load(fh), indent=2))
         cfg2 = load_config(str(rewritten))
         from mmpinhole import config_fingerprint
-        fp1 = config_fingerprint(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
-                                 cfg.sampling, cfg.directionality)
-        fp2 = config_fingerprint(cfg2.radar, cfg2.grid, cfg2.mask, cfg2.rotation,
-                                 cfg2.sampling, cfg2.directionality)
+        fp1, fp2 = (config_fingerprint(c.radar, c.grid, c.mask, c.rotation, c.sampling,
+                                       c.directionality,
+                                       transmission_for(c.mask, c.rotation, c.sampling))
+                    for c in (cfg, cfg2))
         assert fp1 == fp2
         assert cfg.targets == cfg2.targets
         assert cfg.noise == cfg2.noise

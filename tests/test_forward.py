@@ -105,14 +105,13 @@ class TestBuildForward:
 
     def test_fingerprint_tracks_inputs(self, toy_radar, toy_grid, toy_mask,
                                        toy_rotation, toy_sampling):
-        fp1 = config_fingerprint(toy_radar, toy_grid, toy_mask, toy_rotation,
-                                 toy_sampling, "bidirectional")
-        fp2 = config_fingerprint(toy_radar, toy_grid, toy_mask, toy_rotation,
-                                 toy_sampling, "bidirectional")
+        fp1, fp2, fp3 = (
+            config_fingerprint(toy_radar, toy_grid, mask, toy_rotation, toy_sampling,
+                               "bidirectional",
+                               transmission_for(mask, toy_rotation, toy_sampling))
+            for mask in (toy_mask, toy_mask,
+                         replace(toy_mask, blade_width_m=toy_mask.blade_width_m * 1.5)))
         assert fp1 == fp2 and len(fp1) == 16
-        other = replace(toy_mask, blade_width_m=toy_mask.blade_width_m * 1.5)
-        fp3 = config_fingerprint(toy_radar, toy_grid, other, toy_rotation,
-                                 toy_sampling, "bidirectional")
         assert fp3 != fp1
 
     def test_fingerprint_covers_transmission_and_pattern(
@@ -129,11 +128,12 @@ class TestBuildForward:
             self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling):
         args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, "bidirectional")
         default = build_forward(*args).fingerprint
+        trans = transmission_for(toy_mask, toy_rotation, toy_sampling)
         explicit = build_forward(
-            *args, transmission=transmission_for(toy_mask, toy_rotation, toy_sampling),
+            *args, transmission=trans,
             pattern=AntennaPattern.from_half_power(toy_radar.azimuth_fov_deg,
                                                    toy_radar.elevation_fov_deg))
-        assert explicit.fingerprint == default == config_fingerprint(*args)
+        assert explicit.fingerprint == default == config_fingerprint(*args, trans)
 
     @settings(max_examples=30, deadline=None)
     @given(change=st.sampled_from(["drop-cell", "add-cell", "inside-amp",
@@ -167,8 +167,7 @@ class TestBuildForward:
             bumped = table.copy()
             bumped[int(rng.integers(5, 14))] *= 1.0 + rng.uniform(0.01, 0.5)
             pattern = AntennaPattern(tabulated(bumped), tabulated(bumped))
-        other = MaskTransmission(n_positions=base.n_positions,
-                                 n_samples=base.n_samples, footprint_indices=rows,
+        other = MaskTransmission(n_samples=base.n_samples, footprint_indices=rows,
                                  **amps)
         model = build_forward(*args, transmission=other, pattern=pattern)
         reference = build_forward(*args, pattern=base_pattern)
@@ -189,7 +188,7 @@ class TestBuildForward:
         ring = np.column_stack([0.015 * np.cos(angles), 0.015 * np.sin(angles)])
         cells = [int(np.argmin(np.linalg.norm(pts[:, :2] - c, axis=1)))
                  for c in ring]
-        trans = MaskTransmission(n_positions=T, n_samples=samp.n_samples,
+        trans = MaskTransmission(n_samples=samp.n_samples,
                                  inside_amp=1.0, outside_amp=0.0,
                                  footprint_indices=[np.array([c]) for c in cells])
         grid = build_scene_grid(3.0, 10, 10, 1, [0])

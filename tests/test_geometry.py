@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmpinhole import (MaskGeometry, MaskPlaneSampling, RadarConfig,
-                       RotationSampling, build_scene_grid,
-                       default_plane_sampling, default_radar_config)
+from mmpinhole import (MaskGeometry, RotationSampling, SceneGrid, assemble_oneway,
+                       build_scene_grid, default_plane_sampling,
+                       default_radar_config, open_mask)
 from mmpinhole import mask as mask_module
 from mmpinhole import sync as sync_module
 from mmpinhole.errors import ParameterError, UnsupportedConfigurationError
@@ -21,6 +22,11 @@ class TestSceneGrid:
         assert grid.n_points == 201
         radii = np.linalg.norm(grid.points, axis=1)
         assert np.max(np.abs(radii - 20.0)) < 1e-9
+
+    def test_points_are_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            SceneGrid(range_m=5.0, azimuth_deg=[0.0], elevation_deg=[0.0],
+                      points=np.zeros((1, 3)))
 
     def test_single_boresight_point(self):
         grid = build_scene_grid(5.0, 0, 0, 1, [0])
@@ -206,9 +212,13 @@ class TestRotationSampling:
         rot = RotationSampling.warped(angles)
         np.testing.assert_array_equal(rot.angles_rad, angles)
 
-    def test_nonuniform_rejected_unless_warped(self):
+    def test_warped_is_its_angles(self):
+        angles = np.array([0.0, 1.0, 2.0, 5.0])
+        warped, explicit = RotationSampling.warped(angles), RotationSampling(4, angles)
+        assert warped.count == explicit.count == 4
+        np.testing.assert_array_equal(warped.angles_rad, explicit.angles_rad)
         with pytest.raises(ParameterError):
-            RotationSampling(4, angles_rad=np.array([0.0, 1.0, 2.0, 5.0]))
+            RotationSampling(3, angles)
 
 
 class TestMaskPlaneSampling:
@@ -226,8 +236,11 @@ class TestMaskPlaneSampling:
     def test_pitch_above_nyquist_rejected(self):
         mask = MaskGeometry()
         radar = default_radar_config(mask)
-        with pytest.raises(ParameterError):
-            default_plane_sampling(radar, mask, spacing_m=radar.wavelength_m)
+        samp = replace(default_plane_sampling(radar, mask), spacing_m=radar.wavelength_m)
+        rot = RotationSampling(4)
+        with pytest.raises(ParameterError, match="wavelength/2"):
+            assemble_oneway(radar, build_scene_grid(20.0, 0, 0, 1, [0]), mask, rot,
+                            samp, ("rx",), open_mask(rot, samp))
 
 
 class TestRadarConfig:
@@ -244,10 +257,11 @@ class TestRadarConfig:
         assert radar.colocated
 
     def test_invariants(self):
+        radar = default_radar_config(MaskGeometry())
         with pytest.raises(ParameterError):
-            RadarConfig(wavelength_m=0.0)
+            replace(radar, wavelength_m=0.0)
         with pytest.raises(ParameterError):
-            RadarConfig(azimuth_fov_deg=95.0)
+            replace(radar, azimuth_fov_deg=95.0)
 
 
 class TestMaskGeometry:

@@ -7,7 +7,7 @@ from mmpinhole import (MaskGeometry, MaskPlaneSampling, RotationSampling,
                        assemble_oneway, build_forward, build_scene_grid,
                        default_plane_sampling, default_radar_config)
 from mmpinhole import mask as mask_module
-from mmpinhole.errors import ParameterError, ShapeError
+from mmpinhole.errors import ParameterError
 from mmpinhole.geometry import _ANGLE_CHUNK, footprint_mask_array
 from mmpinhole.mask import (MaskTransmission, count_null_events, find_nulls,
                             null_signature, open_mask, transmission_for)
@@ -85,14 +85,9 @@ class TestTransmissionType:
     @pytest.mark.parametrize("amps", [(1.5, 0.0), (1.0, -0.1), (float("nan"), 0.0)])
     def test_amplitudes_bounds_checked(self, amps):
         with pytest.raises(ParameterError):
-            MaskTransmission(n_positions=2, n_samples=3, inside_amp=amps[0],
+            MaskTransmission(n_samples=3, inside_amp=amps[0],
                              outside_amp=amps[1],
                              footprint_indices=[np.empty(0, dtype=int)] * 2)
-
-    def test_footprint_count_checked(self):
-        with pytest.raises(ShapeError):
-            MaskTransmission(n_positions=2, n_samples=3,
-                             footprint_indices=[np.empty(0, dtype=int)] * 3)
 
 
 class TestFootprintIndices:
@@ -121,7 +116,7 @@ class TestFootprintIndices:
         for got, row in zip(trans.footprint_indices, ref):
             assert np.array_equal(got, np.flatnonzero(row))
         assert any(idx.size for idx in trans.footprint_indices)
-        ref_trans = MaskTransmission(n_positions=rot.count, n_samples=samp.n_samples,
+        ref_trans = MaskTransmission(n_samples=samp.n_samples,
                                      inside_amp=trans.inside_amp,
                                      outside_amp=trans.outside_amp,
                                      footprint_indices=[np.flatnonzero(r) for r in ref])

@@ -115,7 +115,7 @@ class TestAssembleOneway:
     def test_full_block_zero_matrix(self, toy_radar, toy_grid, toy_mask,
                                     toy_rotation, toy_sampling):
         T = toy_rotation.count
-        trans = MaskTransmission(n_positions=T, n_samples=toy_sampling.n_samples,
+        trans = MaskTransmission(n_samples=toy_sampling.n_samples,
                                  inside_amp=0.0, outside_amp=0.0,
                                  footprint_indices=[np.empty(0, dtype=int)] * T)
         F = _one_way(toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, trans)
@@ -204,7 +204,7 @@ class TestAssembleOneway:
         theta = math.radians(20.0)
         grid = build_scene_grid(r, 20.0, 20.0, 1.0, [0])
         T = len(cells)
-        trans = MaskTransmission(n_positions=T, n_samples=samp.n_samples,
+        trans = MaskTransmission(n_samples=samp.n_samples,
                                  inside_amp=1.0, outside_amp=0.0,
                                  footprint_indices=[np.array([c]) for c in cells])
         rot = RotationSampling(T)
@@ -234,7 +234,7 @@ class TestAssembleOneway:
         center = np.array([0.0, -toy_mask.axis_offset_m * (1 - depth / 3.0)])
         rr = np.linalg.norm(pts[:, :2] - center, axis=1)
         r2 = np.linspace(0.5 * period_r2, 6 * period_r2, 34)
-        trans = MaskTransmission(n_positions=len(r2), n_samples=samp.n_samples,
+        trans = MaskTransmission(n_samples=samp.n_samples,
                                  inside_amp=1.0, outside_amp=0.0,
                                  footprint_indices=[np.flatnonzero(rr <= rad)
                                                     for rad in np.sqrt(r2)])
@@ -417,7 +417,7 @@ class TestRowDifferenceProduct:
     def test_matches_direct_csr_product(self, footprint, amps, n_cols, seed):
         M, rows = footprint
         T = len(rows)
-        trans = MaskTransmission(n_positions=T, n_samples=M, inside_amp=amps[0],
+        trans = MaskTransmission(n_samples=M, inside_amp=amps[0],
                                  outside_amp=amps[1], footprint_indices=rows)
         rng = np.random.default_rng(seed)
         illum = rng.normal(size=M) + 1j * rng.normal(size=M)
