@@ -1,7 +1,9 @@
 """Command-line front end: simulate, reconstruct and analyze pipelines.
 
 Commands read a single JSON experiment config (documented key set, unknown
-keys rejected) and write CSV, PGM and binary-container outputs.  All angles
+keys rejected) and write CSV, PGM and binary-container outputs; ``reconstruct``
+uses the ``model.bin`` beside its measurements when that file holds the
+configured model, and assembles the model otherwise.  All angles
 are degrees, lengths meters, attenuations dB.  Exit codes: 0 success,
 2 config error, 3 data mismatch, 4 numeric failure (including running out of
 memory).
@@ -28,8 +30,8 @@ from .analysis import (SweepRow, metric_report, psf, rotational_power,
 from .errors import (ConfigError, DataFileError, FingerprintMismatchError,
                      NumericError, ParameterError, RankDeficiencyError,
                      ShapeError, SingularityError, UndefinedMetricError)
-from .forward import (DEFAULT_ROTATION_RPM, NoiseModel, build_forward,
-                      noise_from_snr, simulate)
+from .forward import (DEFAULT_ROTATION_RPM, ForwardModel, NoiseModel, build_forward,
+                      config_fingerprint, noise_from_snr, simulate)
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid, build_scene_grid,
                        default_plane_sampling, default_radar_config)
@@ -234,7 +236,7 @@ def load_config(path) -> ExperimentConfig:
         if rpm <= 0:
             raise ParameterError("rotation.rpm must be positive")
         rotation = RotationSampling(**sec["rotation"])
-        sampling = replace(default_plane_sampling(radar, mask), **sec["sampling"])
+        sampling = default_plane_sampling(radar, mask, **sec["sampling"])
         grid = build_scene_grid(el_list_deg=sec["grid"].pop("elevations_deg"),
                                 **sec["grid"])
         # a target off the grid would snap to an edge bin
@@ -341,6 +343,26 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> dict:
             "noise_power": noise.noise_power}
 
 
+def _model_beside(measurements_path, cfg: ExperimentConfig, fingerprint: str):
+    """``B`` of the ``model.bin`` beside the measurements, if it is this config's.
+
+    A missing or unreadable file, or one whose header names another model,
+    gives None; a matching header over a damaged payload is a data error.
+    """
+    path = os.path.join(os.path.dirname(measurements_path), "model.bin")
+    try:
+        head = container.read_header(path)
+    except (OSError, ParameterError):
+        return None
+    if head != ("model", cfg.directionality, cfg.rotation.count, cfg.grid.n_points,
+                fingerprint):
+        return None
+    try:
+        return container.read_container(path).arrays["B"]
+    except (OSError, ValueError) as exc:
+        raise DataFileError(f"cannot read the configured model: {exc}")
+
+
 def cmd_reconstruct(cfg: ExperimentConfig, out: str, measurements_path,
                     sigma_max=None, reference=None) -> dict:
     try:
@@ -356,12 +378,21 @@ def cmd_reconstruct(cfg: ExperimentConfig, out: str, measurements_path,
         raise DataFileError(f"{measurements_path} header has N={payload.arrays['n_points']}; "
                             f"the config grid has {cfg.grid.n_points} points")
     ref_img = _read_reference_csv(reference, cfg.grid) if reference else None
-    model = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
-                          cfg.sampling, cfg.directionality)
-    if payload.fingerprint != model.fingerprint:
+    transmission = transmission_for(cfg.mask, cfg.rotation, cfg.sampling)
+    fingerprint = config_fingerprint(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
+                                     cfg.sampling, cfg.directionality, transmission)
+    B = _model_beside(measurements_path, cfg, fingerprint)
+    if B is None:
+        # a config that no model can be built from is a config error first
+        model = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
+                              cfg.sampling, cfg.directionality, transmission)
+    else:
+        model = ForwardModel(B=B, fingerprint=fingerprint,
+                             directionality=cfg.directionality, grid=cfg.grid)
+    if payload.fingerprint != fingerprint:
         raise FingerprintMismatchError(
             f"measurements fingerprint {payload.fingerprint} does not match "
-            f"the configured model {model.fingerprint}")
+            f"the configured model {fingerprint}")
     y = payload.arrays["y"]
     if y.size != model.n_positions:
         raise ShapeError("measurement length does not match the model")
@@ -381,8 +412,8 @@ def cmd_reconstruct(cfg: ExperimentConfig, out: str, measurements_path,
                             [("sigma_max", "sharpness", "mse", "ssim", "chamfer_m"),
                              *((k, r.sharpness_ratio, r.mse, r.ssim, r.chamfer_m)
                                for k, r in zip(ks, reports))])
-    return {"command": "reconstruct", "fingerprint": model.fingerprint,
-            "sigma_max": list(ks)}
+    return {"command": "reconstruct", "fingerprint": fingerprint,
+            "model": "built" if B is None else "model.bin", "sigma_max": list(ks)}
 
 
 def cmd_analyze(cfg: ExperimentConfig, out: str, subcommand) -> dict:

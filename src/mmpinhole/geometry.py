@@ -356,8 +356,12 @@ class MaskPlaneSampling:
         return self.spacing_m ** 2
 
 
-def default_plane_sampling(radar: RadarConfig, mask: MaskGeometry) -> MaskPlaneSampling:
-    """Half-wavelength lattice covering the swept circle plus one blade width."""
-    return MaskPlaneSampling(spacing_m=radar.wavelength_m / 2.0,
-                             extent_m=mask.blade_length_m + mask.blade_width_m,
-                             plane_depth_m=mask.plane_depth_m)
+def default_plane_sampling(radar: RadarConfig, mask: MaskGeometry,
+                           **given) -> MaskPlaneSampling:
+    """Half-wavelength lattice covering the swept circle plus one blade width.
+
+    A field in ``given`` replaces its default before the lattice is checked.
+    """
+    return MaskPlaneSampling(**{"spacing_m": radar.wavelength_m / 2.0,
+                                "extent_m": mask.blade_length_m + mask.blade_width_m,
+                                "plane_depth_m": mask.plane_depth_m, **given})

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -450,6 +451,59 @@ class TestReconstruct:
         assert rc == 3
         assert "reserved header bytes" in capsys.readouterr().err
 
+    def test_model_beside_measurements_is_reused_bit_for_bit(self, simulated, tmp_path):
+        cfg, sim = simulated
+        args = ["--config", cfg, "--sigma-max", "5,12", "--reference",
+                str(sim / "truth.csv")]
+        rc = main(["reconstruct", str(sim / "measurements.bin"), *args,
+                   "--out-dir", str(tmp_path / "reused")])
+        assert rc == 0
+        (sim / "model.bin").unlink()
+        rc = main(["reconstruct", str(sim / "measurements.bin"), *args,
+                   "--out-dir", str(tmp_path / "built")])
+        assert rc == 0
+        for run, source in (("reused", "model.bin"), ("built", "built")):
+            assert json.loads((tmp_path / run / "manifest.json").read_text())[
+                "model"] == source
+        for name in ("image_k5.csv", "image_k5.pgm", "image_k12.csv", "image_k12.pgm",
+                     "metrics.csv"):
+            assert read_bytes(tmp_path, "reused", name) == read_bytes(tmp_path, "built", name)
+
+    def test_model_of_another_config_is_rebuilt(self, simulated, tmp_path):
+        cfg, sim = simulated
+        other = write_config(tmp_path, "other.json", mask={"blade_width_m": 0.010})
+        assert main(["simulate", other, "--out-dir", str(tmp_path / "other")]) == 0
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        (mixed / "measurements.bin").write_bytes((sim / "measurements.bin").read_bytes())
+        (mixed / "model.bin").write_bytes((tmp_path / "other" / "model.bin").read_bytes())
+        rc = main(["reconstruct", str(mixed / "measurements.bin"), "--config", cfg,
+                   "--out-dir", str(tmp_path / "rec")])
+        assert rc == 0
+        assert json.loads((tmp_path / "rec" / "manifest.json").read_text())[
+            "model"] == "built"
+
+    @pytest.mark.parametrize("damage", ["flip-payload", "truncate-payload",
+                                        "flip-checksum"])
+    def test_damaged_matching_model_is_data_error(self, simulated, tmp_path, capsys,
+                                                  damage):
+        cfg, sim = simulated
+        raw = bytearray((sim / "model.bin").read_bytes())
+        if damage == "flip-payload":
+            raw[-3] ^= 0x10
+        elif damage == "truncate-payload":
+            raw = raw[:-16]
+        else:
+            raw[50] ^= 1
+        (sim / "model.bin").write_bytes(bytes(raw))
+        out = tmp_path / "rec"
+        rc = main(["reconstruct", str(sim / "measurements.bin"), "--config", cfg,
+                   "--reference", str(sim / "truth.csv"), "--out-dir", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data mismatch: cannot read the configured model")
+        assert not list(out.glob("*"))
+
     def test_determinism(self, simulated, tmp_path):
         cfg, sim = simulated
         outs = []
@@ -473,7 +527,7 @@ def simulated_c14(tmp_path_factory):
 
 @st.composite
 def damaged(draw, raw):
-    """measurements.bin bytes truncated, padded, or with bytes flipped."""
+    """Container bytes truncated, padded, or with bytes flipped."""
     kind = draw(st.sampled_from(["truncate", "pad", "flip-header", "flip-payload"]))
     data = bytearray(raw)
     if kind == "truncate":
@@ -497,6 +551,30 @@ class TestReconstructFuzz:
                    "--reference", str(root / "sim" / "truth.csv"),
                    "--sigma-max", "5,12", "--out-dir", str(root / "rec")])
         assert rc in (0, 3, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_model_is_rebuilt_or_rejected(self, simulated_c14, data):
+        """A changed header rebuilds; an intact header over a changed body exits 3."""
+        cfg, root, measurements = simulated_c14
+        raw = (root / "sim" / "model.bin").read_bytes()
+        bad = data.draw(damaged(raw))
+        run = root / "model-fuzz"
+        shutil.rmtree(run, ignore_errors=True)
+        run.mkdir()
+        (run / "measurements.bin").write_bytes(measurements)
+        (run / "model.bin").write_bytes(bad)
+        out = run / "rec"
+        rc = main(["reconstruct", str(run / "measurements.bin"), "--config", cfg,
+                   "--reference", str(root / "sim" / "truth.csv"),
+                   "--sigma-max", "5,12", "--out-dir", str(out)])
+        if len(bad) >= 40 and bad[:40] == raw[:40] and bad != raw:
+            assert rc == 3
+            assert not list(out.glob("*"))
+        else:
+            assert rc == 0
+            source = json.loads((out / "manifest.json").read_text())["model"]
+            assert source == ("model.bin" if bad == raw else "built")
 
 
 # every numeric field of BASE_CONFIG, with "targets" meaning the first target
@@ -821,6 +899,13 @@ class TestConfigRoundTrip:
         # half the 0.04 m wavelength; the 0.12 m blade plus its 0.02 m width
         expected = {"spacing_m": 0.04 / 2.0, "extent_m": 0.12 + 0.02, **sampling}
         assert cfg.sampling == MaskPlaneSampling(plane_depth_m=0.06, **expected)
+
+    def test_given_sampling_keys_replace_the_defaults_before_the_check(self, tmp_path):
+        # the default lambda/2 pitch, 0.2 m, exceeds the default 0.14 m extent
+        cfg = write_config(tmp_path, radar={"wavelength_m": 0.4},
+                           sampling={"spacing_m": 0.02})
+        assert load_config(cfg).sampling == MaskPlaneSampling(0.02, 0.12 + 0.02, 0.06)
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "sim")]) == 0
 
     def test_reserialized_config_materializes_identically(self, tmp_path):
         cfg_path = write_config(tmp_path)
