@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from mmpinhole import (AntennaPattern, MaskGeometry, MaskPlaneSampling,
-                       MaskTransmission, RotationSampling, assemble_oneway,
+                       MaskTransmission, RotationSampling, SceneGrid, assemble_oneway,
                        build_forward, build_scene_grid, default_radar_config,
                        pattern_weight)
 from mmpinhole import propagation
@@ -358,6 +358,50 @@ class TestMirrorFold:
         tx, rx = assemble_oneway(radar, grid, mask, rot, samp, ("tx", "rx"),
                                  transmission_for(mask, rot, samp))
         assert np.all(np.isfinite(tx * rx))
+
+
+class TestMirrorSymmetry:
+    """x -> -x maps the Tx antenna onto the Rx antenna, blade angle a onto
+    -a and azimuth az onto -az, and leaves the lattice and the pattern as
+    they are.  So the rx matrix at angles a is the tx matrix at -a with each
+    elevation ring's azimuths reversed, and the bidirectional B maps to
+    itself the same way.  One relation covers the blade frame, footprint,
+    illumination, kernel and fold together."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2]), st.floats(0.015, 0.05), st.floats(0.004, 0.02),
+           st.floats(0.02, 0.1), st.floats(-0.04, 0.04), st.floats(0.0, 0.04),
+           st.sampled_from(["regular-pinhole", "inverse-pinhole"]),
+           st.integers(3, 40), st.floats(0.0, 2 * math.pi),
+           st.integers(0, 8), st.floats(1.0, 6.0), st.floats(0.5, 3.0),
+           st.sampled_from([[0.0], [-6.0, 0.0, 6.0]]))
+    def test_mirror_maps_rx_to_tx_and_b_to_itself(self, blades, length, width, depth,
+                                                   offset, separation, mode, T, phase,
+                                                   n_half, az_step, range_m, elevations):
+        mask = MaskGeometry(blade_count=blades, blade_length_m=length,
+                            blade_width_m=width, plane_depth_m=depth,
+                            axis_offset_m=offset, mode=mode)
+        radar = default_radar_config(mask, wavelength_m=0.04, separation_m=separation)
+        samp = MaskPlaneSampling(spacing_m=0.01, extent_m=length + width,
+                                 plane_depth_m=depth)
+        side = az_step * np.arange(1, n_half + 1)
+        grid = SceneGrid(range_m=range_m,
+                         azimuth_deg=np.concatenate((-side[::-1], [0.0], side)),
+                         elevation_deg=elevations)
+        mirror = np.arange(grid.n_points).reshape(grid.shape)[:, ::-1].ravel()
+        a = phase + 2.0 * math.pi * np.arange(T) / T
+        rot, rot_mirrored = RotationSampling(T, a), RotationSampling(T, -a)
+
+        def one_way(rotation):
+            return assemble_oneway(radar, grid, mask, rotation, samp, ("tx", "rx"),
+                                   transmission_for(mask, rotation, samp))
+        tx, rx = one_way(rot)
+        tx_m, rx_m = one_way(rot_mirrored)
+        assert np.max(np.abs(rx[:, mirror] - tx_m)) <= 1e-12 * np.max(np.abs(rx))
+        assert np.max(np.abs(tx[:, mirror] - rx_m)) <= 1e-12 * np.max(np.abs(tx))
+        B = build_forward(radar, grid, mask, rot, samp, "bidirectional").B
+        B_m = build_forward(radar, grid, mask, rot_mirrored, samp, "bidirectional").B
+        assert np.max(np.abs(B[:, mirror] - B_m)) <= 1e-12 * np.max(np.abs(B))
 
 
 def direct_through_mask(transmission, illum, prop):
