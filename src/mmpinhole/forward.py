@@ -41,7 +41,9 @@ def _transmission_digest(transmission: MaskTransmission) -> str:
     rows = transmission.footprint_indices
     h.update(repr((transmission.inside_amp, transmission.outside_amp)).encode())
     h.update(np.array([row.size for row in rows], dtype=np.int64).tobytes())
-    h.update(np.concatenate(rows).astype(np.int64).tobytes())
+    # row by row: the same bytes as the concatenated rows, without the copy
+    for row in rows:
+        h.update(row.astype(np.int64, copy=False).tobytes())
     return h.hexdigest()
 
 

@@ -26,9 +26,10 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigurationError
 
-# Rotation positions per footprint_mask_array call in chunked loops: each
-# call holds a few (chunk, M) float64 blocks, 32 MB each on the default lattice.
-_ANGLE_CHUNK = 128
+# Rotation positions per block of footprint_rows: a block holds a few
+# (block, candidate cells) float64 arrays, under 1 MB each on the default
+# lattice, and its candidates span the block's angles plus one blade.
+_ANGLE_BLOCK = 32
 
 # Slack (meters and radians) on the bounds that pick footprint candidates:
 # over a million times the rounding error of the blade frame coordinates.
@@ -219,35 +220,65 @@ class MaskGeometry:
         return 10.0 ** (-self.attenuation_db / 20.0)
 
 
-def _reachable_cells(mask: MaskGeometry, angles, pts) -> np.ndarray:
-    """Indices of the points some blade may cover at one of ``angles``.
+def _reach(mask: MaskGeometry, pts):
+    """The points some blade can reach, with their polar angle and angular reach.
 
     A point at radius r and polar blade angle psi (the rotation angle at
     which blade 0 points at it) has u = r cos(a - psi) and
-    v = r sin(a - psi) in the frame of a blade at angle a, so it can only be
-    covered if r <= hypot(L, w/2) and a lies within asin(w / 2r) of psi.
+    v = r sin(a - psi) in the frame of a blade at angle a, so it can only
+    be covered if r <= hypot(L, w/2) and a lies within asin(w / 2r) of psi;
+    a point within w/2 of the axis may be covered at any angle.  Returns
+    the indices of the points with r <= hypot(L, w/2), and their psi and
+    reach, the latter inf within w/2 of the axis.
     """
+    x, y = pts[:, 0], pts[:, 1]
+    r = np.hypot(x, y)
+    r_max = math.hypot(mask.blade_length_m, mask.blade_width_m / 2.0) + _REACH_TOL
+    idx = np.flatnonzero(r <= r_max)
+    r = r[idx]
+    psi = np.arctan2(-x[idx], y[idx]) % (2.0 * math.pi)
+    half_w = mask.blade_width_m / 2.0 + _REACH_TOL
+    reach = np.arcsin(half_w / np.maximum(r, half_w)) + _REACH_TOL
+    reach[r <= half_w] = math.inf
+    return idx, psi, reach
+
+
+def _within_reach(mask: MaskGeometry, angles, psi, reach) -> np.ndarray:
+    """Which of the points of :func:`_reach` a blade may cover at one of ``angles``."""
     finite = angles[np.isfinite(angles)]
     if finite.size == 0:
-        return np.empty(0, dtype=np.intp)
+        return np.zeros(psi.shape, dtype=bool)
     two_pi = 2.0 * math.pi
     # reduce through sin/cos, as the rectangle test does, so that large
     # angles land on [0, 2 pi) without the drift of a float "% 2 pi"
     blade = np.concatenate([finite + two_pi * b / mask.blade_count
                             for b in range(mask.blade_count)])
     blade = np.sort(np.arctan2(np.sin(blade), np.cos(blade)) % two_pi)
-    x, y = pts[:, 0], pts[:, 1]
-    r = np.hypot(x, y)
-    psi = np.arctan2(-x, y) % two_pi
     k = np.searchsorted(blade, psi)
     gap = np.full(psi.shape, math.pi)
     for nearest in (blade[k % blade.size], blade[k - 1]):
         d = np.abs(psi - nearest)
         np.minimum(gap, np.minimum(d, two_pi - d), out=gap)
-    half_w = mask.blade_width_m / 2.0 + _REACH_TOL
-    reach = np.arcsin(half_w / np.maximum(r, half_w)) + _REACH_TOL
-    r_max = math.hypot(mask.blade_length_m, mask.blade_width_m / 2.0) + _REACH_TOL
-    return np.flatnonzero((r <= r_max) & ((r <= half_w) | (gap <= reach)))
+    return gap <= reach
+
+
+def _covered(mask: MaskGeometry, angles, pts) -> np.ndarray:
+    """The blade rectangle test: (len(angles), len(pts)) boolean coverage."""
+    hit = np.zeros((angles.size, len(pts)), dtype=bool)
+    if not len(pts):
+        return hit
+    half_w = mask.blade_width_m / 2.0
+    x = pts[None, :, 0]
+    y = pts[None, :, 1]
+    for b in range(mask.blade_count):
+        a = angles + 2.0 * math.pi * b / mask.blade_count
+        sin_a = np.sin(a)[:, None]
+        cos_a = np.cos(a)[:, None]
+        # u runs radially along blade b and v across it
+        u = -x * sin_a + y * cos_a
+        v = x * cos_a + y * sin_a
+        hit |= (u >= 0.0) & (u <= mask.blade_length_m) & (np.abs(v) <= half_w)
+    return hit
 
 
 def footprint_mask_array(mask: MaskGeometry, angles_rad, plane_points_xy):
@@ -265,22 +296,30 @@ def footprint_mask_array(mask: MaskGeometry, angles_rad, plane_points_xy):
     angles = np.asarray(angles_rad, dtype=float).reshape(-1)
     pts = np.asarray(plane_points_xy, dtype=float)
     out = np.zeros((angles.size, len(pts)), dtype=bool)
-    idx = _reachable_cells(mask, angles, pts)
-    if idx.size:
-        half_w = mask.blade_width_m / 2.0
-        x = pts[None, idx, 0]
-        y = pts[None, idx, 1]
-        hit = np.zeros((angles.size, idx.size), dtype=bool)
-        for b in range(mask.blade_count):
-            a = angles + 2.0 * math.pi * b / mask.blade_count
-            sin_a = np.sin(a)[:, None]
-            cos_a = np.cos(a)[:, None]
-            # u runs radially along blade b and v across it
-            u = -x * sin_a + y * cos_a
-            v = x * cos_a + y * sin_a
-            hit |= (u >= 0.0) & (u <= mask.blade_length_m) & (np.abs(v) <= half_w)
-        out[:, idx] = hit
+    idx, psi, reach = _reach(mask, pts)
+    idx = idx[_within_reach(mask, angles, psi, reach)]
+    out[:, idx] = _covered(mask, angles, pts[idx])
     return out
+
+
+def footprint_rows(mask: MaskGeometry, angles_rad, plane_points_xy):
+    """Ascending indices of the covered points, one array per angle.
+
+    Row a is ``np.flatnonzero(footprint_mask_array(...)[a])``, found without
+    the dense (angles, M) array: each point's polar angle and reach are
+    computed once, and each block of ``_ANGLE_BLOCK`` angles runs the
+    rectangle test on its own candidates only.
+    """
+    angles = np.asarray(angles_rad, dtype=float).reshape(-1)
+    pts = np.asarray(plane_points_xy, dtype=float)
+    cells, psi, reach = _reach(mask, pts)
+    rows = []
+    for start in range(0, angles.size, _ANGLE_BLOCK):
+        block = angles[start:start + _ANGLE_BLOCK]
+        idx = cells[_within_reach(mask, block, psi, reach)]
+        # idx ascends, so each row's indices do too
+        rows.extend(idx[np.flatnonzero(hit)] for hit in _covered(mask, block, pts[idx]))
+    return rows
 
 
 @dataclass(frozen=True)

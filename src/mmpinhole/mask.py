@@ -14,8 +14,10 @@ from typing import List
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import (_ANGLE_CHUNK, MaskGeometry, MaskPlaneSampling,
-                       RotationSampling, footprint_mask_array)
+# footprint_mask_array is not called here; it stays bound in this module,
+# one of the lookup sites that bench/tracing.py patches
+from .geometry import (MaskGeometry, MaskPlaneSampling, RotationSampling,  # noqa: F401
+                       footprint_mask_array, footprint_rows)
 
 NULL_REL_THRESHOLD = 0.5
 NULL_MERGE_FRACTION = 0.05
@@ -57,17 +59,6 @@ class MaskTransmission:
         return out
 
 
-def _footprint_indices(mask: MaskGeometry, rotation: RotationSampling,
-                       plane_sampling: MaskPlaneSampling) -> List[np.ndarray]:
-    pts_xy = plane_sampling.samples[:, :2]
-    angles = rotation.angles_rad
-    indices: List[np.ndarray] = []
-    for start in range(0, angles.size, _ANGLE_CHUNK):
-        block = footprint_mask_array(mask, angles[start:start + _ANGLE_CHUNK], pts_xy)
-        indices.extend(np.flatnonzero(row) for row in block)
-    return indices
-
-
 def open_mask(rotation: RotationSampling,
               plane_sampling: MaskPlaneSampling) -> MaskTransmission:
     """Fully open aperture (transmission 1 everywhere), the background case."""
@@ -93,7 +84,8 @@ def transmission_for(mask: MaskGeometry, rotation: RotationSampling,
         n_samples=plane_sampling.n_samples,
         inside_amp=inside,
         outside_amp=outside,
-        footprint_indices=_footprint_indices(mask, rotation, plane_sampling),
+        footprint_indices=footprint_rows(mask, rotation.angles_rad,
+                                         plane_sampling.samples[:, :2]),
     )
 
 

@@ -8,26 +8,38 @@ time-variant mask transmission folded into each row.
 
 The plane-to-scene kernel does not depend on the antenna; only the
 illumination of the mask plane does.  ``assemble_oneway`` therefore takes
-a tuple of antenna ends and evaluates each kernel chunk once for all of
+a tuple of antenna ends and evaluates each kernel block once for all of
 them, so the Tx and Rx matrices of a bidirectional model cost one kernel
 pass.
 
+The kernel is evaluated one block of scene columns at a time, sized by
+bytes: the M x w complex block takes at most ``_SCENE_BLOCK_BYTES`` (8 MiB),
+so w = 16 on the default 77 GHz lattice (M = 31,329), and never less than
+one column.  The block and its temporaries are the whole transient working
+set of the kernel; only the (T, N) outputs grow with the grid.  Kernel
+entries and footprint products do not depend on w.  The open term
+``illum @ block`` is a BLAS product whose summation order may follow a
+column's place in its block and the BLAS thread split, so another w may
+move ``B`` by a few ulp.
+
 The lattice is symmetric under the mirror y -> -y, and a scene point with
 y = 0 sees cells (x, y) and (x, -y) at bit-equal distances.  For every
-64-column chunk whose scene points all have y == 0 (every chunk of a
-single-elevation-0 grid, and the chunks of any other grid that lie wholly
+kernel block whose scene points all have y == 0 (every block of a
+single-elevation-0 grid, and the blocks of any other grid that lie wholly
 in its elevation-0 run) the kernel is evaluated only on the cells with
-y <= 0, and each mirrored cell copies its twin's row.  Other chunks take
+y <= 0, and each mirrored cell copies its twin's row.  Other blocks take
 the full lattice.  Either way the assembled matrices carry the same bits.
 
 The blade turns a small step between rotation positions, so footprint row
 t differs from row t - 1 only along the blade's moving edges.  The footprint
 product is therefore taken in row-difference form: a sparse matrix of
 signed (+-1) row differences, weighted by one end's illumination, times the
-kernel chunk, then a running sum down the rows.  Every ``_RESTART`` = 50
+kernel block, then a running sum down the rows.  Every ``_RESTART`` = 50
 rows the sum restarts from an exact footprint row, which bounds how far
-rounding can accumulate.  Cells that stay covered cancel in the sparse
-subtraction and are never stored: on the default 77 GHz geometry (T=1000)
+rounding can accumulate.  The differences are taken one restart block at
+a time (its rows and an empty predecessor row) and stacked, so no copy of
+the whole footprint is made.  Cells that stay covered cancel in the sparse
+subtraction and are never stored: on the default geometry (T=1000)
 the differences hold 52,674 entries against 640,384 in the footprint with
 one blade, and 105,134 against 1,279,675 with two.  The result is a
 reassociation of the direct product; the stated bound against it is 1e-12
@@ -48,15 +60,20 @@ from .errors import ParameterError, ShapeError, SingularityError
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid)
 
-_SCENE_CHUNK = 64  # scene columns per assembly chunk, bounds transient memory
+_SCENE_BLOCK_BYTES = 1 << 23  # 8 MiB: bytes of one M x w complex kernel block
 _RESTART = 50  # footprint rows per running sum of row differences
+
+
+def _scene_block_columns(n_samples: int) -> int:
+    """Scene columns per kernel block: as many as ``_SCENE_BLOCK_BYTES`` holds, at least 1."""
+    return max(1, _SCENE_BLOCK_BYTES // (16 * n_samples))
 
 
 def _spherical(d, wavelength_m: float, singular_msg: str):
     """Spherical wave exp(i 2 pi d / lambda) / d over distances ``d``."""
     if np.any(d == 0.0):
         raise SingularityError(singular_msg)
-    # one complex buffer, updated in place: a kernel chunk is M x 64 entries
+    # one complex buffer, updated in place: a kernel block is M x w entries
     out = 2j * math.pi * d
     out /= wavelength_m
     np.exp(out, out=out)
@@ -162,15 +179,19 @@ def _footprint_steps(footprint_indices, n_samples):
     Row t holds +1 on the cells that enter the footprint at position t and
     -1 on the cells that leave it; at a restart row (t % _RESTART == 0) it
     is the footprint row itself.  Cells covered at both t - 1 and t cancel
-    in the sparse subtraction and are not stored.
+    in the sparse subtraction and are not stored.  Each restart block is
+    subtracted on its own, so no copy of the whole footprint is made.
     """
-    T = len(footprint_indices)
-    t = np.arange(T)
-    cols = np.concatenate(footprint_indices)
-    # the footprint plus one empty row T, the predecessor of every restart row
-    indptr = np.cumsum([0] + [idx.size for idx in footprint_indices] + [0])
-    fp = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(T + 1, n_samples))
-    return fp[:T] - fp[np.where(t % _RESTART == 0, T, t - 1)]
+    blocks = []
+    for start in range(0, len(footprint_indices), _RESTART):
+        rows = footprint_indices[start:start + _RESTART]
+        # an empty row, the predecessor of the restart row, then the block
+        indptr = np.cumsum([0, 0] + [idx.size for idx in rows])
+        cols = np.concatenate(rows)
+        fp = sparse.csr_matrix((np.ones(cols.size), cols, indptr),
+                               shape=(len(rows) + 1, n_samples))
+        blocks.append(fp[1:] - fp[:-1])
+    return sparse.vstack(blocks, format="csr")
 
 
 def _through_mask(transmission, steps, illum):
@@ -255,9 +276,10 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                    radar, radar.tx if end == "tx" else radar.rx, plane_pts, pattern))
                for end in ends]
     n = plane_sampling.axis_coords.size
+    width = _scene_block_columns(M)
     matrices = tuple(np.empty((T, N), dtype=np.complex128) for _ in ends)
-    for start in range(0, N, _SCENE_CHUNK):
-        sl = slice(start, start + _SCENE_CHUNK)
+    for start in range(0, N, width):
+        sl = slice(start, start + width)
         scene = grid.points[sl]
         if np.all(scene[:, 1] == 0.0):
             prop = _folded_chunk(plane_pts, n, scene, radar.wavelength_m)
@@ -270,7 +292,7 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                                  "must be at or beyond the plane")
         for out, through_mask in zip(matrices, through):
             out[:, sl] = through_mask(prop)
-        del prop  # free the M x 64 chunk before the next one is computed
+        del prop  # free the kernel block before the next one is computed
     for out in matrices:
         out *= plane_sampling.cell_area
         if not np.all(np.isfinite(out)):

@@ -56,6 +56,11 @@ class ReconConfig:
     every value above the numerical-rank threshold (the noiseless
     "full rank" setting).  ``rel_threshold`` switches to discarding values
     below that fraction of the largest instead of counting.
+
+    When ``rel_threshold`` is set it overrides ``sigma_max``, which is then
+    ignored.  ``sigma_max`` defaults to 40, so ``ReconConfig(rel_threshold=1e-2)``,
+    the setting :mod:`mmpinhole.analysis` uses against classical aperture
+    bounds, carries both.  The CLI rejects a config that sets both keys.
     """
 
     sigma_max: Optional[int] = 40

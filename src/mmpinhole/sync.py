@@ -17,9 +17,13 @@ import numpy as np
 
 from .errors import AlignmentError, InterpolationError, ParameterError
 from .forward import MeasurementSet
-from .geometry import (_ANGLE_CHUNK, MaskGeometry, MaskPlaneSampling,
-                       RadarConfig, RotationSampling, footprint_mask_array)
+from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
+                       RotationSampling, footprint_mask_array)
 from .propagation import _radar_pattern, pattern_weight
+
+# Rotation positions per footprint_mask_array call of blade_return_profile:
+# each call holds a few (chunk, M) blocks, 32 MB each on the default lattice.
+_ANGLE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -140,10 +144,12 @@ def dtw_align(template: RotationSignature, observed: RotationSignature,
     radius = max(1, int(round(band_fraction * max(n, m))))
 
     diag = np.arange(n) * scale
+    # every row's band is non-empty, lo <= hi: with radius >= 1,
+    # ceil(x) - radius <= floor(x) + radius; 0 <= hi as x >= 0; and
+    # ceil(x - radius) <= m - 1 as x <= m - 1 up to a rounding that radius
+    # >= 1 absorbs
     lo = np.maximum(0, np.ceil(diag - radius).astype(int))
     hi = np.minimum(m - 1, np.floor(diag + radius).astype(int))
-    if np.any(lo > hi):
-        raise AlignmentError("Sakoe-Chiba band is empty for these lengths")
     width = hi - lo + 1
     W = int(width.max())
 

@@ -43,6 +43,8 @@ class TestBuildForward:
     def test_bidirectional_evaluates_each_kernel_chunk_once(
             self, toy_radar, toy_mask, toy_rotation, toy_sampling, monkeypatch):
         grid = build_scene_grid(2.0, -30.0, 30.0, 0.5, [0.0])
+        monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES",
+                            64 * 16 * toy_sampling.n_samples)
         original = propagation._plane_to_scene_chunk
         chunk_sizes = []
 
@@ -53,7 +55,7 @@ class TestBuildForward:
         monkeypatch.setattr(propagation, "_plane_to_scene_chunk", counting)
         build_forward(toy_radar, grid, toy_mask, toy_rotation, toy_sampling,
                       "bidirectional")
-        assert len(chunk_sizes) == math.ceil(grid.n_points / propagation._SCENE_CHUNK)
+        assert len(chunk_sizes) == math.ceil(grid.n_points / 64) > 1
         assert sum(chunk_sizes) == grid.n_points
 
     def test_colocated_open_mask_matches_two_way_free_space(self, toy_mask):

@@ -12,7 +12,7 @@ from mmpinhole import (MaskGeometry, RotationSampling, SceneGrid, assemble_onewa
 from mmpinhole import mask as mask_module
 from mmpinhole import sync as sync_module
 from mmpinhole.errors import ParameterError, UnsupportedConfigurationError
-from mmpinhole.geometry import _ANGLE_CHUNK, footprint_mask_array
+from mmpinhole.geometry import _ANGLE_BLOCK, footprint_mask_array, footprint_rows
 
 
 class TestSceneGrid:
@@ -133,7 +133,7 @@ def footprint_cases(draw):
     if kind == "uniform":
         count = draw(st.integers(1, 1000))
         start = draw(st.integers(0, count - 1))
-        angles = (2.0 * math.pi * np.arange(count) / count)[start:start + _ANGLE_CHUNK]
+        angles = (2.0 * math.pi * np.arange(count) / count)[start:start + 4 * _ANGLE_BLOCK]
     elif kind == "warped":
         angles = np.cumsum(rng.uniform(0.0, 0.05, draw(st.integers(1, 200))))
     elif kind == "negative":
@@ -177,6 +177,19 @@ class TestFootprintCandidates:
         assert got.shape == (angles.size, len(pts))
         assert np.array_equal(got, full_lattice_footprint(mask, angles, pts))
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=footprint_cases())
+    def test_rows_match_full_lattice(self, case):
+        # footprint_rows blocks the angles itself and never builds the
+        # dense array; each row is the nonzeros of the full-lattice row
+        mask, angles, pts = case
+        rows = footprint_rows(mask, angles, pts)
+        full = full_lattice_footprint(mask, angles, pts)
+        assert len(rows) == angles.size
+        for row, ref in zip(rows, full):
+            assert row.dtype == np.intp
+            assert np.array_equal(row, np.flatnonzero(ref))
+
     @pytest.mark.parametrize("blades", [1, 2])
     def test_default_geometry_matches_full_lattice(self, blades, monkeypatch):
         radar = default_radar_config(MaskGeometry())
@@ -184,10 +197,10 @@ class TestFootprintCandidates:
         rotation = RotationSampling(1000)
         angles, pts = rotation.angles_rad, sampling.samples[:, :2]
         mask = MaskGeometry(blade_count=blades)
+        chunk = sync_module._ANGLE_CHUNK
         full_rows = [np.flatnonzero(row)
-                     for start in range(0, angles.size, _ANGLE_CHUNK)
-                     for row in full_lattice_footprint(
-                         mask, angles[start:start + _ANGLE_CHUNK], pts)]
+                     for start in range(0, angles.size, chunk)
+                     for row in full_lattice_footprint(mask, angles[start:start + chunk], pts)]
         for mode in ("inverse-pinhole", "regular-pinhole"):
             mode_mask = MaskGeometry(blade_count=blades, mode=mode, attenuation_db=12.0)
             rows = mask_module.transmission_for(mode_mask, rotation, sampling).footprint_indices

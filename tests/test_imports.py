@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module.
 
 ``__init__.py`` re-exports by importing, and ``from __future__`` imports are
-compiler directives, so both are exempt.
+compiler directives, so both are exempt.  So are the names in ``LOOKUP_SITES``:
+a module binds them for callers that look them up there.
 """
 
 import ast
@@ -13,6 +14,11 @@ import mmpinhole
 
 MODULES = sorted(p for p in Path(mmpinhole.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+
+# bench/tracing.py wraps footprint_mask_array at every module attribute that
+# holds it, and bench/bench_selftest.py expects mmpinhole.mask to hold it,
+# although transmission_for now takes its rows from footprint_rows
+LOOKUP_SITES = {"mask.py": ["footprint_mask_array"]}
 
 
 def _unused_imports(source: str):
@@ -36,4 +42,5 @@ def test_detects_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
-    assert _unused_imports(path.read_text()) == []
+    unused = [name for _, name in _unused_imports(path.read_text())]
+    assert unused == LOOKUP_SITES.get(path.name, [])

@@ -6,9 +6,9 @@ import pytest
 from mmpinhole import (MaskGeometry, MaskPlaneSampling, RotationSampling,
                        assemble_oneway, build_forward, build_scene_grid,
                        default_plane_sampling, default_radar_config)
-from mmpinhole import mask as mask_module
+from mmpinhole import geometry
 from mmpinhole.errors import ParameterError
-from mmpinhole.geometry import _ANGLE_CHUNK, footprint_mask_array
+from mmpinhole.geometry import _ANGLE_BLOCK, footprint_mask_array
 from mmpinhole.mask import (MaskTransmission, count_null_events, find_nulls,
                             null_signature, open_mask, transmission_for)
 
@@ -93,24 +93,36 @@ class TestTransmissionType:
 class TestFootprintIndices:
     @pytest.mark.parametrize("blades", [1, 2])
     @pytest.mark.parametrize("mode", ["regular", "inverse"])
-    def test_angle_blocks_match_unchunked_reference(self, monkeypatch, mode, blades):
+    def test_sparse_rows_match_unblocked_reference(self, monkeypatch, mode, blades):
         mask = MaskGeometry(blade_count=blades, blade_length_m=0.024,
                             blade_width_m=0.012, plane_depth_m=0.03,
                             axis_offset_m=0.015, attenuation_db=12.0,
                             mode=f"{mode}-pinhole")
         radar = default_radar_config(mask, wavelength_m=0.04)
         samp = MaskPlaneSampling(spacing_m=0.01, extent_m=0.036, plane_depth_m=0.03)
-        rot = RotationSampling(2 * _ANGLE_CHUNK + 44)
-        blocks = []
+        rot = RotationSampling(4 * _ANGLE_BLOCK + 11)
+        reached, tested = [], []
+        reach, covered = geometry._reach, geometry._covered
 
-        def recording(mask, angles_rad, pts_xy):
-            blocks.append(np.size(angles_rad))
-            return footprint_mask_array(mask, angles_rad, pts_xy)
+        def recording_reach(mask, pts):
+            reached.append(len(pts))
+            return reach(mask, pts)
 
-        monkeypatch.setattr(mask_module, "footprint_mask_array", recording)
+        def recording_covered(mask, angles, pts):
+            tested.append((angles.size, len(pts)))
+            return covered(mask, angles, pts)
+
+        monkeypatch.setattr(geometry, "_reach", recording_reach)
+        monkeypatch.setattr(geometry, "_covered", recording_covered)
         trans = transmission_for(mask, rot, samp)
-        assert max(blocks) <= _ANGLE_CHUNK and sum(blocks) == rot.count
-        # one block over every angle
+        monkeypatch.undo()
+        # polar angles once per transmission; each angle block runs the
+        # rectangle test on its candidates only, never on all M cells
+        assert reached == [samp.n_samples]
+        assert max(a for a, _ in tested) <= _ANGLE_BLOCK
+        assert sum(a for a, _ in tested) == rot.count
+        assert all(0 < k < samp.n_samples for _, k in tested)
+        # one dense block over every angle
         ref = footprint_mask_array(mask, rot.angles_rad, samp.samples[:, :2])
         assert len(trans.footprint_indices) == rot.count
         for got, row in zip(trans.footprint_indices, ref):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,9 +17,9 @@ from mmpinhole import propagation
 from mmpinhole.errors import ParameterError, ShapeError, SingularityError
 from mmpinhole.geometry import angles_to_points, default_plane_sampling
 from mmpinhole.mask import open_mask, transmission_for
-from mmpinhole.propagation import (_RESTART, _SCENE_CHUNK, _antenna_to_plane,
-                                   _folded_chunk, _footprint_steps,
-                                   _plane_to_scene_chunk, _through_mask)
+from mmpinhole.propagation import (_RESTART, _antenna_to_plane, _folded_chunk,
+                                   _footprint_steps, _plane_to_scene_chunk,
+                                   _scene_block_columns, _through_mask)
 
 LAMBDA = 4e-3
 
@@ -155,10 +156,12 @@ class TestAssembleOneway:
             _one_way(toy_radar, toy_grid, toy_mask, toy_rotation, small, trans)
 
     def test_two_ends_match_single_end_calls(self, toy_radar, toy_mask,
-                                             toy_rotation, toy_sampling):
-        # several scene chunks and two elevations
+                                             toy_rotation, toy_sampling, monkeypatch):
+        # several 64-column scene blocks and two elevations
+        monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES",
+                            64 * 16 * toy_sampling.n_samples)
         grid = build_scene_grid(2.0, -30.0, 30.0, 0.5, [0.0, 5.0])
-        assert grid.n_points > 2 * _SCENE_CHUNK
+        assert grid.n_points > 2 * 64
         trans = transmission_for(replace(toy_mask, mode="regular-pinhole"),
                                  toy_rotation, toy_sampling)
         args = (toy_radar, grid, toy_mask, toy_rotation, toy_sampling)
@@ -262,7 +265,7 @@ class TestMirrorFold:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(1e-3, 0.05), st.integers(1, 40), st.floats(0.01, 1.0),
            st.floats(0.5, 50.0), st.sampled_from([0.0, -0.0]),
-           st.integers(1, _SCENE_CHUNK), st.integers(0, 2 ** 32 - 1))
+           st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
     def test_folded_kernel_rows_equal_full_lattice(self, spacing, cells, depth,
                                                    range_m, elevation, n_cols, seed):
         samp = MaskPlaneSampling(spacing_m=spacing, extent_m=spacing * cells,
@@ -285,8 +288,11 @@ class TestMirrorFold:
                                                      toy_rotation, toy_sampling,
                                                      monkeypatch, elevations,
                                                      amps, mode, blades):
-        # asymmetric azimuth range; with three elevations the chunks
-        # [64, 128) and [192, 256) mix elevations and [128, 192) is all 0 deg
+        # asymmetric azimuth range in 64-column blocks; with three elevations
+        # the blocks [64, 128) and [192, 256) mix elevations and [128, 192)
+        # is all 0 deg
+        monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES",
+                            64 * 16 * toy_sampling.n_samples)
         grid = build_scene_grid(2.0, -20.0, 30.0, 0.5, elevations)
         mask = replace(toy_mask, mode=mode, blade_count=blades, attenuation_db=20.0)
         trans = transmission_for(mask, toy_rotation, toy_sampling)
@@ -429,9 +435,10 @@ def direct_forward(radar, grid, plane_sampling, transmission, directionality):
 
 
 @st.composite
-def footprints(draw):
+def footprints(draw, T=None):
     """Footprint rows over M cells: empty, full, repeated, disjoint or random."""
-    T = draw(st.integers(1, 3 * _RESTART))
+    if T is None:
+        T = draw(st.integers(1, 3 * _RESTART))
     M = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kinds = draw(st.lists(st.sampled_from(["empty", "full", "same", "disjoint", "random"]),
@@ -453,11 +460,37 @@ def footprints(draw):
     return M, rows
 
 
+def whole_footprint_steps(footprint_indices, n_samples):
+    """Reference row differences: one subtraction of two whole-footprint copies."""
+    T = len(footprint_indices)
+    t = np.arange(T)
+    cols = np.concatenate(footprint_indices)
+    # the footprint plus one empty row T, the predecessor of every restart row
+    indptr = np.cumsum([0] + [idx.size for idx in footprint_indices] + [0])
+    fp = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(T + 1, n_samples))
+    return fp[:T] - fp[np.where(t % _RESTART == 0, T, t - 1)]
+
+
 class TestRowDifferenceProduct:
+    # fewer rows than one restart block, whole blocks, and one row past them
+    @pytest.mark.parametrize("T", [1, 7, _RESTART, 2 * _RESTART, _RESTART + 1,
+                                   2 * _RESTART + 1])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_steps_match_whole_footprint_subtraction(self, T, data):
+        M, rows = data.draw(footprints(T))
+        for footprint in (rows, [np.empty(0, dtype=np.intp)] * T):
+            got = _footprint_steps(footprint, M)
+            ref = whole_footprint_steps(footprint, M)
+            assert got.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
     @settings(max_examples=150, deadline=None)
     @given(footprints(), st.sampled_from([(1.0, 0.0), (1.0, 0.25), (0.25, 1.0),
                                           (0.0, 1.0), (1.0, 1.0)]),
-           st.integers(1, _SCENE_CHUNK), st.integers(0, 2 ** 32 - 1))
+           st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
     def test_matches_direct_csr_product(self, footprint, amps, n_cols, seed):
         M, rows = footprint
         T = len(rows)
@@ -507,3 +540,82 @@ class TestRowDifferenceProduct:
                              directionality)
         assert np.linalg.norm(B - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.max(np.abs(B - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestSceneBlocks:
+    """Kernel blocks are sized by bytes; their width leaves the matrices as they are."""
+
+    def test_width_follows_the_byte_budget(self, monkeypatch):
+        radar = default_radar_config(MaskGeometry())
+        M = default_plane_sampling(radar, MaskGeometry()).n_samples  # 31,329
+        assert _scene_block_columns(M) == 16
+        assert _scene_block_columns(10 ** 9) == 1
+        monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES", 5 * 16 * 81 + 16 * 81 - 1)
+        assert _scene_block_columns(81) == 5
+
+    @pytest.mark.parametrize("elevations", [[0.0], [-5.0, 0.0, 5.0]],
+                             ids=["flat", "three-elevations"])
+    @pytest.mark.parametrize("mode", ["regular-pinhole", "inverse-pinhole"])
+    def test_block_width_keeps_the_matrices(self, toy_radar, toy_mask, toy_rotation,
+                                            toy_sampling, monkeypatch, elevations, mode):
+        grid = build_scene_grid(2.0, -20.0, 30.0, 0.5, elevations)
+        N, M = grid.n_points, toy_sampling.n_samples
+        mask = replace(toy_mask, mode=mode, blade_count=2)
+        trans = transmission_for(mask, toy_rotation, toy_sampling)
+        widths = []
+
+        def spy(plane_pts, scene_pts, wavelength_m):
+            widths.append(len(scene_pts))
+            return _plane_to_scene_chunk(plane_pts, scene_pts, wavelength_m)
+        monkeypatch.setattr(propagation, "_plane_to_scene_chunk", spy)
+        results = {}
+        for w in (1, 5, 16, N):
+            monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES", 16 * M * w)
+            widths.clear()
+            results[w] = assemble_oneway(toy_radar, grid, mask, toy_rotation,
+                                         toy_sampling, ("tx", "rx"), trans)
+            assert widths == [w] * (N // w) + [N % w] * (N % w > 0)
+        for w, matrices in results.items():
+            for got, ref in zip(matrices, results[N]):
+                if trans.outside_amp == 0.0:
+                    # kernel entries and footprint products do not depend on w
+                    assert np.array_equal(got, ref)
+                else:
+                    # the open term illum @ block is a BLAS product: its sum
+                    # order may follow a column's place in the block (a
+                    # one-column block goes to a dot product) and the BLAS
+                    # thread split, so every width keeps the 1e-12 bound
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestWorkingSet:
+    """Transient memory of one B assembly on the default geometry at N=201.
+
+    tracemalloc counts numpy's buffers, results included.  With 32-angle
+    footprint blocks and 16-column kernel blocks the peaks were 7.6 MB and
+    22.6 MB; the bounds are under 1.5 times that, and 128-angle dense
+    footprint blocks and 64-column kernel blocks (24.1 MB and 58.7 MB)
+    exceed them.
+    """
+
+    @staticmethod
+    def traced_peak_mb(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_transmission_and_assembly_peaks(self):
+        mask = MaskGeometry()
+        radar = default_radar_config(mask)
+        sampling = default_plane_sampling(radar, mask)
+        rotation = RotationSampling(1000)
+        trans, peak = self.traced_peak_mb(transmission_for, mask, rotation, sampling)
+        assert peak < 10.0
+        grid = build_scene_grid(20.0, -50.0, 50.0, 0.5, [0.0])
+        assert grid.n_points == 201
+        _, peak = self.traced_peak_mb(assemble_oneway, radar, grid, mask, rotation,
+                                      sampling, ("tx", "rx"), trans)
+        assert peak < 33.0

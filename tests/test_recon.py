@@ -122,6 +122,10 @@ class TestReconstruct:
                                                            rel_threshold=1e-6))
         assert img.truncation_used == 6
 
+    def test_rel_threshold_overrides_sigma_max(self):
+        S = factorize(_random_model(seed=29, rank=6)).S
+        assert ReconConfig(sigma_max=2, rel_threshold=1e-6).truncation(S) == 6
+
     def test_normalize_output(self):
         model = _random_model(seed=31)
         fact = factorize(model)
