@@ -22,13 +22,25 @@ entries and footprint products do not depend on w.  The open term
 column's place in its block and the BLAS thread split, so another w may
 move ``B`` by a few ulp.
 
+Each block is filled and consumed by W worker threads, one pool per call,
+where W is the number of cores the process may run on (its CPU affinity,
+so ``taskset`` limits it).  Only one block is in flight.  The workers first
+evaluate the kernel on ranges of lattice rows, ``_KERNEL_TASKS`` ranges per
+worker, and then take the footprint product one (end, row range) at a
+time, the row ranges cut at multiples of ``_RESTART``.  The open term stays
+one BLAS product per end and block on the calling thread.  Every entry
+sees the same IEEE operations in the same order whatever W is, so ``B``
+does not depend on the worker count; like the open term, it does depend
+on the BLAS thread count.
+
 The lattice is symmetric under the mirror y -> -y, and a scene point with
 y = 0 sees cells (x, y) and (x, -y) at bit-equal distances.  For every
 kernel block whose scene points all have y == 0 (every block of a
 single-elevation-0 grid, and the blocks of any other grid that lie wholly
 in its elevation-0 run) the kernel is evaluated only on the cells with
-y <= 0, and each mirrored cell copies its twin's row.  Other blocks take
-the full lattice.  Either way the assembled matrices carry the same bits.
+y <= 0, the workers' row ranges cut from that half, and each mirrored cell
+copies its twin's row.  Other blocks take the full lattice.  Either way the
+assembled matrices carry the same bits.
 
 The blade turns a small step between rotation positions, so footprint row
 t differs from row t - 1 only along the blade's moving edges.  The footprint
@@ -50,6 +62,8 @@ and 7.3e-15).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -62,6 +76,9 @@ from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
 
 _SCENE_BLOCK_BYTES = 1 << 23  # 8 MiB: bytes of one M x w complex kernel block
 _RESTART = 50  # footprint rows per running sum of row differences
+# kernel row ranges per worker: a task's temporaries are about 2.5 times its
+# share of the block, so several small tasks keep them below the block itself
+_KERNEL_TASKS = 4
 
 
 def _scene_block_columns(n_samples: int) -> int:
@@ -159,18 +176,22 @@ def _plane_to_scene_chunk(plane_pts, scene_pts, wavelength_m):
     return out
 
 
-def _folded_chunk(plane_pts, n, scene_pts, wavelength_m):
-    """Kernel chunk for scene points with y = 0, evaluated on half the lattice.
+def _fill_rows(block, plane_pts, n, scene_pts, wavelength_m, rows, folded):
+    """Write the kernel of lattice rows ``rows`` = (start, stop) into ``block``.
 
-    Samples run y-major over the symmetric ``axis_coords`` (``n`` per axis),
-    so the cells with y <= 0 are the first (n + 1) // 2 lattice rows and the
-    rows with y > 0 are their mirror twins in reverse order.  A scene point
-    with y = 0 sees each twin at a bit-equal distance, so the twin rows are
-    copies.
+    Samples run y-major over the symmetric ``axis_coords`` (``n`` per axis,
+    ``n`` odd), so lattice row r holds the cells at the r-th y and its mirror
+    twin is row n - 1 - r.  With ``folded`` the scene points all have y = 0
+    and see each twin at a bit-equal distance, so the rows are taken from
+    the y <= 0 half and each one is also copied to its twin (the middle row
+    is its own).
     """
-    rows = _plane_to_scene_chunk(plane_pts[:(n + 1) // 2 * n], scene_pts, wavelength_m)
-    rows = rows.reshape((n + 1) // 2, n, -1)
-    return np.concatenate((rows, rows[-2::-1])).reshape(n * n, -1)
+    start, stop = rows
+    lattice = block.reshape(n, n, -1)
+    lattice[start:stop] = _plane_to_scene_chunk(
+        plane_pts[start * n:stop * n], scene_pts, wavelength_m).reshape(stop - start, n, -1)
+    if folded:
+        lattice[n - stop:n - start] = lattice[start:stop][::-1]
 
 
 def _footprint_steps(footprint_indices, n_samples):
@@ -194,11 +215,14 @@ def _footprint_steps(footprint_indices, n_samples):
     return sparse.vstack(blocks, format="csr")
 
 
-def _through_mask(transmission, steps, illum):
-    """Map a kernel chunk to rows of one end's matrix: (T, M) weights @ chunk.
+def _through_mask(transmission, steps, illum, ranges):
+    """Map a kernel block to one end's matrix: (T, M) weights @ block.
 
     ``steps`` is the :func:`_footprint_steps` pattern of the transmission,
-    shared by every antenna end.
+    shared by every antenna end; ``ranges`` cut the T rows at multiples of
+    ``_RESTART``.  Returns ``open_term(block)``, the time-invariant row, and
+    one ``fill(block, open_row, out)`` per range that writes the range's rows
+    of ``out``; there are none when only the open term is left.
     """
     # transmission(t, m) = outside + (inside - outside) * footprint(t, m):
     # a time-invariant open term plus a sparse footprint correction, whose
@@ -207,18 +231,46 @@ def _through_mask(transmission, steps, illum):
                                   steps.indptr), shape=steps.shape)
     delta = transmission.inside_amp - transmission.outside_amp
 
-    def through_mask(prop):
-        block = transmission.outside_amp * (illum @ prop)[None, :]
-        if delta == 0.0:
-            return block
-        rows = weighted @ prop
-        for start in range(0, len(rows), _RESTART):
-            run = rows[start:start + _RESTART]
-            np.cumsum(run, axis=0, out=run)
-        rows *= delta
-        rows += block
-        return rows
-    return through_mask
+    def open_term(prop):
+        return transmission.outside_amp * (illum @ prop)
+
+    def part(start, stop):
+        weights = weighted[start:stop]
+
+        def fill(prop, open_row, out):
+            rows = weights @ prop
+            for first in range(0, len(rows), _RESTART):
+                run = rows[first:first + _RESTART]
+                np.cumsum(run, axis=0, out=run)
+            rows *= delta
+            rows += open_row
+            out[start:stop] = rows
+        return fill
+    return open_term, ([] if delta == 0.0 else [part(*r) for r in ranges])
+
+
+def _worker_count() -> int:
+    """Cores this process may run on: its CPU affinity, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _ranges(count: int, parts: int, unit: int):
+    """Cut range(count) into at most ``parts`` contiguous (start, stop) ranges
+    of near-equal length, at multiples of ``unit``."""
+    units = -(-count // unit)
+    parts = max(1, min(parts, units))
+    cuts = [min(count, unit * (units * i // parts)) for i in range(parts + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _wait(futures):
+    """Wait for every task, then raise the first failure in submission order."""
+    for error in [future.exception() for future in futures]:
+        if error is not None:
+            raise error
 
 
 def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
@@ -271,28 +323,41 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                              "distances of the propagation kernel")
     if pattern is None:
         pattern = _radar_pattern(radar)
+    workers = _worker_count()
     steps = _footprint_steps(transmission.footprint_indices, M)
+    row_ranges = _ranges(T, workers, _RESTART)
     through = [_through_mask(transmission, steps, _antenna_to_plane(
-                   radar, radar.tx if end == "tx" else radar.rx, plane_pts, pattern))
+                   radar, radar.tx if end == "tx" else radar.rx, plane_pts, pattern),
+                   row_ranges)
                for end in ends]
     n = plane_sampling.axis_coords.size
     width = _scene_block_columns(M)
     matrices = tuple(np.empty((T, N), dtype=np.complex128) for _ in ends)
-    for start in range(0, N, width):
-        sl = slice(start, start + width)
-        scene = grid.points[sl]
-        if np.all(scene[:, 1] == 0.0):
-            prop = _folded_chunk(plane_pts, n, scene, radar.wavelength_m)
-        else:
-            prop = _plane_to_scene_chunk(plane_pts, scene, radar.wavelength_m)
-        # after the kernel, so that a point on a lattice cell reports that
-        if np.any(scene[:, 2] < plane_sampling.plane_depth_m):
-            raise ParameterError(f"scene points lie in front of the mask plane at "
-                                 f"z = {plane_sampling.plane_depth_m!r} m; the scene "
-                                 "must be at or beyond the plane")
-        for out, through_mask in zip(matrices, through):
-            out[:, sl] = through_mask(prop)
-        del prop  # free the kernel block before the next one is computed
+    # the tasks run private helpers only, so a tracer that wraps the public
+    # functions (bench/tracing.py) still sees every call on one thread
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, N, width):
+            sl = slice(start, start + width)
+            scene = grid.points[sl]
+            folded = np.all(scene[:, 1] == 0.0)
+            lattice_rows = (n + 1) // 2 if folded else n
+            block = np.empty((M, len(scene)), dtype=np.complex128)
+            _wait([pool.submit(_fill_rows, block, plane_pts, n, scene,
+                               radar.wavelength_m, rows, folded)
+                   for rows in _ranges(lattice_rows, _KERNEL_TASKS * workers, 1)])
+            # after the kernel, so that a point on a lattice cell reports that
+            if np.any(scene[:, 2] < plane_sampling.plane_depth_m):
+                raise ParameterError(f"scene points lie in front of the mask plane at "
+                                     f"z = {plane_sampling.plane_depth_m!r} m; the scene "
+                                     "must be at or beyond the plane")
+            fills = []
+            for out, (open_term, parts) in zip(matrices, through):
+                open_row = open_term(block)
+                if not parts:
+                    out[:, sl] = open_row
+                fills += [pool.submit(fill, block, open_row, out[:, sl]) for fill in parts]
+            _wait(fills)
+            del block  # free the kernel block before the next one is computed
     for out in matrices:
         out *= plane_sampling.cell_area
         if not np.all(np.isfinite(out)):

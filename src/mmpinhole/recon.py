@@ -36,7 +36,8 @@ def factorize(model: ForwardModel) -> SvdFactorization:
     """Full thin SVD of the sensing matrix."""
     if not np.all(np.isfinite(model.B)):
         raise NumericError("sensing matrix contains non-finite entries")
-    U, S, Vh = linalg.svd(model.B, full_matrices=False)
+    # finiteness is checked just above; a second scan of B would add nothing
+    U, S, Vh = linalg.svd(model.B, full_matrices=False, check_finite=False)
     return SvdFactorization(U=U, S=S, V=Vh.conj().T, grid=model.grid)
 
 

@@ -42,3 +42,35 @@ def toy_sampling(toy_mask):
 @pytest.fixture(scope="session")
 def toy_grid():
     return build_scene_grid(2.0, -30.0, 30.0, 4.0, [0.0])
+
+
+class KernelBlocks:
+    """Records every plane->scene kernel call of ``assemble_oneway``.
+
+    Workers evaluate a kernel block in lattice-row ranges, so ``per_block``
+    sums the rows of the calls that share a block (the same first scene
+    point) and returns one (scene columns, lattice rows) pair per block, in
+    block order.
+    """
+
+    def __init__(self, propagation):
+        self.calls = []
+        self._kernel = propagation._plane_to_scene_chunk
+
+    def spy(self, plane_pts, scene_pts, wavelength_m):
+        self.calls.append((scene_pts[0].tobytes(), len(scene_pts), len(plane_pts)))
+        return self._kernel(plane_pts, scene_pts, wavelength_m)
+
+    def per_block(self):
+        blocks = {}
+        for key, width, rows in self.calls:
+            blocks[key] = (width, blocks.get(key, (width, 0))[1] + rows)
+        return list(blocks.values())
+
+
+@pytest.fixture
+def kernel_blocks(monkeypatch):
+    from mmpinhole import propagation
+    blocks = KernelBlocks(propagation)
+    monkeypatch.setattr(propagation, "_plane_to_scene_chunk", blocks.spy)
+    return blocks

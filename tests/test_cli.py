@@ -957,3 +957,13 @@ def test_every_csv_in_one_dialect(tmp_path):
                     assert str(int(cell)) == cell, (path, cell)
                 elif cell:
                     assert repr(float(cell)) == cell, (path, cell)
+
+
+def test_start_up_leaves_ndimage_and_spatial_unloaded():
+    # only ssim and chamfer (reconstruct --reference) use them, and importing
+    # them costs about 0.19 s
+    code = ("import sys, mmpinhole, mmpinhole.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.ndimage', 'scipy.spatial'))))")
+    result = run_child(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

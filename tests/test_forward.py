@@ -41,22 +41,19 @@ class TestBuildForward:
         np.testing.assert_allclose(uni.B, rx, rtol=1e-12)
 
     def test_bidirectional_evaluates_each_kernel_chunk_once(
-            self, toy_radar, toy_mask, toy_rotation, toy_sampling, monkeypatch):
+            self, toy_radar, toy_mask, toy_rotation, toy_sampling, monkeypatch,
+            kernel_blocks):
         grid = build_scene_grid(2.0, -30.0, 30.0, 0.5, [0.0])
         monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES",
                             64 * 16 * toy_sampling.n_samples)
-        original = propagation._plane_to_scene_chunk
-        chunk_sizes = []
-
-        def counting(plane_pts, scene_pts, wavelength_m):
-            chunk_sizes.append(len(scene_pts))
-            return original(plane_pts, scene_pts, wavelength_m)
-
-        monkeypatch.setattr(propagation, "_plane_to_scene_chunk", counting)
         build_forward(toy_radar, grid, toy_mask, toy_rotation, toy_sampling,
                       "bidirectional")
-        assert len(chunk_sizes) == math.ceil(grid.n_points / 64) > 1
-        assert sum(chunk_sizes) == grid.n_points
+        blocks = kernel_blocks.per_block()
+        assert len(blocks) == math.ceil(grid.n_points / 64) > 1
+        assert sum(width for width, _ in blocks) == grid.n_points
+        # every block of this flat grid is folded: the y <= 0 half, once
+        n = toy_sampling.axis_coords.size
+        assert {rows for _, rows in blocks} == {(n + 1) // 2 * n}
 
     def test_colocated_open_mask_matches_two_way_free_space(self, toy_mask):
         # Rayleigh-Sommerfeld integral over the open plane reproduces the

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -17,8 +20,8 @@ from mmpinhole import propagation
 from mmpinhole.errors import ParameterError, ShapeError, SingularityError
 from mmpinhole.geometry import angles_to_points, default_plane_sampling
 from mmpinhole.mask import open_mask, transmission_for
-from mmpinhole.propagation import (_RESTART, _antenna_to_plane, _folded_chunk,
-                                   _footprint_steps, _plane_to_scene_chunk,
+from mmpinhole.propagation import (_RESTART, _antenna_to_plane, _fill_rows,
+                                   _footprint_steps, _plane_to_scene_chunk, _ranges,
                                    _scene_block_columns, _through_mask)
 
 LAMBDA = 4e-3
@@ -265,9 +268,10 @@ class TestMirrorFold:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(1e-3, 0.05), st.integers(1, 40), st.floats(0.01, 1.0),
            st.floats(0.5, 50.0), st.sampled_from([0.0, -0.0]),
-           st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
+           st.integers(1, 64), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
     def test_folded_kernel_rows_equal_full_lattice(self, spacing, cells, depth,
-                                                   range_m, elevation, n_cols, seed):
+                                                   range_m, elevation, n_cols,
+                                                   workers, seed):
         samp = MaskPlaneSampling(spacing_m=spacing, extent_m=spacing * cells,
                                  plane_depth_m=depth)
         pts = samp.samples
@@ -275,9 +279,13 @@ class TestMirrorFold:
         rng = np.random.default_rng(seed)
         scene = angles_to_points(range_m, np.sort(rng.uniform(-85.0, 85.0, n_cols)),
                                  [elevation])
-        folded = _folded_chunk(pts, n, scene, LAMBDA)
         full = _plane_to_scene_chunk(pts, scene, LAMBDA)
-        assert folded.tobytes() == full.tobytes()
+        for folded, rows in ((True, (n + 1) // 2), (False, n)):
+            # each worker's range of the (half) lattice, twins included
+            block = np.full_like(full, np.nan)
+            for r in _ranges(rows, workers, 1):
+                _fill_rows(block, pts, n, scene, LAMBDA, r, folded)
+            assert block.tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("elevations", [[0.0], [-5.0, 0.0, 5.0]],
                              ids=["flat", "three-elevations"])
@@ -286,8 +294,8 @@ class TestMirrorFold:
     @pytest.mark.parametrize("blades", [1, 2])
     def test_assembly_matches_full_lattice_reference(self, toy_radar, toy_mask,
                                                      toy_rotation, toy_sampling,
-                                                     monkeypatch, elevations,
-                                                     amps, mode, blades):
+                                                     monkeypatch, kernel_blocks,
+                                                     elevations, amps, mode, blades):
         # asymmetric azimuth range in 64-column blocks; with three elevations
         # the blocks [64, 128) and [192, 256) mix elevations and [128, 192)
         # is all 0 deg
@@ -301,14 +309,9 @@ class TestMirrorFold:
             # open-plane terms of the assembly carry a scale factor
             inside, outside = (0.7, 0.2) if mode == "regular-pinhole" else (0.2, 0.7)
             trans = replace(trans, inside_amp=inside, outside_amp=outside)
-        kernel_rows = []
-
-        def spy(plane_pts, scene_pts, wavelength_m):
-            kernel_rows.append(len(plane_pts))
-            return _plane_to_scene_chunk(plane_pts, scene_pts, wavelength_m)
-        monkeypatch.setattr(propagation, "_plane_to_scene_chunk", spy)
         tx, rx = assemble_oneway(toy_radar, grid, mask, toy_rotation, toy_sampling,
                                  ("tx", "rx"), trans)
+        kernel_rows = [rows for _, rows in kernel_blocks.per_block()]
         n = toy_sampling.axis_coords.size
         assert (n + 1) // 2 * n in kernel_rows
         assert (toy_sampling.n_samples in kernel_rows) == (len(elevations) > 1)
@@ -420,6 +423,19 @@ def direct_through_mask(transmission, illum, prop):
     return transmission.outside_amp * (illum @ prop)[None, :] + delta * (fp @ prop)
 
 
+def through_mask(transmission, steps, illum, prop, workers):
+    """The (T, C) rows ``_through_mask`` writes, its row ranges taken in turn."""
+    T = transmission.n_positions
+    open_term, fills = _through_mask(transmission, steps, illum,
+                                     _ranges(T, workers, _RESTART))
+    open_row = open_term(prop)
+    out = np.empty((T, prop.shape[1]), dtype=np.complex128)
+    out[:] = open_row
+    for fill in fills:
+        fill(prop, open_row, out)
+    return out
+
+
 def direct_forward(radar, grid, plane_sampling, transmission, directionality):
     """Reference B from the full-lattice kernel and the direct footprint product."""
     pts = plane_sampling.samples
@@ -490,8 +506,8 @@ class TestRowDifferenceProduct:
     @settings(max_examples=150, deadline=None)
     @given(footprints(), st.sampled_from([(1.0, 0.0), (1.0, 0.25), (0.25, 1.0),
                                           (0.0, 1.0), (1.0, 1.0)]),
-           st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
-    def test_matches_direct_csr_product(self, footprint, amps, n_cols, seed):
+           st.integers(1, 64), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_matches_direct_csr_product(self, footprint, amps, n_cols, workers, seed):
         M, rows = footprint
         T = len(rows)
         trans = MaskTransmission(n_samples=M, inside_amp=amps[0],
@@ -508,7 +524,7 @@ class TestRowDifferenceProduct:
         # cells that stay covered are not stored, not even as zeros
         assert np.array_equal(steps.toarray(), expected)
         assert steps.nnz == np.count_nonzero(expected)
-        got = np.broadcast_to(_through_mask(trans, steps, illum)(prop), (T, n_cols))
+        got = through_mask(trans, steps, illum, prop, workers)
         ref = direct_through_mask(trans, illum, prop)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -557,23 +573,19 @@ class TestSceneBlocks:
                              ids=["flat", "three-elevations"])
     @pytest.mark.parametrize("mode", ["regular-pinhole", "inverse-pinhole"])
     def test_block_width_keeps_the_matrices(self, toy_radar, toy_mask, toy_rotation,
-                                            toy_sampling, monkeypatch, elevations, mode):
+                                            toy_sampling, monkeypatch, kernel_blocks,
+                                            elevations, mode):
         grid = build_scene_grid(2.0, -20.0, 30.0, 0.5, elevations)
         N, M = grid.n_points, toy_sampling.n_samples
         mask = replace(toy_mask, mode=mode, blade_count=2)
         trans = transmission_for(mask, toy_rotation, toy_sampling)
-        widths = []
-
-        def spy(plane_pts, scene_pts, wavelength_m):
-            widths.append(len(scene_pts))
-            return _plane_to_scene_chunk(plane_pts, scene_pts, wavelength_m)
-        monkeypatch.setattr(propagation, "_plane_to_scene_chunk", spy)
         results = {}
         for w in (1, 5, 16, N):
             monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES", 16 * M * w)
-            widths.clear()
+            kernel_blocks.calls.clear()
             results[w] = assemble_oneway(toy_radar, grid, mask, toy_rotation,
                                          toy_sampling, ("tx", "rx"), trans)
+            widths = [width for width, _ in kernel_blocks.per_block()]
             assert widths == [w] * (N // w) + [N % w] * (N % w > 0)
         for w, matrices in results.items():
             for got, ref in zip(matrices, results[N]):
@@ -586,6 +598,98 @@ class TestSceneBlocks:
                     # one-column block goes to a dot product) and the BLAS
                     # thread split, so every width keeps the 1e-12 bound
                     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestWorkers:
+    """Kernel rows and footprint rows are split across worker threads; the
+    split leaves every bit of the matrices as it is."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
+    def test_worker_count_follows_the_affinity(self):
+        assert propagation._worker_count() == len(os.sched_getaffinity(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 500), st.integers(1, 8), st.sampled_from([1, 3, _RESTART]))
+    def test_ranges_cover_the_rows_at_unit_cuts(self, count, parts, unit):
+        ranges = _ranges(count, parts, unit)
+        assert 1 <= len(ranges) <= parts
+        assert ranges[0][0] == 0 and ranges[-1][1] == count
+        for (_, stop), (start, _) in zip(ranges, ranges[1:]):
+            assert stop == start and start % unit == 0
+        lengths = [stop - start for start, stop in ranges]
+        assert max(lengths) - min(lengths) <= unit
+
+    @pytest.mark.parametrize("elevations", [[0.0], [-5.0, 0.0, 5.0]],
+                             ids=["flat", "three-elevations"])
+    @pytest.mark.parametrize("blades", [1, 2])
+    @pytest.mark.parametrize("mode", ["regular-pinhole", "inverse-pinhole"])
+    @pytest.mark.parametrize("ends", [("rx",), ("tx", "rx")],
+                             ids=["unidirectional", "bidirectional"])
+    def test_worker_count_keeps_the_bits(self, toy_radar, toy_mask, toy_sampling,
+                                         monkeypatch, elevations, blades, mode, ends):
+        # 130 positions leave a 30-row tail after the last restart; 16-column
+        # blocks, and with three elevations some are folded and some not
+        monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES",
+                            16 * 16 * toy_sampling.n_samples)
+        grid = build_scene_grid(2.0, -20.0, 30.0, 1.0, elevations)
+        rot = RotationSampling(130)
+        mask = replace(toy_mask, mode=mode, blade_count=blades, attenuation_db=20.0)
+        trans = transmission_for(mask, rot, toy_sampling)
+        results = []
+        threads = set(threading.enumerate())
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(propagation, "_worker_count", lambda: workers)
+            results.append(assemble_oneway(toy_radar, grid, mask, rot, toy_sampling,
+                                           ends, trans))
+            assert set(threading.enumerate()) == threads
+        for matrices in results[1:]:
+            for got, ref in zip(matrices, results[0]):
+                assert np.array_equal(got, ref)
+
+    def test_more_workers_than_cores_with_a_short_switch_interval(
+            self, toy_radar, toy_mask, toy_rotation, toy_sampling, monkeypatch):
+        # workers share the block and the outputs, each writing its own rows;
+        # frequent thread switches would expose a range written twice or not
+        # at all
+        monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES",
+                            16 * 16 * toy_sampling.n_samples)
+        grid = build_scene_grid(2.0, -20.0, 30.0, 1.0, [-5.0, 0.0, 5.0])
+        mask = replace(toy_mask, blade_count=2, attenuation_db=20.0)
+        trans = transmission_for(mask, toy_rotation, toy_sampling)
+        args = (toy_radar, grid, mask, toy_rotation, toy_sampling, ("tx", "rx"), trans)
+        monkeypatch.setattr(propagation, "_worker_count", lambda: 1)
+        ref = assemble_oneway(*args)
+        monkeypatch.setattr(propagation, "_worker_count", lambda: 4 * os.cpu_count())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = assemble_oneway(*args)
+        finally:
+            sys.setswitchinterval(interval)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("elevation", [-90.0, 90.0])
+    def test_singular_point_reported_at_every_worker_count(self, monkeypatch,
+                                                           workers, elevation):
+        # the quarter-metre lattice of TestMirrorFold: (0, +-0.25, z) sits on a
+        # cell; azimuth 120 deg at elevation 0 puts a point in front of the
+        # plane as well, and the lattice cell is what is reported
+        monkeypatch.setattr(propagation, "_worker_count", lambda: workers)
+        z = angles_to_points(0.25, [0.0], [elevation])[0, 2]
+        mask = MaskGeometry(blade_length_m=0.3, blade_width_m=0.1,
+                            plane_depth_m=z, axis_offset_m=0.1)
+        radar = default_radar_config(mask, wavelength_m=0.5)
+        samp = MaskPlaneSampling(spacing_m=0.25, extent_m=0.4, plane_depth_m=z)
+        grid = build_scene_grid(0.25, 0.0, 120.0, 120.0, sorted([elevation, 0.0]))
+        assert np.min(grid.points[:, 2]) < z
+        rot = RotationSampling(4)
+        threads = set(threading.enumerate())
+        with pytest.raises(SingularityError, match="coincides"):
+            assemble_oneway(radar, grid, mask, rot, samp, ("tx", "rx"),
+                            transmission_for(mask, rot, samp))
+        assert set(threading.enumerate()) == threads  # no worker outlives the call
 
 
 class TestWorkingSet:

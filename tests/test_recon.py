@@ -55,6 +55,15 @@ class TestFactorize:
         assert np.abs(gram_u - np.eye(gram_u.shape[0])).max() < 1e-6
         assert np.abs(gram_v - np.eye(gram_v.shape[0])).max() < 1e-6
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_b_rejected(self, bad):
+        # B is checked at construction, but its array stays writable; the SVD
+        # itself skips the check, so factorize's own scan is the only one
+        model = _random_model()
+        model.B[2, 3] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            factorize(model)
+
 
 class TestReconstruct:
     def test_exact_inversion_of_impulse(self):
