@@ -20,8 +20,7 @@ from .errors import EstimationError, NumericError, ParameterError, ShapeError
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid)
 from .mask import MaskTransmission, transmission_for
-from .propagation import (AntennaPattern, _antenna_to_plane, _radar_pattern,
-                          assemble_oneway)
+from .propagation import _antenna_to_plane, assemble_oneway
 
 DEFAULT_ROTATION_RPM = 600.0
 CAL_NULL_REL_THRESHOLD = 0.5
@@ -47,31 +46,25 @@ def _transmission_digest(transmission: MaskTransmission) -> str:
     return h.hexdigest()
 
 
-def _pattern_digest(radar: RadarConfig, plane_sampling: MaskPlaneSampling,
-                    pattern: AntennaPattern) -> str:
+def _pattern_digest(radar: RadarConfig, plane_sampling: MaskPlaneSampling) -> str:
     """Digest of each antenna's illumination of the mask cells.
 
-    The pattern enters ``B`` only through this illumination, so the digest
-    covers cosine-power and custom shapes alike.
+    The antenna pattern enters ``B`` only through this illumination.
     """
     h = hashlib.sha256()
     for antenna in (radar.tx, radar.rx):
-        h.update(_antenna_to_plane(radar, antenna, plane_sampling.samples, pattern).tobytes())
+        h.update(_antenna_to_plane(radar, antenna, plane_sampling.samples).tobytes())
     return h.hexdigest()
 
 
 def config_fingerprint(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                        rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
-                       directionality: str, transmission: MaskTransmission,
-                       pattern: Optional[AntennaPattern] = None) -> str:
+                       directionality: str, transmission: MaskTransmission) -> str:
     """Stable hex digest of every input that shapes the sensing matrix.
 
-    ``pattern`` defaults as in :func:`build_forward`; the transmission and
-    the pattern enter through their content, so passing the default pattern
-    explicitly gives the same digest as ``None``.
+    The transmission and each antenna's illumination of the mask cells
+    enter through their content.
     """
-    if pattern is None:
-        pattern = _radar_pattern(radar)
     h = hashlib.sha256()
     parts = [
         repr(radar.wavelength_m), repr(radar.tx_position), repr(radar.rx_position),
@@ -85,7 +78,7 @@ def config_fingerprint(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         repr(plane_sampling.plane_depth_m),
         directionality,
         _transmission_digest(transmission),
-        _pattern_digest(radar, plane_sampling, pattern),
+        _pattern_digest(radar, plane_sampling),
     ]
     h.update("|".join(parts).encode())
     return h.hexdigest()[:16]
@@ -123,8 +116,7 @@ class ForwardModel:
 def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                   rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
                   directionality: str = "bidirectional",
-                  transmission: Optional[MaskTransmission] = None,
-                  pattern: Optional[AntennaPattern] = None) -> ForwardModel:
+                  transmission: Optional[MaskTransmission] = None) -> ForwardModel:
     """Assemble the sensing matrix for the configured mask mode.
 
     A custom transmission map overrides the mask mode when supplied (used
@@ -136,13 +128,13 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         transmission = transmission_for(mask, rotation, plane_sampling)
     if directionality == "unidirectional":
         B, = assemble_oneway(radar, grid, mask, rotation, plane_sampling, ("rx",),
-                             transmission, pattern=pattern)
+                             transmission)
     else:
         tx, rx = assemble_oneway(radar, grid, mask, rotation, plane_sampling,
-                                 ("tx", "rx"), transmission, pattern=pattern)
+                                 ("tx", "rx"), transmission)
         B = tx * rx
     fp = config_fingerprint(radar, grid, mask, rotation, plane_sampling, directionality,
-                            transmission, pattern)
+                            transmission)
     return ForwardModel(B=B, fingerprint=fp, directionality=directionality, grid=grid)
 
 

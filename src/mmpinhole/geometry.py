@@ -344,6 +344,8 @@ class RotationSampling:
             angles = np.asarray(self.angles_rad, dtype=float)
             if angles.size != self.positions_per_rotation:
                 raise ParameterError("angles_rad length must equal positions_per_rotation")
+            if not np.all(np.isfinite(angles)):
+                raise ParameterError("angles_rad must be finite")
         object.__setattr__(self, "angles_rad", angles)
 
     @classmethod

@@ -6,6 +6,11 @@ and the obliquity cosine toward the destination.  Assembled matrices have
 one row per rotation position and one column per scene point, with the
 time-variant mask transmission folded into each row.
 
+The antenna has one amplitude pattern, :func:`pattern_weight`: separable
+cosine-power factors fitted to the radar's half-power azimuth and elevation
+FoV.  It enters the matrices only through the illumination of the mask
+cells.
+
 The plane-to-scene kernel does not depend on the antenna; only the
 illumination of the mask plane does.  ``assemble_oneway`` therefore takes
 a tuple of antenna ends and evaluates each kernel block once for all of
@@ -64,8 +69,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -98,64 +102,55 @@ def _spherical(d, wavelength_m: float, singular_msg: str):
     return out
 
 
-def _cos_power_for_half_power(half_power_deg: float) -> float:
-    """Exponent p so that cos(angle)^p hits amplitude 2^-1/2 at the edge."""
+def _cos_power(angle_deg, half_power_deg: float):
+    """cos(angle)^p clipped at 0, with p so that it is 2^-1/2 at the half-power angle."""
     c = math.cos(math.radians(half_power_deg))
     if not 0.0 < c < 1.0:
         raise ParameterError(f"half-power angle {half_power_deg!r} deg is too "
                              "close to 0 or 90 for a cosine-power fit")
-    return 0.5 * math.log(2.0) / (-math.log(c))
+    power = 0.5 * math.log(2.0) / (-math.log(c))
+    return np.clip(np.cos(np.radians(angle_deg)), 0.0, None) ** power
 
 
 @dataclass(frozen=True)
 class AntennaPattern:
-    """Separable direction-dependent amplitude weight of the antenna.
+    """The half-power FoV half-angles that :func:`pattern_weight` reads.
 
-    ``azimuth_shape`` and ``elevation_shape`` map an angle in degrees to an
-    amplitude in [0, 1] with value 1 at boresight.  The default
-    parameterization is cosine-power shapes fitted to half-power beamwidths.
+    Every caller in the package passes its :class:`RadarConfig`, which holds
+    the same two fields.  This class remains because ``bench/oracle.py``
+    builds its reference illumination with :meth:`from_half_power`.
     """
 
-    azimuth_shape: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    elevation_shape: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    azimuth_fov_deg: float
+    elevation_fov_deg: float
 
     @classmethod
     def from_half_power(cls, azimuth_deg: float, elevation_deg: float) -> "AntennaPattern":
-        p_az = _cos_power_for_half_power(azimuth_deg)
-        p_el = _cos_power_for_half_power(elevation_deg)
-
-        def shape(power):
-            def f(angle_deg):
-                a = np.radians(np.asarray(angle_deg, dtype=float))
-                c = np.clip(np.cos(a), 0.0, None)
-                return c ** power
-            return f
-
-        return cls(azimuth_shape=shape(p_az), elevation_shape=shape(p_el))
+        return cls(azimuth_deg, elevation_deg)
 
 
-def _radar_pattern(radar: RadarConfig) -> AntennaPattern:
-    """The radar's cosine-power pattern, fitted to its half-power FoV."""
-    return AntennaPattern.from_half_power(radar.azimuth_fov_deg, radar.elevation_fov_deg)
+def pattern_weight(radar: RadarConfig, direction) -> np.ndarray:
+    """Amplitude weight of the radar's antenna along unit direction(s).
 
-
-def pattern_weight(pattern: AntennaPattern, direction) -> np.ndarray:
-    """Amplitude weight of the pattern along unit direction(s)."""
+    The weight is the product of a cosine-power azimuth factor and a
+    cosine-power elevation factor, each fitted to the radar's half-power
+    FoV half-angle (``azimuth_fov_deg``, ``elevation_fov_deg``).
+    """
     v = np.asarray(direction, dtype=float)
     az = np.degrees(np.arctan2(v[..., 0], v[..., 2]))
     el = np.degrees(np.arctan2(v[..., 1], np.hypot(v[..., 0], v[..., 2])))
-    w = pattern.azimuth_shape(az) * pattern.elevation_shape(el)
+    w = _cos_power(az, radar.azimuth_fov_deg) * _cos_power(el, radar.elevation_fov_deg)
     if np.ndim(w) == 0:
         return float(w)
     return w
 
 
-def _antenna_to_plane(radar: RadarConfig, antenna_pos, plane_pts, pattern):
+def _antenna_to_plane(radar: RadarConfig, antenna_pos, plane_pts):
     """Per-cell illumination: pattern * spherical wave from the antenna to each cell."""
     diff = plane_pts - antenna_pos[None, :]
     d = np.linalg.norm(diff, axis=1)
     g = _spherical(d, radar.wavelength_m, "antenna lies on the mask plane sample lattice")
-    w = pattern_weight(pattern, diff / d[:, None])
+    w = pattern_weight(radar, diff / d[:, None])
     return w * g
 
 
@@ -275,8 +270,7 @@ def _wait(futures):
 
 def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                     rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
-                    ends, transmission,
-                    pattern: Optional[AntennaPattern] = None):
+                    ends, transmission):
     """One-way propagation matrices through the time-variant mask.
 
     Entry (t, j) integrates antenna illumination, per-position transmission
@@ -321,13 +315,11 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     if not math.isfinite(12.0 * reach * reach):
         raise ParameterError(f"coordinates up to {reach!r} m overflow the squared "
                              "distances of the propagation kernel")
-    if pattern is None:
-        pattern = _radar_pattern(radar)
     workers = _worker_count()
     steps = _footprint_steps(transmission.footprint_indices, M)
     row_ranges = _ranges(T, workers, _RESTART)
     through = [_through_mask(transmission, steps, _antenna_to_plane(
-                   radar, radar.tx if end == "tx" else radar.rx, plane_pts, pattern),
+                   radar, radar.tx if end == "tx" else radar.rx, plane_pts),
                    row_ranges)
                for end in ends]
     n = plane_sampling.axis_coords.size

