@@ -36,7 +36,6 @@ from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid, build_scene_grid,
                        default_plane_sampling, default_radar_config)
 from .mask import transmission_for
-from .propagation import assemble_oneway
 from .recon import (ImageResult, ReconConfig, factorize, image_to_csv,
                     image_to_pgm, reconstruct)
 
@@ -419,12 +418,11 @@ def cmd_reconstruct(cfg: ExperimentConfig, out: str, measurements_path,
 def cmd_analyze(cfg: ExperimentConfig, out: str, subcommand) -> dict:
     ana = cfg.analysis
     if subcommand == "svd":
-        # the unidirectional model is the rx end of the bidirectional one
+        # the unidirectional model is the kept rx end of the bidirectional pass
         transmission = transmission_for(cfg.mask, cfg.rotation, cfg.sampling)
-        tx, rx = assemble_oneway(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
-                                 cfg.sampling, ("tx", "rx"), transmission)
-        s_bi = svdvals(tx * rx)
-        s_uni = svdvals(rx)
+        s_bi, s_uni = (svdvals(build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
+                                             cfg.sampling, d, transmission).B)
+                       for d in ("bidirectional", "unidirectional"))
         container.write_csv(os.path.join(out, "svd.csv"),
                             [("index", "sigma_bidirectional", "sigma_unidirectional"),
                              *((i, a, b) for i, (a, b) in enumerate(zip(s_bi, s_uni)))])

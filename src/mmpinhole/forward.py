@@ -4,6 +4,15 @@ The bidirectional model multiplies the Tx-side and Rx-side one-way matrices
 entrywise: the wave crosses the rotating mask once on the way out and once
 on the way back.  The unidirectional baseline keeps only the receive-side
 matrix.
+
+:func:`build_forward` keeps the last geometry it assembled in memory: the
+bidirectional ``B`` and the rx end (2 * 16 * T * N bytes).  Another call on
+the same inputs returns them without assembling, and a unidirectional call
+after a bidirectional one returns the rx end of that pass, which carries
+the same bits as a pass over the rx end alone.  The returned ``B`` is
+read-only.  A call on other inputs drops the kept models before it
+assembles.  Separate processes share nothing, so ``reconstruct`` in its
+own process still reads the ``model.bin`` that ``simulate`` wrote.
 """
 
 from __future__ import annotations
@@ -57,15 +66,15 @@ def _pattern_digest(radar: RadarConfig, plane_sampling: MaskPlaneSampling) -> st
     return h.hexdigest()
 
 
-def config_fingerprint(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
-                       rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
-                       directionality: str, transmission: MaskTransmission) -> str:
-    """Stable hex digest of every input that shapes the sensing matrix.
+def _geometry_key(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
+                  rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
+                  transmission: MaskTransmission) -> tuple:
+    """Every input that shapes the sensing matrix but its directionality.
 
-    The transmission and each antenna's illumination of the mask cells
-    enter through their content.
+    The fields as text and the transmission's digest; the antenna pattern
+    follows from radar and lattice fields among them.  Nothing here is
+    computed in floating point, so no input can overflow it.
     """
-    h = hashlib.sha256()
     parts = [
         repr(radar.wavelength_m), repr(radar.tx_position), repr(radar.rx_position),
         repr(radar.azimuth_fov_deg), repr(radar.elevation_fov_deg),
@@ -76,12 +85,29 @@ def config_fingerprint(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         repr(rotation.angles_rad.tolist()),
         repr(plane_sampling.spacing_m), repr(plane_sampling.extent_m),
         repr(plane_sampling.plane_depth_m),
-        directionality,
-        _transmission_digest(transmission),
-        _pattern_digest(radar, plane_sampling),
     ]
-    h.update("|".join(parts).encode())
-    return h.hexdigest()[:16]
+    return "|".join(parts), _transmission_digest(transmission)
+
+
+def _fingerprints(key: tuple, radar: RadarConfig,
+                  plane_sampling: MaskPlaneSampling) -> dict:
+    """{directionality: fingerprint} of the inputs that ``key`` names."""
+    fields, transmission = key
+    pattern = _pattern_digest(radar, plane_sampling)
+    return {d: hashlib.sha256(f"{fields}|{d}|{transmission}|{pattern}".encode())
+            .hexdigest()[:16] for d in ("unidirectional", "bidirectional")}
+
+
+def config_fingerprint(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
+                       rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
+                       directionality: str, transmission: MaskTransmission) -> str:
+    """Stable hex digest of every input that shapes the sensing matrix.
+
+    The transmission and each antenna's illumination of the mask cells
+    enter through their content.
+    """
+    key = _geometry_key(radar, grid, mask, rotation, plane_sampling, transmission)
+    return _fingerprints(key, radar, plane_sampling)[directionality]
 
 
 @dataclass(frozen=True)
@@ -113,6 +139,12 @@ class ForwardModel:
         return self.B.shape[1]
 
 
+# The last geometry build_forward assembled: (key, fingerprints, bidirectional
+# B or None, rx end).  One tuple, replaced by one assignment, so a caller on
+# another thread never pairs one key with another geometry's arrays.
+_memo = None
+
+
 def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                   rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
                   directionality: str = "bidirectional",
@@ -120,22 +152,37 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     """Assemble the sensing matrix for the configured mask mode.
 
     A custom transmission map overrides the mask mode when supplied (used
-    for background/open references and synthetic studies).
+    for background/open references and synthetic studies).  The models of
+    the last geometry are kept, so the same call again assembles nothing
+    (see the module docstring); ``B`` is read-only.
     """
+    global _memo
     if directionality not in ("unidirectional", "bidirectional"):
         raise ParameterError("directionality must be 'unidirectional' or 'bidirectional'")
     if transmission is None:
         transmission = transmission_for(mask, rotation, plane_sampling)
-    if directionality == "unidirectional":
-        B, = assemble_oneway(radar, grid, mask, rotation, plane_sampling, ("rx",),
-                             transmission)
-    else:
-        tx, rx = assemble_oneway(radar, grid, mask, rotation, plane_sampling,
-                                 ("tx", "rx"), transmission)
-        B = tx * rx
-    fp = config_fingerprint(radar, grid, mask, rotation, plane_sampling, directionality,
-                            transmission)
-    return ForwardModel(B=B, fingerprint=fp, directionality=directionality, grid=grid)
+    key = _geometry_key(radar, grid, mask, rotation, plane_sampling, transmission)
+    memo = _memo
+    if memo is None or memo[0] != key or (directionality == "bidirectional"
+                                          and memo[2] is None):
+        # drop the old models first: two geometries are never held at once
+        _memo = memo = None
+        if directionality == "unidirectional":
+            bi = None
+            rx, = assemble_oneway(radar, grid, mask, rotation, plane_sampling, ("rx",),
+                                  transmission)
+        else:
+            tx, rx = assemble_oneway(radar, grid, mask, rotation, plane_sampling,
+                                     ("tx", "rx"), transmission)
+            bi = tx * rx
+            del tx
+            bi.flags.writeable = False
+        rx.flags.writeable = False
+        memo = _memo = (key, _fingerprints(key, radar, plane_sampling), bi, rx)
+    _, fingerprints, bi, rx = memo
+    return ForwardModel(B=bi if directionality == "bidirectional" else rx,
+                        fingerprint=fingerprints[directionality],
+                        directionality=directionality, grid=grid)
 
 
 @dataclass(frozen=True)

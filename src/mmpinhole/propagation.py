@@ -33,7 +33,9 @@ so ``taskset`` limits it).  Only one block is in flight.  The workers first
 evaluate the kernel on ranges of lattice rows, ``_KERNEL_TASKS`` ranges per
 worker, and then take the footprint product one (end, row range) at a
 time, the row ranges cut at multiples of ``_RESTART``.  The open term stays
-one BLAS product per end and block on the calling thread.  Every entry
+one BLAS product per end and block on the calling thread; where the mask is
+opaque outside the footprint (``outside_amp == 0``, the ideal regular
+pinhole) it is exact zeros and no product is taken.  Every entry
 sees the same IEEE operations in the same order whatever W is, so ``B``
 does not depend on the worker count; like the open term, it does depend
 on the BLAS thread count.
@@ -227,6 +229,9 @@ def _through_mask(transmission, steps, illum, ranges):
     delta = transmission.inside_amp - transmission.outside_amp
 
     def open_term(prop):
+        # an opaque outside (the ideal regular pinhole) adds exact zeros
+        if transmission.outside_amp == 0.0:
+            return 0.0
         return transmission.outside_amp * (illum @ prop)
 
     def part(start, stop):

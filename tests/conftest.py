@@ -74,3 +74,14 @@ def kernel_blocks(monkeypatch):
     blocks = KernelBlocks(propagation)
     monkeypatch.setattr(propagation, "_plane_to_scene_chunk", blocks.spy)
     return blocks
+
+
+@pytest.fixture(autouse=True)
+def no_kept_model(monkeypatch):
+    """Start every test with no model kept by ``build_forward``.
+
+    A model kept from an earlier test would skip the assembly that kernel
+    spies and patched antenna patterns rely on.
+    """
+    from mmpinhole import forward
+    monkeypatch.setattr(forward, "_memo", None)

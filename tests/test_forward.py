@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from mmpinhole import (MaskGeometry, MaskPlaneSampling, MaskTransmission,
                        build_forward, build_scene_grid, config_fingerprint,
                        default_radar_config, estimate_blade_phase,
                        noise_from_snr, sample_interval_s, simulate)
-from mmpinhole import propagation
+from mmpinhole import forward, propagation
 from mmpinhole.errors import (EstimationError, NumericError, ParameterError,
                               ShapeError)
 from mmpinhole.mask import open_mask, transmission_for
@@ -24,6 +25,73 @@ TOY_WAVELENGTH = 0.04
 def toy_model(toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling):
     return build_forward(toy_radar, toy_grid, toy_mask, toy_rotation,
                          toy_sampling, "bidirectional")
+
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """The ``ends`` of every assembly that ``build_forward`` runs.
+
+    Each assembly must start with no model kept: the old one is dropped first.
+    """
+    calls = []
+
+    def spy(*args):
+        assert forward._memo is None
+        calls.append(args[5])
+        return assemble_oneway(*args)
+    monkeypatch.setattr(forward, "assemble_oneway", spy)
+    return calls
+
+
+class TestModelMemo:
+    def test_same_call_assembles_once(self, toy_radar, toy_grid, toy_mask,
+                                      toy_rotation, toy_sampling, assemblies):
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)
+        first, second = (build_forward(*args) for _ in range(2))
+        assert assemblies == [("tx", "rx")]
+        forward._memo = None
+        fresh = build_forward(*args)
+        assert len(assemblies) == 2
+        for model in (second, fresh):
+            assert np.array_equal(model.B, first.B)
+            assert model.fingerprint == first.fingerprint
+
+    def test_unidirectional_is_the_kept_rx_end(self, toy_radar, toy_grid, toy_mask,
+                                               toy_rotation, toy_sampling, assemblies):
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)
+        bi = build_forward(*args, "bidirectional")
+        uni = build_forward(*args, "unidirectional")
+        assert assemblies == [("tx", "rx")]
+        trans = transmission_for(toy_mask, toy_rotation, toy_sampling)
+        rx, = assemble_oneway(*args, ("rx",), trans)
+        assert np.array_equal(uni.B, rx)
+        assert uni.fingerprint == config_fingerprint(*args, "unidirectional", trans)
+        # an rx end alone holds no bidirectional B: it is assembled again
+        forward._memo = None
+        assert np.array_equal(build_forward(*args, "unidirectional").B, rx)
+        assert np.array_equal(build_forward(*args, "bidirectional").B, bi.B)
+        assert assemblies == [("tx", "rx"), ("rx",), ("tx", "rx")]
+
+    def test_other_geometry_frees_the_kept_models(self, toy_radar, toy_grid, toy_mask,
+                                                  toy_rotation, toy_sampling):
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)
+        refs = [weakref.ref(build_forward(*args, d).B)
+                for d in ("bidirectional", "unidirectional")]
+        assert all(ref() is not None for ref in refs)
+        narrow = replace(toy_mask, blade_width_m=toy_mask.blade_width_m * 0.5)
+        model = build_forward(toy_radar, toy_grid, narrow, toy_rotation, toy_sampling)
+        assert [ref() for ref in refs] == [None, None]
+        assert forward._memo[2] is model.B
+
+    @pytest.mark.parametrize("directionality", ["bidirectional", "unidirectional"])
+    def test_returned_b_is_read_only(self, toy_radar, toy_grid, toy_mask, toy_rotation,
+                                     toy_sampling, directionality):
+        model = build_forward(toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling,
+                              directionality)
+        with pytest.raises(ValueError):
+            model.B[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            model.B *= 2.0
 
 
 class TestBuildForward:
@@ -104,15 +172,29 @@ class TestBuildForward:
         assert np.abs(err).max() < 1e-9
 
     def test_fingerprint_tracks_inputs(self, toy_radar, toy_grid, toy_mask,
-                                       toy_rotation, toy_sampling):
+                                       toy_rotation, toy_sampling, assemblies):
+        # a narrower blade, so that the lattice still covers it
+        masks = (toy_mask, toy_mask,
+                 replace(toy_mask, blade_width_m=toy_mask.blade_width_m * 0.5))
         fp1, fp2, fp3 = (
             config_fingerprint(toy_radar, toy_grid, mask, toy_rotation, toy_sampling,
                                "bidirectional",
                                transmission_for(mask, toy_rotation, toy_sampling))
-            for mask in (toy_mask, toy_mask,
-                         replace(toy_mask, blade_width_m=toy_mask.blade_width_m * 1.5)))
+            for mask in masks)
         assert fp1 == fp2 and len(fp1) == 16
         assert fp3 != fp1
+        # the kept model serves the same inputs only: the second mask hits; the
+        # first mask with one footprint cell less misses, and so does the third
+        trans = transmission_for(toy_mask, toy_rotation, toy_sampling)
+        rows = list(trans.footprint_indices)
+        t = next(i for i, row in enumerate(rows) if row.size)
+        rows[t] = rows[t][1:]
+        for mask, transmission in [(masks[0], None), (masks[1], None),
+                                   (toy_mask, replace(trans, footprint_indices=rows)),
+                                   (masks[2], None)]:
+            build_forward(toy_radar, toy_grid, mask, toy_rotation, toy_sampling,
+                          transmission=transmission)
+        assert assemblies == [("tx", "rx")] * 3
 
     def test_fingerprint_covers_transmission_and_pattern(
             self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling):
