@@ -222,10 +222,8 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
     rows: List[SweepRow] = []
     skipped = []
     for value in values:
-        field_value = int(value) if parameter == "blades" else value
-        kwargs = {_SWEEP_FIELDS[parameter]: field_value}
         try:
-            mask = replace(base_mask, **kwargs)
+            mask = replace(base_mask, **{_SWEEP_FIELDS[parameter]: value})
         except ParameterError as exc:
             logger.warning("skipping %s=%s: %s", parameter, value, exc)
             skipped.append(value)

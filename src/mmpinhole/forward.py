@@ -13,6 +13,10 @@ the same bits as a pass over the rx end alone.  The returned ``B`` is
 read-only.  A call on other inputs drops the kept models before it
 assembles.  Separate processes share nothing, so ``reconstruct`` in its
 own process still reads the ``model.bin`` that ``simulate`` wrote.
+
+A model's fingerprint hashes the config fields, the transmission's content
+and :data:`MODEL_EPOCH`, which a change that moves ``B`` with no input
+changed must bump; a canary test pins ``B``'s sha256 on a toy geometry.
 """
 
 from __future__ import annotations
@@ -29,10 +33,13 @@ from .errors import EstimationError, NumericError, ParameterError, ShapeError
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid)
 from .mask import MaskTransmission, transmission_for
-from .propagation import _antenna_to_plane, assemble_oneway
+from .propagation import _check_transmission_shape, assemble_oneway
 
 DEFAULT_ROTATION_RPM = 600.0
 CAL_NULL_REL_THRESHOLD = 0.5
+# Hashed into every fingerprint: bump it when a change moves B's bits with no
+# input changed (the canary in tests/test_forward.py fails until then).
+MODEL_EPOCH = 1
 
 
 def sample_interval_s(rpm: float, positions_per_rotation: int) -> float:
@@ -44,25 +51,12 @@ def sample_interval_s(rpm: float, positions_per_rotation: int) -> float:
 
 def _transmission_digest(transmission: MaskTransmission) -> str:
     """Digest of the transmission's amplitudes and footprint rows."""
-    h = hashlib.sha256()
-    h.update(repr((transmission.n_positions, transmission.n_samples)).encode())
+    h = hashlib.sha256(repr((transmission.inside_amp, transmission.outside_amp)).encode())
     rows = transmission.footprint_indices
-    h.update(repr((transmission.inside_amp, transmission.outside_amp)).encode())
     h.update(np.array([row.size for row in rows], dtype=np.int64).tobytes())
     # row by row: the same bytes as the concatenated rows, without the copy
     for row in rows:
         h.update(row.astype(np.int64, copy=False).tobytes())
-    return h.hexdigest()
-
-
-def _pattern_digest(radar: RadarConfig, plane_sampling: MaskPlaneSampling) -> str:
-    """Digest of each antenna's illumination of the mask cells.
-
-    The antenna pattern enters ``B`` only through this illumination.
-    """
-    h = hashlib.sha256()
-    for antenna in (radar.tx, radar.rx):
-        h.update(_antenna_to_plane(radar, antenna, plane_sampling.samples).tobytes())
     return h.hexdigest()
 
 
@@ -73,8 +67,10 @@ def _geometry_key(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
 
     The fields as text and the transmission's digest; the antenna pattern
     follows from radar and lattice fields among them.  Nothing here is
-    computed in floating point, so no input can overflow it.
+    computed in floating point, so no input can overflow it.  A transmission of
+    the wrong shape raises ``ShapeError``, as assembly would.
     """
+    _check_transmission_shape(transmission, rotation, plane_sampling)
     parts = [
         repr(radar.wavelength_m), repr(radar.tx_position), repr(radar.rx_position),
         repr(radar.azimuth_fov_deg), repr(radar.elevation_fov_deg),
@@ -89,13 +85,11 @@ def _geometry_key(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     return "|".join(parts), _transmission_digest(transmission)
 
 
-def _fingerprints(key: tuple, radar: RadarConfig,
-                  plane_sampling: MaskPlaneSampling) -> dict:
-    """{directionality: fingerprint} of the inputs that ``key`` names."""
+def _fingerprint(key: tuple, directionality: str) -> str:
+    """Fingerprint of the model that ``key`` and ``directionality`` name."""
     fields, transmission = key
-    pattern = _pattern_digest(radar, plane_sampling)
-    return {d: hashlib.sha256(f"{fields}|{d}|{transmission}|{pattern}".encode())
-            .hexdigest()[:16] for d in ("unidirectional", "bidirectional")}
+    text = f"{MODEL_EPOCH}|{fields}|{directionality}|{transmission}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def config_fingerprint(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
@@ -103,11 +97,11 @@ def config_fingerprint(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                        directionality: str, transmission: MaskTransmission) -> str:
     """Stable hex digest of every input that shapes the sensing matrix.
 
-    The transmission and each antenna's illumination of the mask cells
-    enter through their content.
+    It hashes the config fields, the transmission's content and
+    :data:`MODEL_EPOCH`, the version of the code that turns them into ``B``.
     """
     key = _geometry_key(radar, grid, mask, rotation, plane_sampling, transmission)
-    return _fingerprints(key, radar, plane_sampling)[directionality]
+    return _fingerprint(key, directionality)
 
 
 @dataclass(frozen=True)
@@ -139,9 +133,8 @@ class ForwardModel:
         return self.B.shape[1]
 
 
-# The last geometry build_forward assembled: (key, fingerprints, bidirectional
-# B or None, rx end).  One tuple, replaced by one assignment, so a caller on
-# another thread never pairs one key with another geometry's arrays.
+# The last geometry assembled: (key, bidirectional B or None, rx end), one tuple
+# replaced by one assignment, so no thread pairs a key with another's arrays.
 _memo = None
 
 
@@ -164,7 +157,7 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     key = _geometry_key(radar, grid, mask, rotation, plane_sampling, transmission)
     memo = _memo
     if memo is None or memo[0] != key or (directionality == "bidirectional"
-                                          and memo[2] is None):
+                                          and memo[1] is None):
         # drop the old models first: two geometries are never held at once
         _memo = memo = None
         if directionality == "unidirectional":
@@ -178,10 +171,10 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
             del tx
             bi.flags.writeable = False
         rx.flags.writeable = False
-        memo = _memo = (key, _fingerprints(key, radar, plane_sampling), bi, rx)
-    _, fingerprints, bi, rx = memo
+        memo = _memo = (key, bi, rx)
+    _, bi, rx = memo
     return ForwardModel(B=bi if directionality == "bidirectional" else rx,
-                        fingerprint=fingerprints[directionality],
+                        fingerprint=_fingerprint(key, directionality),
                         directionality=directionality, grid=grid)
 
 

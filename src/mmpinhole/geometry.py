@@ -200,9 +200,12 @@ class MaskGeometry:
     mode: str = "inverse-pinhole"
 
     def __post_init__(self):
-        if self.blade_count not in (1, 2):
-            raise UnsupportedConfigurationError(
-                f"blade_count={self.blade_count} unsupported (1 or 2 blades)")
+        count = self.blade_count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ParameterError(f"blade_count={count!r} must be an integer")
+        object.__setattr__(self, "blade_count", int(count))
+        if count not in (1, 2):
+            raise UnsupportedConfigurationError(f"blade_count={count} unsupported (1 or 2 blades)")
         if not math.inf > self.blade_length_m > self.blade_width_m / 2.0 > 0.0:
             raise ParameterError("need a finite blade_length_m > blade_width_m/2 > 0")
         if not 0.0 < self.plane_depth_m < math.inf:

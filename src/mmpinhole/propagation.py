@@ -273,6 +273,14 @@ def _wait(futures):
             raise error
 
 
+def _check_transmission_shape(transmission, rotation, plane_sampling) -> None:
+    """``ShapeError`` unless one row per rotation position, one column per cell."""
+    shape = (transmission.n_positions, transmission.n_samples)
+    expected = (rotation.count, plane_sampling.n_samples)
+    if shape != expected:
+        raise ShapeError("transmission is {}x{}, expected {}x{}".format(*shape, *expected))
+
+
 def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                     rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
                     ends, transmission):
@@ -308,10 +316,7 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     M = plane_pts.shape[0]
     T = rotation.count
     N = grid.n_points
-    if transmission.n_positions != T or transmission.n_samples != M:
-        raise ShapeError(
-            f"transmission is {transmission.n_positions}x{transmission.n_samples}, "
-            f"expected {T}x{M}")
+    _check_transmission_shape(transmission, rotation, plane_sampling)
 
     # squared distances between points within ``reach`` of the origin stay
     # below 12 reach^2, which must be a finite float

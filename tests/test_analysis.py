@@ -112,6 +112,15 @@ class TestSweep:
             ("mmpinhole.analysis", logging.WARNING)]
         assert caplog.records[0].getMessage().startswith("skipping width=0.5: ")
 
+    def test_non_integral_blade_count_skipped(self, caplog):
+        mask = MaskGeometry(mode="regular-pinhole")
+        grid = build_scene_grid(20.0, -8, 8, 0.5, [0])
+        with caplog.at_level(logging.WARNING, logger="mmpinhole"):
+            rows = sweep("blades", [1.7, 1], mask, rotation=RotationSampling(64), grid=grid)
+        assert [row.value for row in rows] == [1.0]
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "skipping blades=1.7"]
+
     def test_all_infeasible_values_raise(self, caplog):
         with caplog.at_level(logging.WARNING, logger="mmpinhole"), \
                 pytest.raises(ParameterError, match=r"\[0\.5, 0\.6\]"):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import weakref
 from dataclasses import replace
@@ -11,7 +12,8 @@ from mmpinhole import (MaskGeometry, MaskPlaneSampling, MaskTransmission,
                        MeasurementSet, NoiseModel, RotationSampling,
                        apply_blade_phase, apply_doppler, assemble_oneway,
                        build_forward, build_scene_grid, config_fingerprint,
-                       default_radar_config, estimate_blade_phase,
+                       default_plane_sampling, default_radar_config,
+                       estimate_blade_phase,
                        noise_from_snr, sample_interval_s, simulate)
 from mmpinhole import forward, propagation
 from mmpinhole.errors import (EstimationError, NumericError, ParameterError,
@@ -19,6 +21,43 @@ from mmpinhole.errors import (EstimationError, NumericError, ParameterError,
 from mmpinhole.mask import open_mask, transmission_for
 
 TOY_WAVELENGTH = 0.04
+
+# sha256 of B.tobytes() on the C14 toy geometry in regular-pinhole mode, by
+# blade count and directionality.  They do not depend on the BLAS thread count
+# or core type; the inverse pinhole's open term (a threaded zgemv) does, so it
+# stays out until that term leaves the BLAS.
+CANARY_SHA256 = {
+    (1, "bidirectional"):
+        "b2f72a74d57747b811c5767b7dcc1cbd85184b00c056a598d2a9e3b7ea4ac7d4",
+    (1, "unidirectional"):
+        "dc770958a35e4000b85659f359d68765f0aa6ea61760fc0b2837347c0682d26f",
+    (2, "bidirectional"):
+        "d1f4f91a4677f2024399985cbaa9969d7a99b0ca122c6e3b76a692cb7b842f45",
+    (2, "unidirectional"):
+        "4379d7ab81f1002a57321082296551d8a0e3a38502ced1037c8547f06dea1128",
+}
+
+
+def test_model_canary():
+    """B's bits are pinned for one model epoch.
+
+    A change that moves them without moving an input must bump
+    ``forward.MODEL_EPOCH``, so that no older ``model.bin`` is reused, and pin
+    the new hashes here together with the new epoch.
+    """
+    computed = {}
+    for blades in (1, 2):
+        mask = MaskGeometry(blade_count=blades, blade_length_m=0.12, blade_width_m=0.02,
+                            plane_depth_m=0.06, axis_offset_m=0.06, mode="regular-pinhole")
+        radar = default_radar_config(mask, wavelength_m=TOY_WAVELENGTH)
+        args = (radar, build_scene_grid(2.0, -30.0, 30.0, 2.0, [0.0]), mask,
+                RotationSampling(64), default_plane_sampling(radar, mask))
+        for directionality in ("bidirectional", "unidirectional"):
+            B = build_forward(*args, directionality).B
+            computed[blades, directionality] = hashlib.sha256(B.tobytes()).hexdigest()
+    assert forward.MODEL_EPOCH == 1, "pin B's hashes for the new epoch"
+    assert computed == CANARY_SHA256, (
+        f"B moved with no input changed: bump forward.MODEL_EPOCH and pin {computed}")
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +120,7 @@ class TestModelMemo:
         narrow = replace(toy_mask, blade_width_m=toy_mask.blade_width_m * 0.5)
         model = build_forward(toy_radar, toy_grid, narrow, toy_rotation, toy_sampling)
         assert [ref() for ref in refs] == [None, None]
-        assert forward._memo[2] is model.B
+        assert forward._memo[1] is model.B
 
     @pytest.mark.parametrize("directionality", ["bidirectional", "unidirectional"])
     def test_returned_b_is_read_only(self, toy_radar, toy_grid, toy_mask, toy_rotation,
@@ -215,9 +254,31 @@ class TestBuildForward:
         explicit = build_forward(*args, transmission=trans)
         assert explicit.fingerprint == default == config_fingerprint(*args, trans)
 
-    @settings(max_examples=30, deadline=None)
+    def test_fingerprint_evaluates_no_antenna_pattern(
+            self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, monkeypatch):
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, "bidirectional")
+        trans = transmission_for(toy_mask, toy_rotation, toy_sampling)
+        built = build_forward(*args, transmission=trans)
+
+        def no_pattern(radar, direction):
+            raise AssertionError("the fingerprint evaluated the antenna pattern")
+        monkeypatch.setattr(propagation, "pattern_weight", no_pattern)
+        assert config_fingerprint(*args, trans) == built.fingerprint
+        assert build_forward(*args, transmission=trans).fingerprint == built.fingerprint
+
+    def test_transmission_of_wrong_shape_has_no_fingerprint(
+            self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling):
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, "bidirectional")
+        wrong = open_mask(RotationSampling(10), toy_sampling)
+        with pytest.raises(ShapeError, match="10x"):
+            config_fingerprint(*args, wrong)
+        with pytest.raises(ShapeError, match="10x"):
+            build_forward(*args, transmission=wrong)
+
+    @settings(max_examples=40, deadline=None)
     @given(change=st.sampled_from(["drop-cell", "add-cell", "inside-amp",
-                                   "outside-amp", "azimuth-fov"]),
+                                   "outside-amp", "azimuth-fov", "elevation-fov",
+                                   "rx-position", "wavelength"]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_any_change_to_b_changes_fingerprint(
             self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling,
@@ -236,9 +297,15 @@ class TestBuildForward:
             rows[t] = np.sort(np.append(rows[t], rng.choice(free)))
         elif change in ("inside-amp", "outside-amp"):
             amps[change.replace("-", "_")] = float(rng.uniform(0.05, 0.95))
-        elif change == "azimuth-fov":
-            radar = replace(toy_radar, azimuth_fov_deg=toy_radar.azimuth_fov_deg
-                            * (1.0 + rng.uniform(0.01, 0.5)))
+        elif change in ("azimuth-fov", "elevation-fov", "wavelength"):
+            name = {"azimuth-fov": "azimuth_fov_deg", "elevation-fov": "elevation_fov_deg",
+                    "wavelength": "wavelength_m"}[change]
+            # larger only: the lattice stays within half a wavelength
+            radar = replace(toy_radar, **{name: getattr(toy_radar, name)
+                                          * (1.0 + rng.uniform(0.01, 0.5))})
+        elif change == "rx-position":
+            shift = rng.uniform(-0.01, 0.01, 3) * [1.0, 1.0, 0.0]
+            radar = replace(toy_radar, rx_position=np.add(toy_radar.rx_position, shift))
         other = MaskTransmission(n_samples=base.n_samples, footprint_indices=rows,
                                  **amps)
         model = build_forward(radar, *args[1:], transmission=other)

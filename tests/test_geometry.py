@@ -80,6 +80,14 @@ class TestBladeFootprint:
         with pytest.raises(UnsupportedConfigurationError):
             MaskGeometry(blade_count=3)
 
+    @pytest.mark.parametrize("count", [2.0, 1.5, True])
+    def test_non_integer_blade_count_rejected(self, count):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            MaskGeometry(blade_count=count)
+
+    def test_blade_count_stored_as_int(self):
+        assert type(MaskGeometry(blade_count=np.int64(2)).blade_count) is int
+
     @settings(max_examples=25, deadline=None)
     @given(angle=st.floats(0, 2 * math.pi - 1e-9),
            blades=st.sampled_from([1, 2]))
