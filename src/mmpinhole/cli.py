@@ -35,7 +35,6 @@ from .forward import (DEFAULT_ROTATION_RPM, ForwardModel, NoiseModel, build_forw
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid, build_scene_grid,
                        default_plane_sampling, default_radar_config)
-from .mask import transmission_for
 from .recon import (ImageResult, ReconConfig, factorize, image_to_csv,
                     image_to_pgm, reconstruct)
 
@@ -377,14 +376,13 @@ def cmd_reconstruct(cfg: ExperimentConfig, out: str, measurements_path,
         raise DataFileError(f"{measurements_path} header has N={payload.arrays['n_points']}; "
                             f"the config grid has {cfg.grid.n_points} points")
     ref_img = _read_reference_csv(reference, cfg.grid) if reference else None
-    transmission = transmission_for(cfg.mask, cfg.rotation, cfg.sampling)
     fingerprint = config_fingerprint(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
-                                     cfg.sampling, cfg.directionality, transmission)
+                                     cfg.sampling, cfg.directionality, None)
     B = _model_beside(measurements_path, cfg, fingerprint)
     if B is None:
         # a config that no model can be built from is a config error first
         model = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
-                              cfg.sampling, cfg.directionality, transmission)
+                              cfg.sampling, cfg.directionality)
     else:
         model = ForwardModel(B=B, fingerprint=fingerprint,
                              directionality=cfg.directionality, grid=cfg.grid)
@@ -419,9 +417,8 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, subcommand) -> dict:
     ana = cfg.analysis
     if subcommand == "svd":
         # the unidirectional model is the kept rx end of the bidirectional pass
-        transmission = transmission_for(cfg.mask, cfg.rotation, cfg.sampling)
         s_bi, s_uni = (svdvals(build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
-                                             cfg.sampling, d, transmission).B)
+                                             cfg.sampling, d).B)
                        for d in ("bidirectional", "unidirectional"))
         container.write_csv(os.path.join(out, "svd.csv"),
                             [("index", "sigma_bidirectional", "sigma_unidirectional"),

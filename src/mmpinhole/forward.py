@@ -17,6 +17,11 @@ own process still reads the ``model.bin`` that ``simulate`` wrote.
 A model's fingerprint hashes the config fields, the transmission's content
 and :data:`MODEL_EPOCH`, which a change that moves ``B`` with no input
 changed must bump; a canary test pins ``B``'s sha256 on a toy geometry.
+A transmission of ``None`` means the mask mode's own, which
+:func:`~mmpinhole.mask.transmission_for` derives from config fields alone.
+Its digest is kept with those fields, so a later call on them derives no
+transmission to hash, and one to assemble only when no model is kept.  A
+passed transmission is hashed itself and never kept.
 """
 
 from __future__ import annotations
@@ -60,17 +65,23 @@ def _transmission_digest(transmission: MaskTransmission) -> str:
     return h.hexdigest()
 
 
+# (config fields, digest of the mask mode's transmission on them): the key of
+# that transmission, one tuple replaced by one assignment like _memo below
+_mode_digest = None
+
+
 def _geometry_key(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                   rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
-                  transmission: MaskTransmission) -> tuple:
+                  transmission: Optional[MaskTransmission]) -> tuple:
     """Every input that shapes the sensing matrix but its directionality.
 
     The fields as text and the transmission's digest; the antenna pattern
     follows from radar and lattice fields among them.  Nothing here is
     computed in floating point, so no input can overflow it.  A transmission of
-    the wrong shape raises ``ShapeError``, as assembly would.
+    the wrong shape raises ``ShapeError``, as assembly would.  Returns the key
+    and the transmission digested, None where the kept digest served.
     """
-    _check_transmission_shape(transmission, rotation, plane_sampling)
+    global _mode_digest
     parts = [
         repr(radar.wavelength_m), repr(radar.tx_position), repr(radar.rx_position),
         repr(radar.azimuth_fov_deg), repr(radar.elevation_fov_deg),
@@ -82,11 +93,24 @@ def _geometry_key(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         repr(plane_sampling.spacing_m), repr(plane_sampling.extent_m),
         repr(plane_sampling.plane_depth_m),
     ]
-    return "|".join(parts), _transmission_digest(transmission)
+    fields = "|".join(parts)
+    if transmission is None:
+        kept = _mode_digest
+        if kept is not None and kept[0] == fields:
+            return kept, None
+        # transmission_for reads only mask, angle and lattice fields, all in
+        # ``fields``: its digest is a function of them
+        transmission = transmission_for(mask, rotation, plane_sampling)
+        key = _mode_digest = (fields, _transmission_digest(transmission))
+        return key, transmission
+    _check_transmission_shape(transmission, rotation, plane_sampling)
+    return (fields, _transmission_digest(transmission)), transmission
 
 
 def _fingerprint(key: tuple, directionality: str) -> str:
     """Fingerprint of the model that ``key`` and ``directionality`` name."""
+    if directionality not in ("unidirectional", "bidirectional"):
+        raise ParameterError("directionality must be 'unidirectional' or 'bidirectional'")
     fields, transmission = key
     text = f"{MODEL_EPOCH}|{fields}|{directionality}|{transmission}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -94,13 +118,17 @@ def _fingerprint(key: tuple, directionality: str) -> str:
 
 def config_fingerprint(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                        rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
-                       directionality: str, transmission: MaskTransmission) -> str:
+                       directionality: str,
+                       transmission: Optional[MaskTransmission]) -> str:
     """Stable hex digest of every input that shapes the sensing matrix.
 
     It hashes the config fields, the transmission's content and
     :data:`MODEL_EPOCH`, the version of the code that turns them into ``B``.
+    A ``transmission`` of None means the mask mode's own, as in
+    :func:`build_forward`: the same fingerprint as passing
+    ``transmission_for(mask, rotation, plane_sampling)``.
     """
-    key = _geometry_key(radar, grid, mask, rotation, plane_sampling, transmission)
+    key, _ = _geometry_key(radar, grid, mask, rotation, plane_sampling, transmission)
     return _fingerprint(key, directionality)
 
 
@@ -150,16 +178,16 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     (see the module docstring); ``B`` is read-only.
     """
     global _memo
-    if directionality not in ("unidirectional", "bidirectional"):
-        raise ParameterError("directionality must be 'unidirectional' or 'bidirectional'")
-    if transmission is None:
-        transmission = transmission_for(mask, rotation, plane_sampling)
-    key = _geometry_key(radar, grid, mask, rotation, plane_sampling, transmission)
+    key, transmission = _geometry_key(radar, grid, mask, rotation, plane_sampling,
+                                      transmission)
+    fingerprint = _fingerprint(key, directionality)
     memo = _memo
     if memo is None or memo[0] != key or (directionality == "bidirectional"
                                           and memo[1] is None):
         # drop the old models first: two geometries are never held at once
         _memo = memo = None
+        if transmission is None:  # the kept digest named it
+            transmission = transmission_for(mask, rotation, plane_sampling)
         if directionality == "unidirectional":
             bi = None
             rx, = assemble_oneway(radar, grid, mask, rotation, plane_sampling, ("rx",),
@@ -174,7 +202,7 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         memo = _memo = (key, bi, rx)
     _, bi, rx = memo
     return ForwardModel(B=bi if directionality == "bidirectional" else rx,
-                        fingerprint=_fingerprint(key, directionality),
+                        fingerprint=fingerprint,
                         directionality=directionality, grid=grid)
 
 

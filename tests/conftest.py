@@ -78,10 +78,12 @@ def kernel_blocks(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def no_kept_model(monkeypatch):
-    """Start every test with no model kept by ``build_forward``.
+    """Start every test with no model and no transmission digest kept.
 
     A model kept from an earlier test would skip the assembly that kernel
-    spies and patched antenna patterns rely on.
+    spies and patched antenna patterns rely on, and a kept digest the
+    footprint code that a test patches.
     """
     from mmpinhole import forward
     monkeypatch.setattr(forward, "_memo", None)
+    monkeypatch.setattr(forward, "_mode_digest", None)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import weakref
 from dataclasses import replace
@@ -131,6 +132,116 @@ class TestModelMemo:
             model.B[0, 0] = 0.0
         with pytest.raises(ValueError):
             model.B *= 2.0
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """The mask-mode transmissions that ``forward`` derives, one per call."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return transmission_for(*args)
+    monkeypatch.setattr(forward, "transmission_for", spy)
+    return calls
+
+
+# the C14 toy config of tests/test_acceptance.py
+C14_CONFIG = {
+    "radar": {"wavelength_m": 0.04},
+    "mask": {"blade_count": 1, "blade_length_m": 0.12, "blade_width_m": 0.02,
+             "plane_depth_m": 0.06, "axis_offset_m": 0.06,
+             "attenuation_db": "inf", "mode": "inverse-pinhole"},
+    "rotation": {"positions_per_rotation": 64},
+    "grid": {"range_m": 2.0, "az_min_deg": -30.0, "az_max_deg": 30.0,
+             "az_step_deg": 2.0, "elevations_deg": [0.0]},
+    "scene": {"targets": [{"azimuth_deg": -8.0, "amplitude": 1.0},
+                          {"azimuth_deg": 12.0, "amplitude": 0.7, "phase_deg": 90.0}]},
+    "noise": {"noise_power": 1e-8, "seed": 7},
+    "recon": {"sigma_max": 12, "normalize": True},
+}
+
+
+class TestKeptTransmissionDigest:
+    def test_cli_rounds_derive_the_transmission_once(self, tmp_path, derivations):
+        from mmpinhole.cli import main
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(C14_CONFIG))
+
+        def run_round(tag):
+            out = tmp_path / tag
+            for argv in (["simulate", str(cfg), "--out-dir", str(out / "sim")],
+                         ["reconstruct", str(out / "sim" / "measurements.bin"),
+                          "--config", str(cfg), "--sigma-max", "5,12",
+                          "--reference", str(out / "sim" / "truth.csv"),
+                          "--out-dir", str(out / "rec")],
+                         ["analyze", "svd", "--config", str(cfg),
+                          "--out-dir", str(out / "svd")]):
+                assert main(argv) == 0, argv
+            payloads = {}
+            for path in sorted(out.rglob("*")):
+                if path.is_file():
+                    raw = path.read_bytes()
+                    if path.name == "manifest.json":
+                        raw = {k: v for k, v in json.loads(raw).items()
+                               if k != "created_utc"}
+                    payloads[str(path.relative_to(out))] = raw
+            return payloads
+
+        first = run_round("first")
+        assert len(derivations) == 1
+        second = run_round("second")
+        assert len(derivations) == 1
+        forward._memo = forward._mode_digest = None
+        fresh = run_round("fresh")
+        assert len(derivations) == 2
+        assert len(fresh) == 13  # 3 manifests, 10 payloads
+        assert first == second == fresh
+
+    @pytest.mark.parametrize("mode", ["inverse-pinhole", "regular-pinhole"])
+    @pytest.mark.parametrize("directionality", ["bidirectional", "unidirectional"])
+    def test_fingerprint_of_none_is_the_mode_transmissions(
+            self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling,
+            derivations, mode, directionality):
+        mask = replace(toy_mask, mode=mode)
+        args = (toy_radar, toy_grid, mask, toy_rotation, toy_sampling, directionality)
+        explicit = config_fingerprint(*args, transmission_for(mask, toy_rotation,
+                                                              toy_sampling))
+        # a passed transmission fills no kept digest
+        assert forward._mode_digest is None and derivations == []
+        miss = config_fingerprint(*args, None)
+        hit = config_fingerprint(*args, None)
+        assert len(derivations) == 1
+        assert miss == hit == explicit == build_forward(*args).fingerprint
+
+    @pytest.mark.parametrize("order", ["open-first", "mode-first"])
+    def test_custom_transmission_never_serves_the_mode(
+            self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling,
+            assemblies, order):
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, "bidirectional")
+        opened = open_mask(toy_rotation, toy_sampling)
+        transmissions = [opened, None] if order == "open-first" else [None, opened]
+        models = [build_forward(*args, transmission=t) for t in transmissions]
+        assert assemblies == [("tx", "rx")] * 2
+        assert models[0].fingerprint != models[1].fingerprint
+        forward._memo = forward._mode_digest = None
+        fresh = build_forward(*args, transmission=transmissions[1])
+        assert np.array_equal(models[1].B, fresh.B)
+        assert models[1].fingerprint == fresh.fingerprint
+
+    @pytest.mark.parametrize("transmission", ["mode", "passed"])
+    def test_unknown_directionality_has_no_fingerprint(
+            self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling,
+            transmission, assemblies):
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, "sideways")
+        trans = (None if transmission == "mode"
+                 else transmission_for(toy_mask, toy_rotation, toy_sampling))
+        message = "directionality must be 'unidirectional' or 'bidirectional'"
+        with pytest.raises(ParameterError, match=message):
+            config_fingerprint(*args, trans)
+        with pytest.raises(ParameterError, match=message):
+            build_forward(*args, transmission=trans)
+        assert assemblies == []
 
 
 class TestBuildForward:
