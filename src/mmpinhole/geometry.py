@@ -284,34 +284,18 @@ def _covered(mask: MaskGeometry, angles, pts) -> np.ndarray:
     return hit
 
 
-def footprint_mask_array(mask: MaskGeometry, angles_rad, plane_points_xy):
-    """Boolean coverage array of shape (len(angles), M) for mask-plane points.
-
-    Each blade is a rectangle of width ``blade_width_m`` reaching from the
-    rotation axis to ``blade_length_m``.  The rectangle test runs only on
-    the points that some blade can reach at one of the given angles; that
-    candidate set is widened by a tolerance a million times the rounding
-    error of the blade frame, so it never drops a point the test would
-    accept, and every point gets the same result as on the full lattice.
-    Blades are spaced uniformly in angle, blade 0 at the given rotation
-    angle.
-    """
-    angles = np.asarray(angles_rad, dtype=float).reshape(-1)
-    pts = np.asarray(plane_points_xy, dtype=float)
-    out = np.zeros((angles.size, len(pts)), dtype=bool)
-    idx, psi, reach = _reach(mask, pts)
-    idx = idx[_within_reach(mask, angles, psi, reach)]
-    out[:, idx] = _covered(mask, angles, pts[idx])
-    return out
-
-
 def footprint_rows(mask: MaskGeometry, angles_rad, plane_points_xy):
     """Ascending indices of the covered points, one array per angle.
 
-    Row a is ``np.flatnonzero(footprint_mask_array(...)[a])``, found without
-    the dense (angles, M) array: each point's polar angle and reach are
-    computed once, and each block of ``_ANGLE_BLOCK`` angles runs the
-    rectangle test on its own candidates only.
+    Each blade is a rectangle of width ``blade_width_m`` reaching from the
+    rotation axis to ``blade_length_m``; blades are spaced uniformly in
+    angle, blade 0 at the given rotation angle.  Each point's polar angle
+    and reach are computed once, and each block of ``_ANGLE_BLOCK`` angles
+    runs the rectangle test only on the points that some blade can reach at
+    one of its angles.  That candidate set is widened by a tolerance a
+    million times the rounding error of the blade frame, so it never drops
+    a point the test would accept, and every point gets the same result as
+    on the full lattice.
     """
     angles = np.asarray(angles_rad, dtype=float).reshape(-1)
     pts = np.asarray(plane_points_xy, dtype=float)
@@ -323,6 +307,15 @@ def footprint_rows(mask: MaskGeometry, angles_rad, plane_points_xy):
         # idx ascends, so each row's indices do too
         rows.extend(idx[np.flatnonzero(hit)] for hit in _covered(mask, block, pts[idx]))
     return rows
+
+
+def footprint_mask_array(mask: MaskGeometry, angles_rad, plane_points_xy):
+    """Boolean coverage array of shape (len(angles), M): :func:`footprint_rows` made dense."""
+    rows = footprint_rows(mask, angles_rad, plane_points_xy)
+    out = np.zeros((len(rows), len(plane_points_xy)), dtype=bool)
+    for a, row in enumerate(rows):
+        out[a, row] = True
+    return out
 
 
 @dataclass(frozen=True)

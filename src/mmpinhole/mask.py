@@ -27,10 +27,10 @@ NULL_MERGE_FRACTION = 0.05
 class MaskTransmission:
     """Amplitude transmission per rotation position and mask-plane sample.
 
-    The blade footprint at each rotation position is an array of covered
-    sample indices; covered samples transmit ``inside_amp`` and the rest
-    ``outside_amp``.  The dense (T, M) ``values`` array is materialized on
-    demand.
+    The blade footprint at each rotation position is a 1-D integer array of
+    covered sample indices, strictly ascending and in ``[0, n_samples)``;
+    covered samples transmit ``inside_amp`` and the rest ``outside_amp``.
+    The dense (T, M) ``values`` array is materialized on demand.
     """
 
     n_samples: int
@@ -44,6 +44,14 @@ class MaskTransmission:
         for amp in (self.inside_amp, self.outside_amp):
             if not 0.0 <= amp <= 1.0:
                 raise ParameterError("transmission amplitudes must lie in [0, 1]")
+        # row by row: a concatenated copy of the footprint would double its memory
+        for row in self.footprint_indices:
+            if not (isinstance(row, np.ndarray) and row.ndim == 1
+                    and np.issubdtype(row.dtype, np.integer)
+                    and (row.size == 0 or (0 <= row[0] and row[-1] < self.n_samples
+                                           and np.all(row[1:] > row[:-1])))):
+                raise ParameterError("footprint rows must be 1-D integer arrays of strictly "
+                                     "ascending indices in [0, n_samples)")
 
     @property
     def n_positions(self) -> int:

@@ -212,41 +212,21 @@ def _footprint_steps(footprint_indices, n_samples):
     return sparse.vstack(blocks, format="csr")
 
 
-def _through_mask(transmission, steps, illum, ranges):
-    """Map a kernel block to one end's matrix: (T, M) weights @ block.
+def _fill(weights, delta, prop, open_row, out):
+    """Write one end's rows of one row range, cut at a multiple of ``_RESTART``.
 
-    ``steps`` is the :func:`_footprint_steps` pattern of the transmission,
-    shared by every antenna end; ``ranges`` cut the T rows at multiples of
-    ``_RESTART``.  Returns ``open_term(block)``, the time-invariant row, and
-    one ``fill(block, open_row, out)`` per range that writes the range's rows
-    of ``out``; there are none when only the open term is left.
+    ``weights`` are the range's illumination-weighted :func:`_footprint_steps`
+    rows; their product with the kernel block ``prop`` is summed down each
+    restart run, times ``delta`` (inside minus outside amplitude), plus the
+    end's time-invariant ``open_row``.
     """
-    # transmission(t, m) = outside + (inside - outside) * footprint(t, m):
-    # a time-invariant open term plus a sparse footprint correction, whose
-    # rows are running sums of the weighted row differences
-    weighted = sparse.csr_matrix((steps.data * illum[steps.indices], steps.indices,
-                                  steps.indptr), shape=steps.shape)
-    delta = transmission.inside_amp - transmission.outside_amp
-
-    def open_term(prop):
-        # an opaque outside (the ideal regular pinhole) adds exact zeros
-        if transmission.outside_amp == 0.0:
-            return 0.0
-        return transmission.outside_amp * (illum @ prop)
-
-    def part(start, stop):
-        weights = weighted[start:stop]
-
-        def fill(prop, open_row, out):
-            rows = weights @ prop
-            for first in range(0, len(rows), _RESTART):
-                run = rows[first:first + _RESTART]
-                np.cumsum(run, axis=0, out=run)
-            rows *= delta
-            rows += open_row
-            out[start:stop] = rows
-        return fill
-    return open_term, ([] if delta == 0.0 else [part(*r) for r in ranges])
+    rows = weights @ prop
+    for first in range(0, len(rows), _RESTART):
+        run = rows[first:first + _RESTART]
+        np.cumsum(run, axis=0, out=run)
+    rows *= delta
+    rows += open_row
+    out[...] = rows
 
 
 def _worker_count() -> int:
@@ -326,12 +306,20 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         raise ParameterError(f"coordinates up to {reach!r} m overflow the squared "
                              "distances of the propagation kernel")
     workers = _worker_count()
+    row_ranges = [slice(*r) for r in _ranges(T, workers, _RESTART)]
+    # transmission(t, m) = outside + delta * footprint(t, m): a time-invariant
+    # open term plus a sparse footprint correction, whose rows are running
+    # sums of the illumination-weighted row differences
+    outside = transmission.outside_amp
+    delta = transmission.inside_amp - outside
     steps = _footprint_steps(transmission.footprint_indices, M)
-    row_ranges = _ranges(T, workers, _RESTART)
-    through = [_through_mask(transmission, steps, _antenna_to_plane(
-                   radar, radar.tx if end == "tx" else radar.rx, plane_pts),
-                   row_ranges)
-               for end in ends]
+    weighted = []
+    for end in ends:
+        illum = _antenna_to_plane(radar, radar.tx if end == "tx" else radar.rx, plane_pts)
+        diffs = sparse.csr_matrix((steps.data * illum[steps.indices], steps.indices,
+                                   steps.indptr), shape=steps.shape)
+        weighted.append((illum, [diffs[r] for r in row_ranges]))
+    del diffs  # the loop reads only the row-range copies
     n = plane_sampling.axis_coords.size
     width = _scene_block_columns(M)
     matrices = tuple(np.empty((T, N), dtype=np.complex128) for _ in ends)
@@ -353,11 +341,11 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                                      f"z = {plane_sampling.plane_depth_m!r} m; the scene "
                                      "must be at or beyond the plane")
             fills = []
-            for out, (open_term, parts) in zip(matrices, through):
-                open_row = open_term(block)
-                if not parts:
-                    out[:, sl] = open_row
-                fills += [pool.submit(fill, block, open_row, out[:, sl]) for fill in parts]
+            for out, (illum, weights) in zip(matrices, weighted):
+                # an opaque outside (the ideal regular pinhole) adds exact zeros
+                open_row = 0.0 if outside == 0.0 else outside * (illum @ block)
+                fills += [pool.submit(_fill, part, delta, block, open_row, out[r, sl])
+                          for part, r in zip(weights, row_ranges)]
             _wait(fills)
             del block  # free the kernel block before the next one is computed
     for out in matrices:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,19 @@ def no_kept_model(monkeypatch):
     from mmpinhole import forward
     monkeypatch.setattr(forward, "_memo", None)
     monkeypatch.setattr(forward, "_mode_digest", None)
+
+
+def full_lattice_footprint(mask, angles_rad, pts_xy):
+    """Reference: the blade rectangle test on every point for every angle."""
+    angles = np.asarray(angles_rad, dtype=float)
+    pts = np.asarray(pts_xy, dtype=float)
+    x, y = pts[None, :, 0], pts[None, :, 1]
+    out = np.zeros((angles.size, len(pts)), dtype=bool)
+    for b in range(mask.blade_count):
+        a = angles + 2.0 * math.pi * b / mask.blade_count
+        sin_a, cos_a = np.sin(a)[:, None], np.cos(a)[:, None]
+        u = -x * sin_a + y * cos_a
+        v = x * cos_a + y * sin_a
+        out |= ((u >= 0.0) & (u <= mask.blade_length_m)
+                & (np.abs(v) <= mask.blade_width_m / 2.0))
+    return out

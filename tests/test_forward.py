@@ -257,6 +257,23 @@ class TestBuildForward:
         np.testing.assert_allclose(bi.B, tx * rx, rtol=1e-12)
         np.testing.assert_allclose(uni.B, rx, rtol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["regular-pinhole", "inverse-pinhole"])
+    @pytest.mark.parametrize("directionality", ["unidirectional", "bidirectional"])
+    def test_lossless_blade_is_the_open_mask(self, toy_radar, toy_grid, toy_mask,
+                                             toy_rotation, toy_sampling, mode,
+                                             directionality):
+        # attenuation 0 dB: inside_amp == outside_amp == 1, so the footprint
+        # rows are assembled and scaled by 0, leaving the open mask's bits
+        mask = replace(toy_mask, mode=mode, attenuation_db=0.0)
+        trans = transmission_for(mask, toy_rotation, toy_sampling)
+        assert trans.inside_amp == trans.outside_amp == 1.0
+        assert any(idx.size for idx in trans.footprint_indices)
+        args = (toy_radar, toy_grid, mask, toy_rotation, toy_sampling, directionality)
+        lossless = build_forward(*args)
+        opened = build_forward(*args, transmission=open_mask(toy_rotation, toy_sampling))
+        assert np.array_equal(lossless.B, opened.B)
+        assert lossless.fingerprint != opened.fingerprint
+
     def test_bidirectional_evaluates_each_kernel_chunk_once(
             self, toy_radar, toy_mask, toy_rotation, toy_sampling, monkeypatch,
             kernel_blocks):

@@ -14,6 +14,8 @@ from mmpinhole import sync as sync_module
 from mmpinhole.errors import ParameterError, UnsupportedConfigurationError
 from mmpinhole.geometry import _ANGLE_BLOCK, footprint_mask_array, footprint_rows
 
+from conftest import full_lattice_footprint
+
 
 class TestSceneGrid:
     def test_wide_grid_bin_count_and_range(self):
@@ -111,22 +113,6 @@ class TestBladeFootprint:
         assert hit.all()
 
 
-def full_lattice_footprint(mask, angles_rad, pts_xy):
-    """Reference: the blade rectangle test on every point for every angle."""
-    angles = np.asarray(angles_rad, dtype=float)
-    pts = np.asarray(pts_xy, dtype=float)
-    x, y = pts[None, :, 0], pts[None, :, 1]
-    out = np.zeros((angles.size, len(pts)), dtype=bool)
-    for b in range(mask.blade_count):
-        a = angles + 2.0 * math.pi * b / mask.blade_count
-        sin_a, cos_a = np.sin(a)[:, None], np.cos(a)[:, None]
-        u = -x * sin_a + y * cos_a
-        v = x * cos_a + y * sin_a
-        out |= ((u >= 0.0) & (u <= mask.blade_length_m)
-                & (np.abs(v) <= mask.blade_width_m / 2.0))
-    return out
-
-
 @st.composite
 def footprint_cases(draw):
     """A mask, an angle list and mask-plane points, many on blade edges."""
@@ -175,7 +161,7 @@ def footprint_cases(draw):
 
 
 class TestFootprintCandidates:
-    """footprint_mask_array tests only reachable cells; results must not move."""
+    """footprint_rows tests only reachable cells; results must not move."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=footprint_cases())

@@ -8,9 +8,11 @@ from mmpinhole import (MaskGeometry, MaskPlaneSampling, RotationSampling,
                        default_plane_sampling, default_radar_config)
 from mmpinhole import geometry
 from mmpinhole.errors import ParameterError
-from mmpinhole.geometry import _ANGLE_BLOCK, footprint_mask_array
+from mmpinhole.geometry import _ANGLE_BLOCK
 from mmpinhole.mask import (MaskTransmission, count_null_events, find_nulls,
                             null_signature, open_mask, transmission_for)
+
+from conftest import full_lattice_footprint
 
 
 def regular(mask):
@@ -89,6 +91,24 @@ class TestTransmissionType:
                              outside_amp=amps[1],
                              footprint_indices=[np.empty(0, dtype=int)] * 2)
 
+    @pytest.mark.parametrize("row", [[1, 1, 2], [2, 1], [-1, 0], [0, 3],
+                                     [0.0, 1.0], [[0, 1]]],
+                             ids=["duplicate", "unsorted", "negative", "out-of-range",
+                                  "float", "2-D"])
+    def test_malformed_footprint_rows_rejected(self, row):
+        # assembly would sum a duplicate twice, wrap a negative index, or fail
+        # inside numpy on the rest
+        with pytest.raises(ParameterError, match="footprint rows"):
+            MaskTransmission(n_samples=3, footprint_indices=[np.arange(3), np.array(row)])
+
+    @pytest.mark.parametrize("blades", [1, 2])
+    def test_derived_transmissions_construct(self, mid_setup, blades):
+        mask, _, rot, samp = mid_setup
+        for mode in ("regular-pinhole", "inverse-pinhole"):
+            trans = transmission_for(replace(mask, mode=mode, blade_count=blades), rot, samp)
+            assert any(idx.size for idx in trans.footprint_indices)
+        assert open_mask(rot, samp).n_positions == rot.count
+
 
 class TestFootprintIndices:
     @pytest.mark.parametrize("blades", [1, 2])
@@ -122,8 +142,8 @@ class TestFootprintIndices:
         assert max(a for a, _ in tested) <= _ANGLE_BLOCK
         assert sum(a for a, _ in tested) == rot.count
         assert all(0 < k < samp.n_samples for _, k in tested)
-        # one dense block over every angle
-        ref = footprint_mask_array(mask, rot.angles_rad, samp.samples[:, :2])
+        # the rectangle test on every cell for every angle
+        ref = full_lattice_footprint(mask, rot.angles_rad, samp.samples[:, :2])
         assert len(trans.footprint_indices) == rot.count
         for got, row in zip(trans.footprint_indices, ref):
             assert np.array_equal(got, np.flatnonzero(row))

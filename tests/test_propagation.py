@@ -20,9 +20,9 @@ from mmpinhole import propagation
 from mmpinhole.errors import ParameterError, ShapeError, SingularityError
 from mmpinhole.geometry import angles_to_points, default_plane_sampling
 from mmpinhole.mask import open_mask, transmission_for
-from mmpinhole.propagation import (_RESTART, _antenna_to_plane, _fill_rows,
+from mmpinhole.propagation import (_RESTART, _antenna_to_plane, _fill, _fill_rows,
                                    _footprint_steps, _plane_to_scene_chunk, _ranges,
-                                   _scene_block_columns, _through_mask)
+                                   _scene_block_columns)
 
 LAMBDA = 4e-3
 
@@ -432,15 +432,16 @@ def direct_through_mask(transmission, illum, prop):
 
 
 def through_mask(transmission, steps, illum, prop, workers):
-    """The (T, C) rows ``_through_mask`` writes, its row ranges taken in turn."""
+    """The (T, C) rows ``_fill`` writes for one end, its row ranges taken in turn."""
     T = transmission.n_positions
-    open_term, fills = _through_mask(transmission, steps, illum,
-                                     _ranges(T, workers, _RESTART))
-    open_row = open_term(prop)
+    weighted = sparse.csr_matrix((steps.data * illum[steps.indices], steps.indices,
+                                  steps.indptr), shape=steps.shape)
+    outside = transmission.outside_amp
+    open_row = 0.0 if outside == 0.0 else outside * (illum @ prop)
     out = np.empty((T, prop.shape[1]), dtype=np.complex128)
-    out[:] = open_row
-    for fill in fills:
-        fill(prop, open_row, out)
+    for start, stop in _ranges(T, workers, _RESTART):
+        _fill(weighted[start:stop], transmission.inside_amp - outside, prop, open_row,
+              out[start:stop])
     return out
 
 
