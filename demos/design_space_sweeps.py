@@ -22,10 +22,12 @@ from mmpinhole.container import write_csv
 SWEEP_HEADER = [f.name for f in fields(SweepRow)]
 
 mask = mp.MaskGeometry(mode="regular-pinhole")
+radar = mp.default_radar_config(mask)
 rotation = mp.RotationSampling(500)
 
 print("sweeping blade tip radius (m) ...")
-rows = sweep("radius", [0.04, 0.08, 0.16], mask, rotation=rotation)
+rows = sweep("radius", [0.04, 0.08, 0.16], mask, radar, rotation=rotation,
+             directionality="bidirectional")
 print(f"{'radius':>8s} {'fwhp(deg)':>10s} {'sigma_1':>10s}")
 for r in rows:
     print(f"{r.value:8.2f} {r.fwhp_deg:10.3f} {r.sigma_1:10.3e}")
@@ -33,15 +35,15 @@ write_csv("sweep_radius.csv", [SWEEP_HEADER, *map(astuple, rows)])
 
 print("\nsweeping blade width (m) at 16 cm radius ...")
 grid = mp.build_scene_grid(20.0, -8, 8, 0.25, [0])
-rows = sweep("width", [0.008, 0.016, 0.032], mask,
-             rotation=mp.RotationSampling(250), grid=grid)
+rows = sweep("width", [0.008, 0.016, 0.032], mask, radar,
+             rotation=mp.RotationSampling(250), directionality="bidirectional",
+             grid=grid)
 print(f"{'width':>8s} {'sigma_1':>10s} {'usable':>7s}")
 for r in rows:
     print(f"{r.value:8.3f} {r.sigma_1:10.3e} {r.usable_count:7d}")
 write_csv("sweep_width.csv", [SWEEP_HEADER, *map(astuple, rows)])
 
 print("\ntrajectory references over the same field of view ...")
-radar = mp.default_radar_config(mask)
 grid = mp.build_scene_grid(20.0, -50, 50, 0.05, [0])
 cfg = mp.ReconConfig(rel_threshold=1e-2)
 circ = mp.sar_baseline("circular", 0.16, radar, grid, positions=720)

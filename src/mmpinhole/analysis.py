@@ -27,9 +27,8 @@ import numpy as np
 from .errors import ParameterError, UndefinedMetricError
 from .forward import ForwardModel, build_forward
 from .geometry import (MaskGeometry, RadarConfig, RotationSampling, SceneGrid,
-                       build_scene_grid, default_plane_sampling,
-                       default_radar_config)
-from .recon import ReconConfig, factorize, reconstruct
+                       build_scene_grid, default_plane_sampling)
+from .recon import ReconConfig, factorize, numerical_rank, reconstruct
 
 GRAVITY_MPS2 = 9.81
 PEAK_MATCH_TOL_DEG = 0.7
@@ -204,10 +203,8 @@ _SWEEP_FIELDS = {"width": "blade_width_m", "radius": "blade_length_m",
 
 
 def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
-          radar: Optional[RadarConfig] = None, *,
-          rotation: Optional[RotationSampling] = None,
-          grid: Optional[SceneGrid] = None,
-          directionality: str = "bidirectional") -> List[SweepRow]:
+          radar: RadarConfig, *, rotation: RotationSampling, directionality: str,
+          grid: Optional[SceneGrid] = None) -> List[SweepRow]:
     """One (value, fwhp, spectrum summary) row per swept parameter value.
 
     Values the mask rejects (e.g. a blade width above the swept diameter)
@@ -228,19 +225,16 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
             logger.warning("skipping %s=%s: %s", parameter, value, exc)
             skipped.append(value)
             continue
-        r = radar if radar is not None else default_radar_config(mask)
-        rot = rotation if rotation is not None else RotationSampling(1000)
         g = grid if grid is not None else build_scene_grid(20.0, -8, 8, 0.05, [0])
-        sampling = default_plane_sampling(r, mask)
-        model = build_forward(r, g, mask, rot, sampling, directionality)
+        sampling = default_plane_sampling(radar, mask)
+        model = build_forward(radar, g, mask, rotation, sampling, directionality)
         fact = factorize(model)
         curve = psf(model, 0.0, fact=fact)
         S = fact.S
-        floor = SWEEP_USABLE_REL * S[0]
         rows.append(SweepRow(value=float(value), fwhp_deg=curve.fwhp_deg,
                              sigma_1=float(S[0]),
                              sigma_40=float(S[39]) if S.size > 39 else 0.0,
-                             usable_count=int(np.count_nonzero(S >= floor))))
+                             usable_count=numerical_rank(S, SWEEP_USABLE_REL)))
     if not rows:
         raise ParameterError(f"the mask rejects every {parameter} value: {skipped}")
     return rows
@@ -266,6 +260,14 @@ def _as_image(img):
     return arr
 
 
+def _image_pair(image, reference):
+    """Both images as 2-D float arrays, once their shapes agree."""
+    img, ref = _as_image(image), _as_image(reference)
+    if img.shape != ref.shape:
+        raise ParameterError("image and reference dimensions differ")
+    return img, ref
+
+
 def sharpness(image, reference) -> float:
     """High-frequency azimuth content of ``image`` relative to ``reference``.
 
@@ -273,10 +275,7 @@ def sharpness(image, reference) -> float:
     (zero frequency along the first axis) at normalized azimuth frequencies
     of at least 0.1 cycles per bin.
     """
-    img = _as_image(image)
-    ref = _as_image(reference)
-    if img.shape != ref.shape:
-        raise ParameterError("image and reference dimensions differ")
+    img, ref = _image_pair(image, reference)
 
     def score(arr):
         spec = np.fft.fft2(arr)
@@ -299,10 +298,7 @@ def mse(image, reference) -> float:
     Only pixels whose reference intensity lies in ``MSE_INTENSITY_WINDOW``
     enter the mean, which keeps empty background out of the score.
     """
-    img = _as_image(image)
-    ref = _as_image(reference)
-    if img.shape != ref.shape:
-        raise ParameterError("image and reference dimensions differ")
+    img, ref = _image_pair(image, reference)
     lo, hi = MSE_INTENSITY_WINDOW
     sel = (ref >= lo) & (ref <= hi)
     if not np.any(sel):
@@ -317,10 +313,7 @@ def ssim(image, reference) -> float:
     C2 = (0.03 L)^2, L = ``SSIM_DYNAMIC_RANGE``, and valid-region averaging
     of the local SSIM map.
     """
-    img = _as_image(image)
-    ref = _as_image(reference)
-    if img.shape != ref.shape:
-        raise ParameterError("image and reference dimensions differ")
+    img, ref = _image_pair(image, reference)
     if min(img.shape) < SSIM_WINDOW:
         raise ParameterError(f"images must be at least {SSIM_WINDOW} pixels per axis")
     # imported here: scipy.ndimage adds about 0.14 s to every CLI start
@@ -377,8 +370,7 @@ def chamfer(points_a, points_b) -> float:
 
 def metric_report(image, reference, grid: SceneGrid) -> MetricReport:
     """All Table-style metrics at once; SSIM and chamfer when computable."""
-    img = _as_image(image)
-    ref = _as_image(reference)
+    img, ref = _image_pair(image, reference)
     s = sharpness(img, ref)
     m = mse(img, ref)
     try:

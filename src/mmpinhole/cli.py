@@ -208,7 +208,6 @@ class ExperimentConfig:
     noise: NoiseModel
     recon: ReconConfig
     directionality: str
-    rpm: float
     output_dir: str
     analysis: dict
     snr_db: Optional[float]
@@ -230,8 +229,8 @@ def load_config(path) -> ExperimentConfig:
     try:
         mask = MaskGeometry(**sec["mask"])
         radar = default_radar_config(mask, **sec["radar"])
-        rpm = sec["rotation"].pop("rpm")
-        if rpm <= 0:
+        # checked, though no computed output reads it
+        if sec["rotation"].pop("rpm") <= 0:
             raise ParameterError("rotation.rpm must be positive")
         rotation = RotationSampling(**sec["rotation"])
         sampling = default_plane_sampling(radar, mask, **sec["sampling"])
@@ -271,7 +270,7 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(radar=radar, mask=mask, rotation=rotation,
                             sampling=sampling, grid=grid, targets=sec["scene"]["targets"],
                             noise=noise, recon=recon_cfg,
-                            directionality=sec["forward"]["directionality"], rpm=rpm,
+                            directionality=sec["forward"]["directionality"],
                             output_dir=sec["output"]["directory"], analysis=analysis,
                             snr_db=snr_db, config_sha256=sha)
 
@@ -321,7 +320,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> dict:
     if cfg.snr_db is not None:
         noise = noise_from_snr(model, cfg.snr_db, seed=cfg.noise.seed)
     x = scene_vector(cfg)
-    measured = simulate(model, x, noise, rotation_rpm=cfg.rpm)
+    measured = simulate(model, x, noise)
     container.write_container(
         os.path.join(out, "measurements.bin"), "measurements",
         fingerprint=model.fingerprint, directionality=cfg.directionality,

@@ -6,32 +6,34 @@ Container layout (all integers little-endian):
 offset size    field
 ====== ======= ====================================================
 0      8       magic ``b"MMPINH1\\0"``
-8      1       payload kind: 2 measurements, 3 model
+8      1       payload kind: 3 model, 4 measurements
 9      1       directionality: 0 unidirectional, 1 bidirectional
 10     2       reserved (zero)
 12     4       T (rows / measurement count), uint32
 16     4       N (scene points), uint32
 20     4       reserved (zero)
 24     16      config fingerprint, ASCII hex
-40     ...     payload (measurements) or sha256 of the payload (model)
-72     ...     payload (model)
+40     32      sha256 of the payload
+72     ...     payload
 ====== ======= ====================================================
 
-The measurements ``y`` (T) are interleaved re/im float32 pairs, 8 T bytes;
-finite values beyond the float32 range raise ``NumericError`` before the
-file is opened.  The model ``B`` (T x N) is row-major complex128 (re/im
-float64 pairs), 16 T N bytes, so it reads back bit for bit; the 32-byte
-sha256 digest of those bytes precedes them.  A file whose payload length
-disagrees with its header raises ``ShapeError``; one whose model payload
-disagrees with its digest raises ``DataFileError``; one with non-zero
-reserved bytes, another magic or an unknown kind or directionality code
-raises ``ParameterError``.
+Both kinds share this layout; only the payload's element type differs.  The
+model ``B`` (T x N) is row-major complex128 (re/im float64 pairs), 16 T N
+bytes, so it reads back bit for bit.  The measurements ``y`` (T) are
+complex64 (re/im float32 pairs), 8 T bytes; finite values beyond the float32
+range raise ``NumericError`` before the file is opened.  A file whose
+payload length disagrees with its header raises ``ShapeError``; one whose
+payload disagrees with its digest raises ``DataFileError``; one with
+non-zero reserved bytes, another magic or an unknown kind or directionality
+code raises ``ParameterError``.  Kind codes 1 (a complex64 model) and 2
+(measurements without a digest) are retired and read as unknown.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -40,8 +42,9 @@ import numpy as np
 from .errors import DataFileError, NumericError, ParameterError, ShapeError
 
 MAGIC = b"MMPINH1\x00"
-_KINDS = {"measurements": 2, "model": 3}
+_KINDS = {"measurements": 4, "model": 3}
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
+_DTYPES = {"measurements": np.dtype("<c8"), "model": np.dtype("<c16")}
 _DIRS = {"unidirectional": 0, "bidirectional": 1}
 _DIR_NAMES = {v: k for k, v in _DIRS.items()}
 _HEADER = struct.Struct("<8sBBHIII16s")
@@ -56,14 +59,6 @@ class ContainerPayload:
     arrays: dict
 
 
-def _complex_to_f32(arr: np.ndarray) -> bytes:
-    with np.errstate(over="ignore"):
-        flat = np.ascontiguousarray(arr, dtype=np.complex64).view(np.float32)
-    if not np.all(np.isfinite(flat)) and np.all(np.isfinite(arr)):
-        raise NumericError("values exceed the float32 range of the container")
-    return flat.astype("<f4", copy=False).tobytes()
-
-
 def write_container(path, kind: str, *, fingerprint: str, directionality: str,
                     arrays: dict) -> None:
     """Serialize one payload; see module docstring for the expected arrays."""
@@ -75,17 +70,20 @@ def write_container(path, kind: str, *, fingerprint: str, directionality: str,
     if len(fp) != 16:
         raise ParameterError("fingerprint must be 16 hex characters")
     if kind == "model":
-        B = arrays["B"]
-        T, N = B.shape
-        payload = np.ascontiguousarray(B, dtype="<c16").tobytes()
-        payload = hashlib.sha256(payload).digest() + payload
+        data = arrays["B"]
+        T, N = data.shape
     else:
-        y = arrays["y"]
-        T, N = y.size, int(arrays.get("n_points", 0))
-        payload = _complex_to_f32(y)
+        data = arrays["y"]
+        T, N = data.size, int(arrays.get("n_points", 0))
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(data, dtype=_DTYPES[kind])
+    if (kind == "measurements" and not np.all(np.isfinite(payload))
+            and np.all(np.isfinite(data))):
+        raise NumericError("values exceed the float32 range of the container")
     header = _HEADER.pack(MAGIC, _KINDS[kind], _DIRS[directionality], 0, T, N, 0, fp)
     with open(path, "wb") as fh:
         fh.write(header)
+        fh.write(hashlib.sha256(payload).digest())
         fh.write(payload)
 
 
@@ -115,19 +113,17 @@ def read_container(path) -> ContainerPayload:
     with open(path, "rb") as fh:
         raw = fh.read()
     kind, directionality, T, N, fingerprint = _header(raw, path)
+    shape = (T, N) if kind == "model" else (T,)
     body = memoryview(raw)[_HEADER.size:]
-    size = 16 * T * N + _DIGEST_SIZE if kind == "model" else 8 * T
+    size = _DIGEST_SIZE + _DTYPES[kind].itemsize * math.prod(shape)
     if len(body) != size:
         raise ShapeError(f"{path} holds {len(body)} payload bytes; its header "
                          f"(T={T}, N={N}) needs {size}")
-    if kind == "model":
-        digest, body = body[:_DIGEST_SIZE], body[_DIGEST_SIZE:]
-        if hashlib.sha256(body).digest() != digest:
-            raise DataFileError(f"{path} payload does not match its sha256 digest")
-        arrays = {"B": np.frombuffer(body, dtype="<c16").astype(np.complex128).reshape(T, N)}
-    else:
-        arrays = {"y": np.frombuffer(body, dtype="<f4").view(np.complex64)
-                  .astype(np.complex128), "n_points": N}
+    digest, body = body[:_DIGEST_SIZE], body[_DIGEST_SIZE:]
+    if hashlib.sha256(body).digest() != digest:
+        raise DataFileError(f"{path} payload does not match its sha256 digest")
+    data = np.frombuffer(body, dtype=_DTYPES[kind]).astype(np.complex128).reshape(shape)
+    arrays = {"B": data} if kind == "model" else {"y": data, "n_points": N}
     return ContainerPayload(kind=kind, directionality=directionality,
                             fingerprint=fingerprint, arrays=arrays)
 

@@ -77,7 +77,7 @@ class ReconConfig:
 
     def truncation(self, S: np.ndarray) -> int:
         if self.rel_threshold is not None:
-            return int(np.count_nonzero(S >= self.rel_threshold * S[0]))
+            return numerical_rank(S, self.rel_threshold)
         if self.sigma_max is None:
             return numerical_rank(S)
         if self.sigma_max > S.size:

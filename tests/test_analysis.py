@@ -87,8 +87,8 @@ class TestSarBaseline:
 class TestSweep:
     def test_radius_sweep_improves_resolution(self):
         mask = MaskGeometry(mode="regular-pinhole")
-        rows = sweep("radius", [0.04, 0.08, 0.16], mask,
-                     rotation=RotationSampling(500))
+        rows = sweep("radius", [0.04, 0.08, 0.16], mask, default_radar_config(mask),
+                     rotation=RotationSampling(500), directionality="bidirectional")
         fwhp = [r.fwhp_deg for r in rows]
         assert len(rows) == 3
         assert fwhp[0] > fwhp[1] > fwhp[2]
@@ -96,8 +96,9 @@ class TestSweep:
     def test_width_sweep_raises_singular_values(self):
         mask = MaskGeometry(mode="regular-pinhole")
         grid = build_scene_grid(20.0, -8, 8, 0.25, [0])
-        rows = sweep("width", [0.008, 0.016, 0.032], mask,
-                     rotation=RotationSampling(250), grid=grid)
+        rows = sweep("width", [0.008, 0.016, 0.032], mask, default_radar_config(mask),
+                     rotation=RotationSampling(250), directionality="bidirectional",
+                     grid=grid)
         sig1 = [r.sigma_1 for r in rows]
         assert sig1[0] < sig1[1] < sig1[2]
 
@@ -106,7 +107,8 @@ class TestSweep:
         grid = build_scene_grid(20.0, -8, 8, 0.5, [0])
         with caplog.at_level(logging.WARNING, logger="mmpinhole"):
             rows = sweep("width", [0.5, mask.blade_width_m], mask,
-                         rotation=RotationSampling(64), grid=grid)
+                         default_radar_config(mask), rotation=RotationSampling(64),
+                         directionality="bidirectional", grid=grid)
         assert [row.value for row in rows] == [mask.blade_width_m]
         assert [(r.name, r.levelno) for r in caplog.records] == [
             ("mmpinhole.analysis", logging.WARNING)]
@@ -116,7 +118,9 @@ class TestSweep:
         mask = MaskGeometry(mode="regular-pinhole")
         grid = build_scene_grid(20.0, -8, 8, 0.5, [0])
         with caplog.at_level(logging.WARNING, logger="mmpinhole"):
-            rows = sweep("blades", [1.7, 1], mask, rotation=RotationSampling(64), grid=grid)
+            rows = sweep("blades", [1.7, 1], mask, default_radar_config(mask),
+                         rotation=RotationSampling(64), directionality="bidirectional",
+                         grid=grid)
         assert [row.value for row in rows] == [1.0]
         assert [r.getMessage().split(":")[0] for r in caplog.records] == [
             "skipping blades=1.7"]
@@ -124,13 +128,15 @@ class TestSweep:
     def test_all_infeasible_values_raise(self, caplog):
         with caplog.at_level(logging.WARNING, logger="mmpinhole"), \
                 pytest.raises(ParameterError, match=r"\[0\.5, 0\.6\]"):
-            sweep("width", [0.5, 0.6], MaskGeometry(), rotation=RotationSampling(64))
+            sweep("width", [0.5, 0.6], MaskGeometry(), default_radar_config(MaskGeometry()),
+                  rotation=RotationSampling(64), directionality="bidirectional")
         assert [r.getMessage().split(":")[0] for r in caplog.records] == [
             "skipping width=0.5", "skipping width=0.6"]
 
     def test_unknown_parameter(self):
         with pytest.raises(ParameterError):
-            sweep("mass", [1.0], MaskGeometry())
+            sweep("mass", [1.0], MaskGeometry(), default_radar_config(MaskGeometry()),
+                  rotation=RotationSampling(64), directionality="bidirectional")
 
 
 class TestSharpness:

@@ -504,6 +504,22 @@ class TestReconstruct:
         assert err.startswith("data mismatch: cannot read the configured model")
         assert not list(out.glob("*"))
 
+    def test_flipped_measurements_payload_byte_is_data_error(self, simulated, tmp_path,
+                                                             capsys):
+        cfg, sim = simulated
+        raw = bytearray((sim / "measurements.bin").read_bytes())
+        raw[-3] ^= 0x10
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / "measurements.bin").write_bytes(bytes(raw))
+        out = tmp_path / "rec"
+        rc = main(["reconstruct", str(alone / "measurements.bin"), "--config", cfg,
+                   "--reference", str(sim / "truth.csv"), "--out-dir", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data mismatch:") and "sha256" in err
+        assert not list(out.glob("*"))
+
     def test_determinism(self, simulated, tmp_path):
         cfg, sim = simulated
         outs = []
@@ -544,13 +560,22 @@ class TestReconstructFuzz:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_damaged_measurements_never_raise(self, simulated_c14, data):
+        """Any changed byte, header or payload, exits 3 and writes nothing."""
         cfg, root, raw = simulated_c14
-        bad = root / "damaged.bin"
-        bad.write_bytes(data.draw(damaged(raw)))
-        rc = main(["reconstruct", str(bad), "--config", cfg,
+        bad = data.draw(damaged(raw))
+        run = root / "measurements-fuzz"
+        shutil.rmtree(run, ignore_errors=True)
+        run.mkdir()
+        (run / "damaged.bin").write_bytes(bad)
+        out = run / "rec"
+        rc = main(["reconstruct", str(run / "damaged.bin"), "--config", cfg,
                    "--reference", str(root / "sim" / "truth.csv"),
-                   "--sigma-max", "5,12", "--out-dir", str(root / "rec")])
-        assert rc in (0, 3, 4)
+                   "--sigma-max", "5,12", "--out-dir", str(out)])
+        if bad == raw:  # two flips of one byte can cancel
+            assert rc == 0
+        else:
+            assert rc == 3
+            assert not list(out.glob("*"))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -638,7 +663,7 @@ class TestConfigNumbers:
                                     "elevations_deg": [0.0]},
                               mask={"attenuation_db": 40.0}, rotation={"rpm": 600.0})
         a, b = load_config(ints), load_config(floats)
-        assert isinstance(a.grid.range_m, float) and isinstance(a.rpm, float)
+        assert isinstance(a.grid.range_m, float)
         assert isinstance(a.mask.attenuation_db, float)
         fp_a, fp_b = (config_fingerprint(c.radar, c.grid, c.mask, c.rotation,
                                          c.sampling, c.directionality,

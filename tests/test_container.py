@@ -58,8 +58,11 @@ class TestContainer:
                                   directionality="bidirectional",
                                   arrays={"y": y, "n_points": 2})
         raw = path.read_bytes()
-        floats = np.frombuffer(raw[40:], dtype="<f4")
+        assert raw[8] == 4
+        assert raw[40:72] == hashlib.sha256(raw[72:]).digest()
+        floats = np.frombuffer(raw[72:], dtype="<f4")
         np.testing.assert_array_equal(floats, [1.0, 2.0, -3.0, 0.5])
+        assert path.stat().st_size == 72 + 8 * y.size
 
     def test_values_beyond_float32_rejected(self, tmp_path):
         path = tmp_path / "x.bin"
@@ -89,6 +92,20 @@ class TestContainer:
         with pytest.raises(DataFileError, match="sha256"):
             container.read_container(path)
 
+    @pytest.mark.parametrize("offset", [40, 71, 72, -1])
+    def test_measurements_digest_checked(self, tmp_path, offset):
+        path = tmp_path / "meas.bin"
+        container.write_container(path, "measurements", fingerprint="f" * 16,
+                                  directionality="unidirectional",
+                                  arrays={"y": np.ones(5, dtype=complex), "n_points": 4})
+        raw = bytearray(path.read_bytes())
+        raw[offset] ^= 1
+        path.write_bytes(bytes(raw))
+        assert container.read_header(path) == ("measurements", "unidirectional", 5, 4,
+                                               "f" * 16)
+        with pytest.raises(DataFileError, match="sha256"):
+            container.read_container(path)
+
     def test_complex64_model_kind_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
         container.write_container(path, "measurements", fingerprint="f" * 16,
@@ -98,6 +115,18 @@ class TestContainer:
         raw[8] = 1  # the retired complex64 model kind
         raw[12:16] = (3).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
+        for read in (container.read_header, container.read_container):
+            with pytest.raises(ParameterError, match="kind"):
+                read(path)
+
+    def test_undigested_measurements_kind_rejected(self, tmp_path):
+        path = tmp_path / "meas.bin"
+        container.write_container(path, "measurements", fingerprint="f" * 16,
+                                  directionality="bidirectional",
+                                  arrays={"y": np.ones(3, dtype=complex), "n_points": 4})
+        raw = path.read_bytes()
+        # the retired layout: kind 2, the float32 pairs right after the header
+        path.write_bytes(raw[:8] + bytes([2]) + raw[9:40] + raw[72:])
         for read in (container.read_header, container.read_container):
             with pytest.raises(ParameterError, match="kind"):
                 read(path)
