@@ -27,7 +27,7 @@ grid = mp.build_scene_grid(20.0, -50, 50, 0.1, [0])
 print(f"building one-way matrices: {rotation.count} rotation positions x "
       f"{grid.n_points} scene angles, {sampling.n_samples} mask cells")
 trans = mp.transmission_for(mask, rotation, sampling)
-tx, rx = assemble_oneway(radar, grid, mask, rotation, sampling, ("tx", "rx"), trans)
+tx, rx = assemble_oneway(radar, grid, mask, rotation, sampling, trans)
 
 bi = mp.ForwardModel(B=tx * rx, fingerprint="0" * 16,
                      directionality="bidirectional", grid=grid)

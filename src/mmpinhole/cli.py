@@ -313,7 +313,19 @@ def _read_reference_csv(path, grid: SceneGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_simulate(cfg: ExperimentConfig, out: str) -> dict:
+def _output_paths(out: str):
+    """``path(name)`` in ``out``, which the call creates: commands ask only once
+    their outputs are computed, so one that fails first leaves no directory."""
+    def path(name: str) -> str:
+        try:
+            os.makedirs(out, exist_ok=True)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise ConfigError(f"cannot create output directory {out!r}: {exc}")
+        return os.path.join(out, name)
+    return path
+
+
+def cmd_simulate(cfg: ExperimentConfig, out) -> dict:
     model = build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
                           cfg.sampling, cfg.directionality)
     noise = cfg.noise
@@ -322,20 +334,20 @@ def cmd_simulate(cfg: ExperimentConfig, out: str) -> dict:
     x = scene_vector(cfg)
     measured = simulate(model, x, noise)
     container.write_container(
-        os.path.join(out, "measurements.bin"), "measurements",
+        out("measurements.bin"), "measurements",
         fingerprint=model.fingerprint, directionality=cfg.directionality,
         arrays={"y": measured.y, "n_points": cfg.grid.n_points})
     container.write_container(
-        os.path.join(out, "model.bin"), "model",
+        out("model.bin"), "model",
         fingerprint=model.fingerprint, directionality=cfg.directionality,
         arrays={"B": model.B})
     if measured.y.size <= 4096:
-        container.write_csv(os.path.join(out, "measurements.csv"),
+        container.write_csv(out("measurements.csv"),
                             [("sample", "re", "im"),
                              *((t, v.real, v.imag) for t, v in enumerate(measured.y))])
     truth = ImageResult(intensity=np.abs(x).reshape(cfg.grid.shape),
                         complex_amplitude=x, grid=cfg.grid)
-    image_to_csv(os.path.join(out, "truth.csv"), truth)
+    image_to_csv(out("truth.csv"), truth)
     return {"command": "simulate", "fingerprint": model.fingerprint,
             "noise_power": noise.noise_power}
 
@@ -360,8 +372,8 @@ def _model_beside(measurements_path, cfg: ExperimentConfig, fingerprint: str):
         raise DataFileError(f"cannot read the configured model: {exc}")
 
 
-def cmd_reconstruct(cfg: ExperimentConfig, out: str, measurements_path,
-                    sigma_max=None, reference=None) -> dict:
+def cmd_reconstruct(cfg: ExperimentConfig, out, measurements_path, sigma_max,
+                    reference) -> dict:
     try:
         payload = container.read_container(measurements_path)
     except (OSError, ParameterError) as exc:
@@ -401,10 +413,10 @@ def cmd_reconstruct(cfg: ExperimentConfig, out: str, measurements_path,
                if ref_img is not None else [])
     for k, image in zip(ks, images):
         tag = f"_k{k}" if len(ks) > 1 else ""
-        image_to_pgm(os.path.join(out, f"image{tag}.pgm"), image)
-        image_to_csv(os.path.join(out, f"image{tag}.csv"), image)
+        image_to_pgm(out(f"image{tag}.pgm"), image)
+        image_to_csv(out(f"image{tag}.csv"), image)
     if reports:
-        container.write_csv(os.path.join(out, "metrics.csv"),
+        container.write_csv(out("metrics.csv"),
                             [("sigma_max", "sharpness", "mse", "ssim", "chamfer_m"),
                              *((k, r.sharpness_ratio, r.mse, r.ssim, r.chamfer_m)
                                for k, r in zip(ks, reports))])
@@ -412,14 +424,14 @@ def cmd_reconstruct(cfg: ExperimentConfig, out: str, measurements_path,
             "model": "built" if B is None else "model.bin", "sigma_max": list(ks)}
 
 
-def cmd_analyze(cfg: ExperimentConfig, out: str, subcommand) -> dict:
+def cmd_analyze(cfg: ExperimentConfig, out, subcommand) -> dict:
     ana = cfg.analysis
     if subcommand == "svd":
         # the unidirectional model is the kept rx end of the bidirectional pass
         s_bi, s_uni = (svdvals(build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
                                              cfg.sampling, d).B)
                        for d in ("bidirectional", "unidirectional"))
-        container.write_csv(os.path.join(out, "svd.csv"),
+        container.write_csv(out("svd.csv"),
                             [("index", "sigma_bidirectional", "sigma_unidirectional"),
                              *((i, a, b) for i, (a, b) in enumerate(zip(s_bi, s_uni)))])
     elif subcommand == "psf":
@@ -432,17 +444,17 @@ def cmd_analyze(cfg: ExperimentConfig, out: str, subcommand) -> dict:
             model = sar_baseline(kind.split("-")[1], ana["psf_extent_m"], cfg.radar,
                                  cfg.grid, positions=ana["sar_positions"])
             curve = psf(model, target, ReconConfig(rel_threshold=1e-2))
-        container.write_csv(os.path.join(out, "psf.csv"),
+        container.write_csv(out("psf.csv"),
                             [("# fwhp_deg", curve.fwhp_deg), ("angle_deg", "response"),
                              *zip(curve.angles_deg, curve.response)])
     elif subcommand == "sweep":
         rows = sweep(ana["sweep_parameter"], ana["sweep_values"], cfg.mask,
                      cfg.radar, rotation=cfg.rotation,
                      directionality=cfg.directionality)
-        container.write_csv(os.path.join(out, "sweep.csv"),
+        container.write_csv(out("sweep.csv"),
                             [[f.name for f in fields(SweepRow)], *map(astuple, rows)])
     else:  # power
-        container.write_csv(os.path.join(out, "power.csv"),
+        container.write_csv(out("power.csv"),
                             [("label", "mass_kg", "radius_m", "rpm", "power_w"),
                              *((c["label"], c["mass_kg"], c["radius_m"], c["rpm"],
                                 rotational_power(c["mass_kg"], c["radius_m"],
@@ -497,11 +509,7 @@ def main(argv=None) -> int:
         if ks is not None and cfg.recon.rel_threshold is not None:
             raise ConfigError("--sigma-max has no effect while recon.rel_threshold "
                               "is set; drop one of them")
-        out = cfg.output_dir if args.out_dir is None else args.out_dir
-        try:
-            os.makedirs(out, exist_ok=True)
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-            raise ConfigError(f"cannot create output directory {out!r}: {exc}")
+        out = _output_paths(cfg.output_dir if args.out_dir is None else args.out_dir)
         if args.command == "simulate":
             summary = cmd_simulate(cfg, out)
         elif args.command == "reconstruct":
@@ -509,7 +517,7 @@ def main(argv=None) -> int:
                                       reference=args.reference)
         else:
             summary = cmd_analyze(cfg, out, args.subcommand)
-        _write_manifest(os.path.join(out, "manifest.json"), cfg, summary)
+        _write_manifest(out("manifest.json"), cfg, summary)
         return EXIT_OK
     except (ConfigError, ParameterError, SingularityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,11 +5,10 @@ entrywise: the wave crosses the rotating mask once on the way out and once
 on the way back.  The unidirectional baseline keeps only the receive-side
 matrix.
 
-:func:`build_forward` keeps the last geometry it assembled in memory: the
-bidirectional ``B`` and the rx end (2 * 16 * T * N bytes).  Another call on
-the same inputs returns them without assembling, and a unidirectional call
-after a bidirectional one returns the rx end of that pass, which carries
-the same bits as a pass over the rx end alone.  The returned ``B`` is
+:func:`build_forward` assembles both ends whatever the directionality and
+keeps the last geometry in memory: the bidirectional ``B`` and the rx end
+(2 * 16 * T * N bytes).  Another call on the same inputs, of either
+directionality, returns them without assembling.  The returned ``B`` is
 read-only.  A call on other inputs drops the kept models before it
 assembles.  Separate processes share nothing, so ``reconstruct`` in its
 own process still reads the ``model.bin`` that ``simulate`` wrote.
@@ -161,7 +160,7 @@ class ForwardModel:
         return self.B.shape[1]
 
 
-# The last geometry assembled: (key, bidirectional B or None, rx end), one tuple
+# The last geometry assembled: (key, bidirectional B, rx end), one tuple
 # replaced by one assignment, so no thread pairs a key with another's arrays.
 _memo = None
 
@@ -182,23 +181,14 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                                       transmission)
     fingerprint = _fingerprint(key, directionality)
     memo = _memo
-    if memo is None or memo[0] != key or (directionality == "bidirectional"
-                                          and memo[1] is None):
+    if memo is None or memo[0] != key:
         # drop the old models first: two geometries are never held at once
         _memo = memo = None
         if transmission is None:  # the kept digest named it
             transmission = transmission_for(mask, rotation, plane_sampling)
-        if directionality == "unidirectional":
-            bi = None
-            rx, = assemble_oneway(radar, grid, mask, rotation, plane_sampling, ("rx",),
-                                  transmission)
-        else:
-            tx, rx = assemble_oneway(radar, grid, mask, rotation, plane_sampling,
-                                     ("tx", "rx"), transmission)
-            bi = tx * rx
-            del tx
-            bi.flags.writeable = False
-        rx.flags.writeable = False
+        bi, rx = assemble_oneway(radar, grid, mask, rotation, plane_sampling, transmission)
+        bi *= rx  # tx * rx in the tx end's storage
+        bi.flags.writeable = rx.flags.writeable = False
         memo = _memo = (key, bi, rx)
     _, bi, rx = memo
     return ForwardModel(B=bi if directionality == "bidirectional" else rx,

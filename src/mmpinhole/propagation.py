@@ -12,10 +12,9 @@ FoV.  It enters the matrices only through the illumination of the mask
 cells.
 
 The plane-to-scene kernel does not depend on the antenna; only the
-illumination of the mask plane does.  ``assemble_oneway`` therefore takes
-a tuple of antenna ends and evaluates each kernel block once for all of
-them, so the Tx and Rx matrices of a bidirectional model cost one kernel
-pass.
+illumination of the mask plane does.  ``assemble_oneway`` therefore returns
+the Tx and Rx matrices together and evaluates each kernel block once for
+both, so a bidirectional model costs one kernel pass.
 
 The kernel is evaluated one block of scene columns at a time, sized by
 bytes: the M x w complex block takes at most ``_SCENE_BLOCK_BYTES`` (8 MiB),
@@ -263,30 +262,27 @@ def _check_transmission_shape(transmission, rotation, plane_sampling) -> None:
 
 def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                     rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
-                    ends, transmission):
-    """One-way propagation matrices through the time-variant mask.
+                    transmission):
+    """One-way propagation matrices (tx, rx) through the time-variant mask.
 
     Entry (t, j) integrates antenna illumination, per-position transmission
     and the Rayleigh-Sommerfeld secondary-source factor over the mask-plane
     lattice (midpoint rule, cell area weighting).  Accumulation is in double
-    complex precision.
+    complex precision.  Both (rotation positions) x (scene points) complex128
+    arrays come from one pass over the plane-to-scene kernel.
 
     Parameters
     ----------
-    ends : tuple of "tx" and "rx"
-        The antennas that illuminate the mask plane, e.g. ``("tx", "rx")``
-        or ``("rx",)``.  Returns one (rotation positions) x (scene points)
-        complex128 array per end, in the same order, from a single pass over
-        the plane-to-scene kernel.
     transmission : MaskTransmission
         Per-rotation-position amplitude transmission over the lattice.
 
-    A scene point in front of the mask plane (z below the lattice depth)
-    raises ``ParameterError``; one on a lattice cell ``SingularityError``.
+    A lattice off the mask's depth, too coarse or too small, or a scene point
+    in front of the mask plane (z below the lattice depth) raises
+    ``ParameterError``; a scene point on a lattice cell ``SingularityError``.
     """
-    if (not isinstance(ends, tuple) or not ends
-            or any(end not in ("tx", "rx") for end in ends)):
-        raise ParameterError("ends must be a non-empty tuple of 'tx' and 'rx'")
+    if plane_sampling.plane_depth_m != mask.plane_depth_m:
+        raise ParameterError(f"plane sampling depth {plane_sampling.plane_depth_m!r} m "
+                             f"differs from the mask plane depth {mask.plane_depth_m!r} m")
     if plane_sampling.spacing_m > radar.wavelength_m / 2.0 + 1e-15:
         raise ParameterError("plane sampling pitch must be at most wavelength/2")
     if plane_sampling.extent_m + 1e-12 < mask.blade_length_m + mask.blade_width_m:
@@ -314,15 +310,15 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     delta = transmission.inside_amp - outside
     steps = _footprint_steps(transmission.footprint_indices, M)
     weighted = []
-    for end in ends:
-        illum = _antenna_to_plane(radar, radar.tx if end == "tx" else radar.rx, plane_pts)
+    for antenna in (radar.tx, radar.rx):
+        illum = _antenna_to_plane(radar, antenna, plane_pts)
         diffs = sparse.csr_matrix((steps.data * illum[steps.indices], steps.indices,
                                    steps.indptr), shape=steps.shape)
         weighted.append((illum, [diffs[r] for r in row_ranges]))
     del diffs  # the loop reads only the row-range copies
     n = plane_sampling.axis_coords.size
     width = _scene_block_columns(M)
-    matrices = tuple(np.empty((T, N), dtype=np.complex128) for _ in ends)
+    matrices = tuple(np.empty((T, N), dtype=np.complex128) for _ in weighted)
     # the tasks run private helpers only, so a tracer that wraps the public
     # functions (bench/tracing.py) still sees every call on one thread
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -62,7 +62,7 @@ def psf_bundle(default_geometry):
     mask, radar, rotation, sampling = default_geometry
     grid = build_scene_grid(20.0, -50, 50, 0.05, [0])
     trans = transmission_for(mask, rotation, sampling)
-    tx, rx = assemble_oneway(radar, grid, mask, rotation, sampling, ("tx", "rx"), trans)
+    tx, rx = assemble_oneway(radar, grid, mask, rotation, sampling, trans)
     bi = mp.ForwardModel(B=tx * rx, fingerprint="0" * 16,
                          directionality="bidirectional", grid=grid)
     uni = mp.ForwardModel(B=rx, fingerprint="1" * 16,
@@ -258,14 +258,10 @@ def test_c07_background_subtraction_identity():
     reg = transmission_for(replace(mask, mode="regular-pinhole"), rotation, sampling)
     inv = transmission_for(replace(mask, mode="inverse-pinhole"), rotation, sampling)
     opn = open_mask(rotation, sampling)
-    sides = {}
-    for end in ("rx", "tx"):
-        args = (radar, grid, mask, rotation, sampling, (end,))
-        sides[end] = tuple(assemble_oneway(*args, t)[0] for t in (reg, inv, opn))
-    HF, IF, OF = sides["rx"]
+    args = (radar, grid, mask, rotation, sampling)
+    (HFt, HF), (IFt, IF), (OFt, OF) = (assemble_oneway(*args, t) for t in (reg, inv, opn))
     residual_uni = float(np.abs((IF - OF) + HF).max())
     assert residual_uni < 1e-10, residual_uni
-    HFt, IFt, OFt = sides["tx"]
     residual_bi = float(np.abs((IFt * IF - OFt * OF) + HFt * HF).max())
     assert residual_bi > 1e6 * max(residual_uni, 1e-300)
     assert residual_bi > 1e-3 * float(np.abs(OFt * OF).max())

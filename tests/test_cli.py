@@ -502,7 +502,7 @@ class TestReconstruct:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("data mismatch: cannot read the configured model")
-        assert not list(out.glob("*"))
+        assert not out.exists()
 
     def test_flipped_measurements_payload_byte_is_data_error(self, simulated, tmp_path,
                                                              capsys):
@@ -518,7 +518,7 @@ class TestReconstruct:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("data mismatch:") and "sha256" in err
-        assert not list(out.glob("*"))
+        assert not out.exists()
 
     def test_determinism(self, simulated, tmp_path):
         cfg, sim = simulated

@@ -3,6 +3,7 @@ import json
 import math
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,15 +70,15 @@ def toy_model(toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling):
 
 @pytest.fixture
 def assemblies(monkeypatch):
-    """The ``ends`` of every assembly that ``build_forward`` runs.
+    """Counts the assemblies that ``build_forward`` runs, in ``.count``.
 
     Each assembly must start with no model kept: the old one is dropped first.
     """
-    calls = []
+    calls = SimpleNamespace(count=0)
 
     def spy(*args):
         assert forward._memo is None
-        calls.append(args[5])
+        calls.count += 1
         return assemble_oneway(*args)
     monkeypatch.setattr(forward, "assemble_oneway", spy)
     return calls
@@ -88,29 +89,30 @@ class TestModelMemo:
                                       toy_rotation, toy_sampling, assemblies):
         args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)
         first, second = (build_forward(*args) for _ in range(2))
-        assert assemblies == [("tx", "rx")]
+        assert assemblies.count == 1
         forward._memo = None
         fresh = build_forward(*args)
-        assert len(assemblies) == 2
+        assert assemblies.count == 2
         for model in (second, fresh):
             assert np.array_equal(model.B, first.B)
             assert model.fingerprint == first.fingerprint
 
+    @pytest.mark.parametrize("order", [("unidirectional", "bidirectional"),
+                                       ("bidirectional", "unidirectional")],
+                             ids=["unidirectional-first", "bidirectional-first"])
     def test_unidirectional_is_the_kept_rx_end(self, toy_radar, toy_grid, toy_mask,
-                                               toy_rotation, toy_sampling, assemblies):
+                                               toy_rotation, toy_sampling, assemblies,
+                                               order):
+        # either request order assembles both ends once
         args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)
-        bi = build_forward(*args, "bidirectional")
-        uni = build_forward(*args, "unidirectional")
-        assert assemblies == [("tx", "rx")]
+        models = {d: build_forward(*args, d) for d in order}
+        assert assemblies.count == 1
         trans = transmission_for(toy_mask, toy_rotation, toy_sampling)
-        rx, = assemble_oneway(*args, ("rx",), trans)
-        assert np.array_equal(uni.B, rx)
-        assert uni.fingerprint == config_fingerprint(*args, "unidirectional", trans)
-        # an rx end alone holds no bidirectional B: it is assembled again
-        forward._memo = None
-        assert np.array_equal(build_forward(*args, "unidirectional").B, rx)
-        assert np.array_equal(build_forward(*args, "bidirectional").B, bi.B)
-        assert assemblies == [("tx", "rx"), ("rx",), ("tx", "rx")]
+        tx, rx = assemble_oneway(*args, trans)
+        assert np.array_equal(models["unidirectional"].B, rx)
+        assert np.array_equal(models["bidirectional"].B, tx * rx)
+        for d, model in models.items():
+            assert model.fingerprint == config_fingerprint(*args, d, trans)
 
     def test_other_geometry_frees_the_kept_models(self, toy_radar, toy_grid, toy_mask,
                                                   toy_rotation, toy_sampling):
@@ -222,7 +224,7 @@ class TestKeptTransmissionDigest:
         opened = open_mask(toy_rotation, toy_sampling)
         transmissions = [opened, None] if order == "open-first" else [None, opened]
         models = [build_forward(*args, transmission=t) for t in transmissions]
-        assert assemblies == [("tx", "rx")] * 2
+        assert assemblies.count == 2
         assert models[0].fingerprint != models[1].fingerprint
         forward._memo = forward._mode_digest = None
         fresh = build_forward(*args, transmission=transmissions[1])
@@ -241,7 +243,7 @@ class TestKeptTransmissionDigest:
             config_fingerprint(*args, trans)
         with pytest.raises(ParameterError, match=message):
             build_forward(*args, transmission=trans)
-        assert assemblies == []
+        assert assemblies.count == 0
 
 
 class TestBuildForward:
@@ -250,8 +252,7 @@ class TestBuildForward:
                                                 toy_sampling):
         trans = open_mask(toy_rotation, toy_sampling)
         args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)
-        tx, = assemble_oneway(*args, ("tx",), trans)
-        rx, = assemble_oneway(*args, ("rx",), trans)
+        tx, rx = assemble_oneway(*args, trans)
         bi = build_forward(*args, "bidirectional", transmission=trans)
         uni = build_forward(*args, "unidirectional", transmission=trans)
         np.testing.assert_allclose(bi.B, tx * rx, rtol=1e-12)
@@ -361,7 +362,7 @@ class TestBuildForward:
                                    (masks[2], None)]:
             build_forward(toy_radar, toy_grid, mask, toy_rotation, toy_sampling,
                           transmission=transmission)
-        assert assemblies == [("tx", "rx")] * 3
+        assert assemblies.count == 3
 
     def test_fingerprint_covers_transmission_and_pattern(
             self, toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling):

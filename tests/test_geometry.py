@@ -256,7 +256,7 @@ class TestMaskPlaneSampling:
         rot = RotationSampling(4)
         with pytest.raises(ParameterError, match="wavelength/2"):
             assemble_oneway(radar, build_scene_grid(20.0, 0, 0, 1, [0]), mask, rot,
-                            samp, ("rx",), open_mask(rot, samp))
+                            samp, open_mask(rot, samp))
 
 
 class TestRadarConfig:

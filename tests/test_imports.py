@@ -25,7 +25,7 @@ LOOKUP_SITES = {"mask.py": ["footprint_mask_array"],
 
 # Settable values of the package: see _settable_values.  A knob added or
 # removed shows up as an edit of this number.
-SETTABLE_VALUES = 103
+SETTABLE_VALUES = 101
 
 
 def _unused_imports(source: str):

@@ -167,10 +167,10 @@ class TestBackgroundSubtractionIdentity:
         reg = transmission_for(regular(toy_mask), toy_rotation, toy_sampling)
         inv = transmission_for(inverse(toy_mask), toy_rotation, toy_sampling)
         opn = open_mask(toy_rotation, toy_sampling)
-        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling, ("rx",))
-        HF, = assemble_oneway(*args, reg)
-        IF, = assemble_oneway(*args, inv)
-        OF, = assemble_oneway(*args, opn)
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)
+        _, HF = assemble_oneway(*args, reg)
+        _, IF = assemble_oneway(*args, inv)
+        _, OF = assemble_oneway(*args, opn)
         residual = (IF - OF) + HF
         assert np.abs(residual).max() < 1e-12 * np.abs(OF).max()
 

@@ -114,7 +114,7 @@ class TestAntennaPattern:
 
 
 def _one_way(radar, grid, mask, rot, samp, trans):
-    rx, = assemble_oneway(radar, grid, mask, rot, samp, ("rx",), trans)
+    _, rx = assemble_oneway(radar, grid, mask, rot, samp, trans)
     return rx
 
 
@@ -168,31 +168,21 @@ class TestAssembleOneway:
         with pytest.raises(ParameterError):
             _one_way(toy_radar, toy_grid, toy_mask, toy_rotation, small, trans)
 
-    def test_two_ends_match_single_end_calls(self, toy_radar, toy_mask,
-                                             toy_rotation, toy_sampling, monkeypatch):
-        # several 64-column scene blocks and two elevations
-        monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES",
-                            64 * 16 * toy_sampling.n_samples)
-        grid = build_scene_grid(2.0, -30.0, 30.0, 0.5, [0.0, 5.0])
-        assert grid.n_points > 2 * 64
-        trans = transmission_for(replace(toy_mask, mode="regular-pinhole"),
-                                 toy_rotation, toy_sampling)
-        args = (toy_radar, grid, toy_mask, toy_rotation, toy_sampling)
-        tx, rx = assemble_oneway(*args, ("tx", "rx"), trans)
-        rx2, tx2 = assemble_oneway(*args, ("rx", "tx"), trans)
-        for end, pair in (("tx", (tx, tx2)), ("rx", (rx, rx2))):
-            single, = assemble_oneway(*args, (end,), trans)
-            for matrix in pair:
-                assert np.array_equal(matrix, single)
-        assert not np.array_equal(tx, rx)
-
-    @pytest.mark.parametrize("ends", [("tx", "bogus"), (), "both", "tx"])
-    def test_unknown_end_rejected(self, toy_radar, toy_grid, toy_mask,
-                                  toy_rotation, toy_sampling, ends):
-        trans = open_mask(toy_rotation, toy_sampling)
-        with pytest.raises(ParameterError):
-            assemble_oneway(toy_radar, toy_grid, toy_mask, toy_rotation,
-                            toy_sampling, ends, trans)
+    @pytest.mark.parametrize("moved", ["mask", "lattice"])
+    def test_lattice_must_lie_at_the_mask_depth(self, toy_radar, toy_grid, toy_mask,
+                                                toy_rotation, toy_sampling, moved):
+        # the kernel reads the lattice's depth only, and the fingerprint both:
+        # a mask at another depth would give the same B under a new fingerprint
+        mask, samp = toy_mask, toy_sampling
+        if moved == "mask":
+            mask = replace(toy_mask, plane_depth_m=0.09)
+        else:
+            samp = replace(toy_sampling, plane_depth_m=0.09)
+        trans = transmission_for(mask, toy_rotation, samp)
+        with pytest.raises(ParameterError, match="differs from the mask plane depth"):
+            _one_way(toy_radar, toy_grid, mask, toy_rotation, samp, trans)
+        with pytest.raises(ParameterError, match="differs from the mask plane depth"):
+            build_forward(toy_radar, toy_grid, mask, toy_rotation, samp)
 
     def test_non_finite_entries_rejected(self, toy_radar, toy_grid, toy_mask,
                                          toy_rotation, toy_sampling, monkeypatch):
@@ -201,7 +191,7 @@ class TestAssembleOneway:
                             lambda radar, d: np.full(np.shape(d)[:-1], np.nan))
         with pytest.raises(ParameterError, match="entries must be finite"):
             assemble_oneway(toy_radar, toy_grid, toy_mask, toy_rotation,
-                            toy_sampling, ("tx", "rx"), trans)
+                            toy_sampling, trans)
 
     def test_far_field_phase_matches_plane_wave(self, toy_mask):
         # a single open cell swept along x acts as a moving point source;
@@ -224,7 +214,7 @@ class TestAssembleOneway:
                                  inside_amp=1.0, outside_amp=0.0,
                                  footprint_indices=[np.array([c]) for c in cells])
         rot = RotationSampling(T)
-        F, = assemble_oneway(radar, grid, toy_mask, rot, samp, ("rx",), trans)
+        _, F = assemble_oneway(radar, grid, toy_mask, rot, samp, trans)
         cell_x = pts[cells, 0]
         d_leg = np.linalg.norm(pts[cells] - radar.rx[None, :], axis=1)
         measured = np.unwrap(np.angle(F[:, 0])) - 2 * math.pi * d_leg / wavelength
@@ -255,7 +245,7 @@ class TestAssembleOneway:
                                  footprint_indices=[np.flatnonzero(rr <= rad)
                                                     for rad in np.sqrt(r2)])
         rot = RotationSampling(len(r2))
-        F, = assemble_oneway(radar, grid, toy_mask, rot, samp, ("rx",), trans)
+        _, F = assemble_oneway(radar, grid, toy_mask, rot, samp, trans)
         mags = np.abs(F[:, 0])
         free = 1.0 / np.linalg.norm(grid.points[0] - radar.rx)
         smoothed = np.convolve(mags, np.ones(6) / 6, mode="valid")
@@ -317,8 +307,8 @@ class TestMirrorFold:
             # open-plane terms of the assembly carry a scale factor
             inside, outside = (0.7, 0.2) if mode == "regular-pinhole" else (0.2, 0.7)
             trans = replace(trans, inside_amp=inside, outside_amp=outside)
-        tx, rx = assemble_oneway(toy_radar, grid, mask, toy_rotation, toy_sampling,
-                                 ("tx", "rx"), trans)
+        tx, rx = assemble_oneway(toy_radar, grid, mask, toy_rotation, toy_sampling, trans)
+        assert not np.array_equal(tx, rx)
         kernel_rows = [rows for _, rows in kernel_blocks.per_block()]
         n = toy_sampling.axis_coords.size
         assert (n + 1) // 2 * n in kernel_rows
@@ -344,7 +334,7 @@ class TestMirrorFold:
         grid = build_scene_grid(0.25, 0.0, 0.0, 1.0, elevations)
         rot = RotationSampling(4)
         with pytest.raises(SingularityError, match="coincides"):
-            assemble_oneway(radar, grid, mask, rot, samp, ("tx", "rx"),
+            assemble_oneway(radar, grid, mask, rot, samp,
                             transmission_for(mask, rot, samp))
         from mmpinhole.cli import main
         config = {
@@ -372,7 +362,7 @@ class TestMirrorFold:
         grid = build_scene_grid(0.3, 0.0, 0.0, 1.0, sorted([elevation, 0.0]))
         assert np.min(grid.points[:, 2]) == z
         rot = RotationSampling(4)
-        tx, rx = assemble_oneway(radar, grid, mask, rot, samp, ("tx", "rx"),
+        tx, rx = assemble_oneway(radar, grid, mask, rot, samp,
                                  transmission_for(mask, rot, samp))
         assert np.all(np.isfinite(tx * rx))
 
@@ -410,7 +400,7 @@ class TestMirrorSymmetry:
         rot, rot_mirrored = RotationSampling(T, a), RotationSampling(T, -a)
 
         def one_way(rotation):
-            return assemble_oneway(radar, grid, mask, rotation, samp, ("tx", "rx"),
+            return assemble_oneway(radar, grid, mask, rotation, samp,
                                    transmission_for(mask, rotation, samp))
         tx, rx = one_way(rot)
         tx_m, rx_m = one_way(rot_mirrored)
@@ -591,7 +581,7 @@ class TestSceneBlocks:
             monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES", 16 * M * w)
             kernel_blocks.calls.clear()
             results[w] = assemble_oneway(toy_radar, grid, mask, toy_rotation,
-                                         toy_sampling, ("tx", "rx"), trans)
+                                         toy_sampling, trans)
             widths = [width for width, _ in kernel_blocks.per_block()]
             assert widths == [w] * (N // w) + [N % w] * (N % w > 0)
         for w, matrices in results.items():
@@ -630,10 +620,8 @@ class TestWorkers:
                              ids=["flat", "three-elevations"])
     @pytest.mark.parametrize("blades", [1, 2])
     @pytest.mark.parametrize("mode", ["regular-pinhole", "inverse-pinhole"])
-    @pytest.mark.parametrize("ends", [("rx",), ("tx", "rx")],
-                             ids=["unidirectional", "bidirectional"])
     def test_worker_count_keeps_the_bits(self, toy_radar, toy_mask, toy_sampling,
-                                         monkeypatch, elevations, blades, mode, ends):
+                                         monkeypatch, elevations, blades, mode):
         # 130 positions leave a 30-row tail after the last restart; 16-column
         # blocks, and with three elevations some are folded and some not
         monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES",
@@ -647,7 +635,7 @@ class TestWorkers:
         for workers in (1, 2, 3):
             monkeypatch.setattr(propagation, "_worker_count", lambda: workers)
             results.append(assemble_oneway(toy_radar, grid, mask, rot, toy_sampling,
-                                           ends, trans))
+                                           trans))
             assert set(threading.enumerate()) == threads
         for matrices in results[1:]:
             for got, ref in zip(matrices, results[0]):
@@ -663,7 +651,7 @@ class TestWorkers:
         grid = build_scene_grid(2.0, -20.0, 30.0, 1.0, [-5.0, 0.0, 5.0])
         mask = replace(toy_mask, blade_count=2, attenuation_db=20.0)
         trans = transmission_for(mask, toy_rotation, toy_sampling)
-        args = (toy_radar, grid, mask, toy_rotation, toy_sampling, ("tx", "rx"), trans)
+        args = (toy_radar, grid, mask, toy_rotation, toy_sampling, trans)
         monkeypatch.setattr(propagation, "_worker_count", lambda: 1)
         ref = assemble_oneway(*args)
         monkeypatch.setattr(propagation, "_worker_count", lambda: 4 * os.cpu_count())
@@ -694,7 +682,7 @@ class TestWorkers:
         rot = RotationSampling(4)
         threads = set(threading.enumerate())
         with pytest.raises(SingularityError, match="coincides"):
-            assemble_oneway(radar, grid, mask, rot, samp, ("tx", "rx"),
+            assemble_oneway(radar, grid, mask, rot, samp,
                             transmission_for(mask, rot, samp))
         assert set(threading.enumerate()) == threads  # no worker outlives the call
 
@@ -728,5 +716,5 @@ class TestWorkingSet:
         grid = build_scene_grid(20.0, -50.0, 50.0, 0.5, [0.0])
         assert grid.n_points == 201
         _, peak = self.traced_peak_mb(assemble_oneway, radar, grid, mask, rotation,
-                                      sampling, ("tx", "rx"), trans)
+                                      sampling, trans)
         assert peak < 33.0
