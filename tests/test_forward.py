@@ -114,6 +114,29 @@ class TestModelMemo:
         for d, model in models.items():
             assert model.fingerprint == config_fingerprint(*args, d, trans)
 
+    @pytest.mark.parametrize("failure", ["mask-depth", "non-finite"])
+    def test_failed_assembly_keeps_no_model(self, toy_radar, toy_grid, toy_mask,
+                                            toy_rotation, toy_sampling, assemblies,
+                                            monkeypatch, failure):
+        # the old models are dropped before the new geometry is assembled, and
+        # one that fails leaves nothing kept: the old geometry assembles again
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)
+        first = build_forward(*args)
+        with monkeypatch.context() as m:
+            if failure == "mask-depth":
+                other, match = replace(toy_mask, plane_depth_m=0.09), "mask plane depth"
+            else:
+                other, match = replace(toy_mask, blade_count=2), "entries must be finite"
+                m.setattr(propagation, "pattern_weight",
+                          lambda radar, d: np.full(np.shape(d)[:-1], np.nan))
+            with pytest.raises(ParameterError, match=match):
+                build_forward(toy_radar, toy_grid, other, toy_rotation, toy_sampling)
+        assert forward._memo is None
+        again = build_forward(*args)
+        assert assemblies.count == 3
+        assert np.array_equal(again.B, first.B)
+        assert again.fingerprint == first.fingerprint
+
     def test_other_geometry_frees_the_kept_models(self, toy_radar, toy_grid, toy_mask,
                                                   toy_rotation, toy_sampling):
         args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)

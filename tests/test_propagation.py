@@ -16,7 +16,7 @@ from mmpinhole import (AntennaPattern, MaskGeometry, MaskPlaneSampling,
                        MaskTransmission, RotationSampling, SceneGrid, assemble_oneway,
                        build_forward, build_scene_grid, default_radar_config,
                        pattern_weight)
-from mmpinhole import propagation
+from mmpinhole import forward, propagation
 from mmpinhole.errors import ParameterError, ShapeError, SingularityError
 from mmpinhole.geometry import angles_to_points, default_plane_sampling
 from mmpinhole.mask import open_mask, transmission_for
@@ -620,10 +620,13 @@ class TestWorkers:
                              ids=["flat", "three-elevations"])
     @pytest.mark.parametrize("blades", [1, 2])
     @pytest.mark.parametrize("mode", ["regular-pinhole", "inverse-pinhole"])
+    @pytest.mark.parametrize("directionality", ["unidirectional", "bidirectional"])
     def test_worker_count_keeps_the_bits(self, toy_radar, toy_mask, toy_sampling,
-                                         monkeypatch, elevations, blades, mode):
+                                         monkeypatch, elevations, blades, mode,
+                                         directionality):
         # 130 positions leave a 30-row tail after the last restart; 16-column
-        # blocks, and with three elevations some are folded and some not
+        # blocks, and with three elevations some are folded and some not.
+        # Each model is assembled afresh, the bidirectional one formed in place.
         monkeypatch.setattr(propagation, "_SCENE_BLOCK_BYTES",
                             16 * 16 * toy_sampling.n_samples)
         grid = build_scene_grid(2.0, -20.0, 30.0, 1.0, elevations)
@@ -634,12 +637,12 @@ class TestWorkers:
         threads = set(threading.enumerate())
         for workers in (1, 2, 3):
             monkeypatch.setattr(propagation, "_worker_count", lambda: workers)
-            results.append(assemble_oneway(toy_radar, grid, mask, rot, toy_sampling,
-                                           trans))
+            monkeypatch.setattr(forward, "_memo", None)
+            results.append(build_forward(toy_radar, grid, mask, rot, toy_sampling,
+                                         directionality, transmission=trans).B)
             assert set(threading.enumerate()) == threads
-        for matrices in results[1:]:
-            for got, ref in zip(matrices, results[0]):
-                assert np.array_equal(got, ref)
+        for got in results[1:]:
+            assert np.array_equal(got, results[0])
 
     def test_more_workers_than_cores_with_a_short_switch_interval(
             self, toy_radar, toy_mask, toy_rotation, toy_sampling, monkeypatch):
