@@ -333,10 +333,11 @@ def cmd_simulate(cfg: ExperimentConfig, out) -> dict:
         noise = noise_from_snr(model, cfg.snr_db, seed=cfg.noise.seed)
     x = scene_vector(cfg)
     measured = simulate(model, x, noise)
+    y = container.measurement_payload(measured.y)  # may fail: before the first out()
     container.write_container(
         out("measurements.bin"), "measurements",
         fingerprint=model.fingerprint, directionality=cfg.directionality,
-        arrays={"y": measured.y, "n_points": cfg.grid.n_points})
+        arrays={"y": y, "n_points": cfg.grid.n_points})
     container.write_container(
         out("model.bin"), "model",
         fingerprint=model.fingerprint, directionality=cfg.directionality,

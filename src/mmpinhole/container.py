@@ -59,6 +59,15 @@ class ContainerPayload:
     arrays: dict
 
 
+def measurement_payload(y) -> np.ndarray:
+    """``y`` as complex64; finite values beyond float32 raise ``NumericError``."""
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(y, dtype=_DTYPES["measurements"])
+    if not np.all(np.isfinite(payload)) and np.all(np.isfinite(y)):
+        raise NumericError("values exceed the float32 range of the container")
+    return payload
+
+
 def write_container(path, kind: str, *, fingerprint: str, directionality: str,
                     arrays: dict) -> None:
     """Serialize one payload; see module docstring for the expected arrays."""
@@ -70,16 +79,11 @@ def write_container(path, kind: str, *, fingerprint: str, directionality: str,
     if len(fp) != 16:
         raise ParameterError("fingerprint must be 16 hex characters")
     if kind == "model":
-        data = arrays["B"]
-        T, N = data.shape
+        payload = np.ascontiguousarray(arrays["B"], dtype=_DTYPES[kind])
+        T, N = payload.shape
     else:
-        data = arrays["y"]
-        T, N = data.size, int(arrays.get("n_points", 0))
-    with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(data, dtype=_DTYPES[kind])
-    if (kind == "measurements" and not np.all(np.isfinite(payload))
-            and np.all(np.isfinite(data))):
-        raise NumericError("values exceed the float32 range of the container")
+        payload = measurement_payload(arrays["y"])
+        T, N = payload.size, int(arrays.get("n_points", 0))
     header = _HEADER.pack(MAGIC, _KINDS[kind], _DIRS[directionality], 0, T, N, 0, fp)
     with open(path, "wb") as fh:
         fh.write(header)

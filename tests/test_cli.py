@@ -246,8 +246,28 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", cfg, "--out-dir", str(out)]) == 4
         assert capsys.readouterr().err.startswith("numeric failure:")
-        assert not (out / "measurements.bin").exists()
-        assert not (out / "model.bin").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "analyze"])
+    @pytest.mark.parametrize("cause", ["is-a-file", "under-a-file", "nul-byte"])
+    def test_uncreatable_output_directory_is_config_error(self, tmp_path, capsys,
+                                                          command, cause):
+        # the directory is made at the first write, once the outputs are computed
+        cfg = write_config(tmp_path)
+        sim = tmp_path / "sim"
+        assert main(["simulate", cfg, "--out-dir", str(sim)]) == 0
+        (tmp_path / "file").write_text("")
+        out = {"is-a-file": str(tmp_path / "file"),
+               "under-a-file": str(tmp_path / "file" / "out"),
+               "nul-byte": str(tmp_path / "o\0ut")}[cause]
+        argv = {"simulate": ["simulate", cfg],
+                "reconstruct": ["reconstruct", str(sim / "measurements.bin"),
+                                "--config", cfg],
+                "analyze": ["analyze", "svd", "--config", cfg]}[command]
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot create output directory")
 
 
 class TestReconstruct:

@@ -72,6 +72,12 @@ class TestContainer:
                                       arrays={"y": np.array([1.0, -1e300j]), "n_points": 2})
         assert not path.exists()
 
+    def test_measurement_payload_keeps_non_finite_values(self):
+        y = np.array([np.inf, np.nan * 1j, 1.0 + 2.0j, -1e-50, 3e38])
+        payload = container.measurement_payload(y)
+        assert payload.dtype == np.dtype("<c8") and payload.flags.c_contiguous
+        np.testing.assert_array_equal(payload, y.astype(np.complex64))
+
     def test_model_beyond_float32_roundtrips_exactly(self, tmp_path):
         B = np.array([[1.0, 1e39 + 0j], [-1e300j, 5e-324 + 1e-310j]])
         path = tmp_path / "model.bin"
