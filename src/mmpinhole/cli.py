@@ -31,7 +31,7 @@ from .errors import (ConfigError, DataFileError, FingerprintMismatchError,
                      NumericError, ParameterError, RankDeficiencyError,
                      ShapeError, SingularityError, UndefinedMetricError)
 from .forward import (DEFAULT_ROTATION_RPM, ForwardModel, NoiseModel, build_forward,
-                      config_fingerprint, noise_from_snr, simulate)
+                      config_fingerprint, kept_derived, noise_from_snr, simulate)
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid, build_scene_grid,
                        default_plane_sampling, default_radar_config)
@@ -428,9 +428,11 @@ def cmd_reconstruct(cfg: ExperimentConfig, out, measurements_path, sigma_max,
 def cmd_analyze(cfg: ExperimentConfig, out, subcommand) -> dict:
     ana = cfg.analysis
     if subcommand == "svd":
-        # the unidirectional model is the kept rx end of the bidirectional pass
-        s_bi, s_uni = (svdvals(build_forward(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
-                                             cfg.sampling, d).B)
+        # the unidirectional model is the kept rx end of the bidirectional
+        # pass, and the singular values of each end are kept with it
+        s_bi, s_uni = (kept_derived(build_forward(cfg.radar, cfg.grid, cfg.mask,
+                                                  cfg.rotation, cfg.sampling, d),
+                                    "svdvals", lambda model: svdvals(model.B))
                        for d in ("bidirectional", "unidirectional"))
         container.write_csv(out("svd.csv"),
                             [("index", "sigma_bidirectional", "sigma_unidirectional"),

@@ -13,6 +13,14 @@ read-only.  A call on other inputs drops the kept models before it
 assembles.  Separate processes share nothing, so ``reconstruct`` in its
 own process still reads the ``model.bin`` that ``simulate`` wrote.
 
+The kept entry also holds what :func:`kept_derived` computes from either
+end: the SVD that ``recon.factorize`` makes and the singular values of
+``analyze svd``, once per end.  They are dropped with the models.  A model
+read back from ``model.bin`` shares them only when its fingerprint names the
+kept geometry and its ``B`` equals the kept array bit for bit.  The
+``mmpinhole.forward`` logger writes one DEBUG line per hit and miss of the
+kept models and of the derived results.
+
 A model's fingerprint hashes the config fields, the transmission's content
 and :data:`MODEL_EPOCH`, which a change that moves ``B`` with no input
 changed must bump; a canary test pins ``B``'s sha256 on a toy geometry.
@@ -26,6 +34,7 @@ passed transmission is hashed itself and never kept.
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -37,13 +46,15 @@ from .errors import EstimationError, NumericError, ParameterError, ShapeError
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid)
 from .mask import MaskTransmission, transmission_for
-from .propagation import _check_transmission_shape, assemble_oneway
+from .propagation import _check_lattice, _check_transmission_shape, assemble_oneway
 
 DEFAULT_ROTATION_RPM = 600.0
 CAL_NULL_REL_THRESHOLD = 0.5
 # Hashed into every fingerprint: bump it when a change moves B's bits with no
 # input changed (the canary in tests/test_forward.py fails until then).
 MODEL_EPOCH = 1
+
+_log = logging.getLogger(__name__)
 
 
 def sample_interval_s(rpm: float, positions_per_rotation: int) -> float:
@@ -76,11 +87,13 @@ def _geometry_key(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
 
     The fields as text and the transmission's digest; the antenna pattern
     follows from radar and lattice fields among them.  Nothing here is
-    computed in floating point, so no input can overflow it.  A transmission of
-    the wrong shape raises ``ShapeError``, as assembly would.  Returns the key
-    and the transmission digested, None where the kept digest served.
+    computed in floating point, so no input can overflow it.  A lattice that
+    assembly rejects raises its ``ParameterError``, and a transmission of the
+    wrong shape ``ShapeError``, as assembly would.  Returns the key and the
+    transmission digested, None where the kept digest served.
     """
     global _mode_digest
+    _check_lattice(radar, mask, plane_sampling)
     parts = [
         repr(radar.wavelength_m), repr(radar.tx_position), repr(radar.rx_position),
         repr(radar.azimuth_fov_deg), repr(radar.elevation_fov_deg),
@@ -160,8 +173,10 @@ class ForwardModel:
         return self.B.shape[1]
 
 
-# The last geometry assembled: (key, bidirectional B, rx end), one tuple
-# replaced by one assignment, so no thread pairs a key with another's arrays.
+# The last geometry assembled: (key, bidirectional B, rx end, derived), one
+# tuple replaced by one assignment, so no thread pairs a key with another's
+# arrays.  ``derived`` maps (name, directionality) to a result computed from
+# that end's B (see kept_derived); it goes with the tuple.
 _memo = None
 
 
@@ -181,7 +196,10 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                                       transmission)
     fingerprint = _fingerprint(key, directionality)
     memo = _memo
-    if memo is None or memo[0] != key:
+    hit = memo is not None and memo[0] == key
+    _log.debug("model %s (%s): kept model %s", fingerprint, directionality,
+               "hit" if hit else "miss, assembling")
+    if not hit:
         # drop the old models first: two geometries are never held at once
         _memo = memo = None
         if transmission is None:  # the kept digest named it
@@ -189,11 +207,45 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         bi, rx = assemble_oneway(radar, grid, mask, rotation, plane_sampling, transmission)
         bi *= rx  # tx * rx in the tx end's storage
         bi.flags.writeable = rx.flags.writeable = False
-        memo = _memo = (key, bi, rx)
-    _, bi, rx = memo
+        memo = _memo = (key, bi, rx, {})
+    _, bi, rx, _ = memo
     return ForwardModel(B=bi if directionality == "bidirectional" else rx,
                         fingerprint=fingerprint,
                         directionality=directionality, grid=grid)
+
+
+def kept_derived(model: ForwardModel, name: str, compute):
+    """``compute(model)``, kept with the kept geometry when ``model`` is of it.
+
+    ``model`` is of the kept geometry when its ``B`` is a kept array, or when
+    its fingerprint names the kept geometry and its ``B`` equals the kept
+    array of its directionality bit for bit (a ``model.bin`` read back).  The
+    result is then kept under ``(name, directionality)`` and returned again
+    until another geometry is assembled, which drops it with the models.  For
+    any other model it is computed and nothing is kept.
+    """
+    memo = _memo
+    end = None
+    if memo is not None:
+        key, bi, rx, derived = memo
+        B = model.B
+        if B is bi or B is rx:
+            end = "bidirectional" if B is bi else "unidirectional"
+        elif model.fingerprint == _fingerprint(key, model.directionality):
+            kept = bi if model.directionality == "bidirectional" else rx
+            if (B.dtype == kept.dtype and B.shape == kept.shape
+                    and np.array_equal(np.ascontiguousarray(B).view(np.uint64),
+                                       kept.view(np.uint64))):
+                end = model.directionality
+    if end is None:
+        _log.debug("%s of model %s: not a kept model, computed", name, model.fingerprint)
+        return compute(model)
+    result = derived.get((name, end))
+    _log.debug("%s of model %s: derived result %s", name, model.fingerprint,
+               "miss" if result is None else "hit")
+    if result is None:
+        result = derived[name, end] = compute(model)
+    return result
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,21 @@ def _check_transmission_shape(transmission, rotation, plane_sampling) -> None:
         raise ShapeError("transmission is {}x{}, expected {}x{}".format(*shape, *expected))
 
 
+def _check_lattice(radar: RadarConfig, mask: MaskGeometry,
+                   plane_sampling: MaskPlaneSampling) -> None:
+    """``ParameterError`` unless the lattice lies at the mask's depth, has a
+    pitch of at most wavelength/2 and covers the swept circle plus one blade
+    width."""
+    if plane_sampling.plane_depth_m != mask.plane_depth_m:
+        raise ParameterError(f"plane sampling depth {plane_sampling.plane_depth_m!r} m "
+                             f"differs from the mask plane depth {mask.plane_depth_m!r} m")
+    if plane_sampling.spacing_m > radar.wavelength_m / 2.0 + 1e-15:
+        raise ParameterError("plane sampling pitch must be at most wavelength/2")
+    if plane_sampling.extent_m + 1e-12 < mask.blade_length_m + mask.blade_width_m:
+        raise ParameterError("plane sampling extent must cover the swept circle "
+                             "plus one blade width")
+
+
 def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                     rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
                     transmission):
@@ -280,19 +295,12 @@ def assemble_oneway(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
     in front of the mask plane (z below the lattice depth) raises
     ``ParameterError``; a scene point on a lattice cell ``SingularityError``.
     """
-    if plane_sampling.plane_depth_m != mask.plane_depth_m:
-        raise ParameterError(f"plane sampling depth {plane_sampling.plane_depth_m!r} m "
-                             f"differs from the mask plane depth {mask.plane_depth_m!r} m")
-    if plane_sampling.spacing_m > radar.wavelength_m / 2.0 + 1e-15:
-        raise ParameterError("plane sampling pitch must be at most wavelength/2")
-    if plane_sampling.extent_m + 1e-12 < mask.blade_length_m + mask.blade_width_m:
-        raise ParameterError("plane sampling extent must cover the swept circle "
-                             "plus one blade width")
+    _check_lattice(radar, mask, plane_sampling)
+    _check_transmission_shape(transmission, rotation, plane_sampling)
     plane_pts = plane_sampling.samples
     M = plane_pts.shape[0]
     T = rotation.count
     N = grid.n_points
-    _check_transmission_shape(transmission, rotation, plane_sampling)
 
     # squared distances between points within ``reach`` of the origin stay
     # below 12 reach^2, which must be a finite float

@@ -4,6 +4,11 @@ Plain pseudo-inversion amplifies receiver noise through the small singular
 values; truncating the factorization to the dominant ones trades resolution
 for noise robustness.  The truncation count is the central tuning parameter
 of the whole system.
+
+:func:`factorize` returns read-only factors.  For a model of the geometry
+that :func:`~mmpinhole.forward.build_forward` keeps, the factorization is
+kept with that geometry, so a later call on a model of it runs no SVD; it
+is freed when another geometry is assembled.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from scipy import linalg
 from .container import write_csv
 from .errors import (NumericError, ParameterError, RankDeficiencyError,
                      ShapeError)
-from .forward import ForwardModel
+from .forward import ForwardModel, kept_derived
 from .geometry import SceneGrid
 
 
@@ -33,12 +38,23 @@ class SvdFactorization:
 
 
 def factorize(model: ForwardModel) -> SvdFactorization:
-    """Full thin SVD of the sensing matrix."""
+    """Full thin SVD of the sensing matrix, with read-only ``U``, ``S``, ``V``.
+
+    The factorization of a model of the kept geometry is kept with it (see
+    :func:`~mmpinhole.forward.kept_derived`), so it is computed once per end.
+    """
+    return kept_derived(model, "factorize", _svd)
+
+
+def _svd(model: ForwardModel) -> SvdFactorization:
     if not np.all(np.isfinite(model.B)):
         raise NumericError("sensing matrix contains non-finite entries")
     # finiteness is checked just above; a second scan of B would add nothing
     U, S, Vh = linalg.svd(model.B, full_matrices=False, check_finite=False)
-    return SvdFactorization(U=U, S=S, V=Vh.conj().T, grid=model.grid)
+    V = Vh.conj().T
+    for a in (U, S, V):
+        a.flags.writeable = False
+    return SvdFactorization(U=U, S=S, V=V, grid=model.grid)
 
 
 def numerical_rank(S, rtol: float = 1e-10) -> int:

@@ -91,6 +91,24 @@ def no_kept_model(monkeypatch):
     monkeypatch.setattr(forward, "_mode_digest", None)
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts the SVDs run: ``.svd`` by ``factorize``, ``.svdvals`` by ``analyze svd``."""
+    from types import SimpleNamespace
+
+    from mmpinhole import cli, recon
+    calls = SimpleNamespace(svd=0, svdvals=0)
+
+    def counted(name, function):
+        def spy(*args, **kwargs):
+            setattr(calls, name, getattr(calls, name) + 1)
+            return function(*args, **kwargs)
+        return spy
+    monkeypatch.setattr(recon.linalg, "svd", counted("svd", recon.linalg.svd))
+    monkeypatch.setattr(cli, "svdvals", counted("svdvals", cli.svdvals))
+    return calls
+
+
 def full_lattice_footprint(mask, angles_rad, pts_xy):
     """Reference: the blade rectangle test on every point for every angle."""
     angles = np.asarray(angles_rad, dtype=float)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import weakref
 from dataclasses import replace
@@ -10,17 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmpinhole import (MaskGeometry, MaskPlaneSampling, MaskTransmission,
-                       MeasurementSet, NoiseModel, RotationSampling,
-                       apply_blade_phase, apply_doppler, assemble_oneway,
-                       build_forward, build_scene_grid, config_fingerprint,
-                       default_plane_sampling, default_radar_config,
-                       estimate_blade_phase,
-                       noise_from_snr, sample_interval_s, simulate)
-from mmpinhole import forward, propagation
+from mmpinhole import (ForwardModel, MaskGeometry, MaskPlaneSampling,
+                       MaskTransmission, MeasurementSet, NoiseModel,
+                       RotationSampling, apply_blade_phase, apply_doppler,
+                       assemble_oneway, build_forward, build_scene_grid,
+                       config_fingerprint, default_plane_sampling,
+                       default_radar_config, estimate_blade_phase, factorize,
+                       noise_from_snr, reconstruct, sample_interval_s, simulate)
+from mmpinhole import container, forward, propagation
+from mmpinhole.cli import load_config, main
 from mmpinhole.errors import (EstimationError, NumericError, ParameterError,
                               ShapeError)
 from mmpinhole.mask import open_mask, transmission_for
+from mmpinhole.recon import image_to_csv
 
 TOY_WAVELENGTH = 0.04
 
@@ -114,24 +117,28 @@ class TestModelMemo:
         for d, model in models.items():
             assert model.fingerprint == config_fingerprint(*args, d, trans)
 
-    @pytest.mark.parametrize("failure", ["mask-depth", "non-finite"])
+    @pytest.mark.parametrize("failure", ["scene-in-front", "non-finite"])
     def test_failed_assembly_keeps_no_model(self, toy_radar, toy_grid, toy_mask,
                                             toy_rotation, toy_sampling, assemblies,
                                             monkeypatch, failure):
-        # the old models are dropped before the new geometry is assembled, and
-        # one that fails leaves nothing kept: the old geometry assembles again
+        # the old models and their derived results are dropped before the new
+        # geometry is assembled, and one that fails leaves nothing kept: the old
+        # geometry assembles again, and its models keep no factorization
         args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)
         first = build_forward(*args)
+        kept = weakref.ref(factorize(first))
+        grid, mask = toy_grid, toy_mask
         with monkeypatch.context() as m:
-            if failure == "mask-depth":
-                other, match = replace(toy_mask, plane_depth_m=0.09), "mask plane depth"
+            if failure == "scene-in-front":
+                grid, match = build_scene_grid(0.01, -30.0, 30.0, 4.0, [0.0]), "in front"
             else:
-                other, match = replace(toy_mask, blade_count=2), "entries must be finite"
+                mask, match = replace(toy_mask, blade_count=2), "entries must be finite"
                 m.setattr(propagation, "pattern_weight",
                           lambda radar, d: np.full(np.shape(d)[:-1], np.nan))
             with pytest.raises(ParameterError, match=match):
-                build_forward(toy_radar, toy_grid, other, toy_rotation, toy_sampling)
-        assert forward._memo is None
+                build_forward(toy_radar, grid, mask, toy_rotation, toy_sampling)
+        assert forward._memo is None and kept() is None
+        assert factorize(first) is not factorize(first)
         again = build_forward(*args)
         assert assemblies.count == 3
         assert np.array_equal(again.B, first.B)
@@ -189,7 +196,6 @@ C14_CONFIG = {
 
 class TestKeptTransmissionDigest:
     def test_cli_rounds_derive_the_transmission_once(self, tmp_path, derivations):
-        from mmpinhole.cli import main
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(C14_CONFIG))
 
@@ -267,6 +273,120 @@ class TestKeptTransmissionDigest:
         with pytest.raises(ParameterError, match=message):
             build_forward(*args, transmission=trans)
         assert assemblies.count == 0
+
+
+class TestKeptDerived:
+    @pytest.fixture
+    def cli_run(self, tmp_path):
+        """``run(command, tag)`` runs one CLI command on the C14 toy config."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(C14_CONFIG))
+        sim = tmp_path / "sim"
+
+        def run(command, tag):
+            argv = {"simulate": ["simulate", str(cfg)],
+                    "reconstruct": ["reconstruct", str(sim / "measurements.bin"),
+                                    "--config", str(cfg), "--sigma-max", "5,12"],
+                    "svd": ["analyze", "svd", "--config", str(cfg)]}[command]
+            assert main(argv + ["--out-dir", str(tmp_path / tag)]) == 0, argv
+            return {p.name: p.read_bytes() for p in (tmp_path / tag).iterdir()
+                    if p.name != "manifest.json"}
+        run.cfg, run.sim = cfg, sim
+        return run
+
+    def test_cli_ops_run_one_svd_and_two_svdvals(self, cli_run, svd_calls):
+        # reconstruct reads model.bin, whose B equals the kept one bit for bit
+        cli_run("simulate", "sim")
+        images = [cli_run("reconstruct", f"rec{i}") for i in range(2)]
+        sigmas = [cli_run("svd", f"svd{i}") for i in range(2)]
+        assert (svd_calls.svd, svd_calls.svdvals) == (1, 2)
+        assert images[0] == images[1] and len(images[0]) == 4
+        assert sigmas[0] == sigmas[1] and list(sigmas[0]) == ["svd.csv"]
+
+    def test_changed_model_bin_is_factorized_on_its_own_bits(self, cli_run, tmp_path,
+                                                              svd_calls):
+        cli_run("simulate", "sim")
+        kept = cli_run("reconstruct", "kept")
+        path = cli_run.sim / "model.bin"
+        payload = container.read_container(path)
+        B = payload.arrays["B"].copy()
+        B[3, 5] += 0.1 * np.abs(B).max()
+        # a valid digest over the changed payload, under the configured fingerprint
+        container.write_container(path, "model", fingerprint=payload.fingerprint,
+                                  directionality=payload.directionality,
+                                  arrays={"B": B})
+        changed = [cli_run("reconstruct", f"changed{i}") for i in range(2)]
+        # one SVD for the kept B, and one per run of the changed B: none is kept
+        assert svd_calls.svd == 3
+        forward._memo = None
+        cfg = load_config(cli_run.cfg)
+        fact = factorize(ForwardModel(B=B, fingerprint=payload.fingerprint,
+                                      directionality=payload.directionality,
+                                      grid=cfg.grid))
+        y = container.read_container(cli_run.sim / "measurements.bin").arrays["y"]
+        for k in (5, 12):
+            name = f"image_k{k}.csv"
+            image_to_csv(tmp_path / name, reconstruct(fact, y, replace(cfg.recon,
+                                                                       sigma_max=k)))
+            expected = (tmp_path / name).read_bytes()
+            assert changed[0][name] == changed[1][name] == expected != kept[name]
+
+    def test_other_geometry_frees_the_kept_results(self, toy_radar, toy_grid, toy_mask,
+                                                   toy_rotation, toy_sampling,
+                                                   svd_calls):
+        args = (toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)
+        model = build_forward(*args)
+        fact = factorize(model)
+        assert factorize(model) is fact and svd_calls.svd == 1
+        sigma = forward.kept_derived(model, "svdvals", lambda m: fact.S.copy())
+        refs = [weakref.ref(fact), weakref.ref(fact.U), weakref.ref(sigma)]
+        del fact, sigma
+        assert all(ref() is not None for ref in refs)
+        narrow = replace(toy_mask, blade_width_m=toy_mask.blade_width_m * 0.5)
+        build_forward(toy_radar, toy_grid, narrow, toy_rotation, toy_sampling)
+        assert [ref() for ref in refs] == [None, None, None]
+
+    def test_log_reads_kept_hits_and_misses(self, cli_run, caplog):
+        cli_run("simulate", "sim")
+        (cli_run.sim / "model.bin").unlink()
+        forward._memo = None
+        caplog.set_level(logging.DEBUG, logger="mmpinhole.forward")
+        for i in range(2):
+            cli_run("reconstruct", f"rec{i}")
+        fingerprint = container.read_header(cli_run.sim / "measurements.bin")[-1]
+        lines = [r.getMessage() for r in caplog.records if r.name == "mmpinhole.forward"]
+        assert lines == [
+            f"model {fingerprint} (bidirectional): kept model miss, assembling",
+            f"factorize of model {fingerprint}: derived result miss",
+            f"model {fingerprint} (bidirectional): kept model hit",
+            f"factorize of model {fingerprint}: derived result hit",
+        ]
+
+    @pytest.mark.parametrize("check", ["depth", "pitch", "extent"])
+    def test_rejected_lattice_has_no_fingerprint(self, toy_radar, toy_grid, toy_mask,
+                                                 toy_rotation, toy_sampling, assemblies,
+                                                 check):
+        # both entry points raise assembly's error, and the kept model stays
+        kept = build_forward(toy_radar, toy_grid, toy_mask, toy_rotation, toy_sampling)
+        mask, samp = toy_mask, toy_sampling
+        if check == "depth":
+            mask = replace(toy_mask, plane_depth_m=0.09)
+            message = "plane sampling depth 0.03 m differs from the mask plane depth 0.09 m"
+        elif check == "pitch":
+            samp = replace(toy_sampling, spacing_m=0.6 * TOY_WAVELENGTH)
+            message = "plane sampling pitch must be at most wavelength/2"
+        else:
+            samp = replace(toy_sampling, extent_m=0.5 * toy_sampling.extent_m)
+            message = "plane sampling extent must cover the swept circle plus one blade width"
+        args = (toy_radar, toy_grid, mask, toy_rotation, samp)
+        for call in (lambda: config_fingerprint(*args, "bidirectional", None),
+                     lambda: config_fingerprint(*args, "bidirectional",
+                                                transmission_for(mask, toy_rotation, samp)),
+                     lambda: build_forward(*args)):
+            with pytest.raises(ParameterError) as exc:
+                call()
+            assert str(exc.value) == message
+        assert assemblies.count == 1 and forward._memo[1] is kept.B
 
 
 class TestBuildForward:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mmpinhole import (ForwardModel, ReconConfig, build_scene_grid, factorize,
-                       numerical_rank, reconstruct)
+from mmpinhole import (ForwardModel, ReconConfig, build_forward, build_scene_grid,
+                       factorize, numerical_rank, reconstruct)
 from mmpinhole.errors import (NumericError, ParameterError, RankDeficiencyError,
                               ShapeError)
 from mmpinhole.recon import image_to_csv, image_to_pgm
@@ -63,6 +63,24 @@ class TestFactorize:
         model.B[2, 3] = bad
         with pytest.raises(NumericError, match="non-finite"):
             factorize(model)
+
+    @pytest.mark.parametrize("name", ["U", "S", "V"])
+    @pytest.mark.parametrize("source", ["kept", "other"])
+    def test_factors_are_read_only(self, toy_radar, toy_grid, toy_mask, toy_rotation,
+                                   toy_sampling, svd_calls, name, source):
+        # a kept factorization is handed to every caller on the kept geometry
+        if source == "kept":
+            model = build_forward(toy_radar, toy_grid, toy_mask, toy_rotation,
+                                  toy_sampling)
+            assert factorize(model) is factorize(model)
+        else:
+            model = _random_model()
+        array = getattr(factorize(model), name)
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+        with pytest.raises(ValueError):
+            array *= 2.0
+        assert svd_calls.svd == 1
 
 
 class TestReconstruct:
