@@ -17,7 +17,7 @@ from .forward import (ForwardModel, MeasurementSet, NoiseModel, apply_blade_phas
                       estimate_blade_phase, noise_from_snr, sample_interval_s,
                       simulate)
 from .recon import (ImageResult, ReconConfig, SvdFactorization, factorize,
-                    numerical_rank, reconstruct)
+                    numerical_rank, reconstruct, singular_values)
 from .analysis import (MetricReport, PsfCurve, SweepRow, calibrate_noise_power,
                        chamfer, half_power_width_deg, image_to_points,
                        metric_report, mse, peaks_resolved, psf,

@@ -141,7 +141,7 @@ def sar_baseline(kind: str, extent_m: float, radar: RadarConfig,
 # ---------------------------------------------------------------------------
 # noise calibration and two-target resolvability
 
-def calibrate_noise_power(S, usable_count: int = 40, margin: float = 0.8) -> float:
+def calibrate_noise_power(S, usable_count: int, margin: float) -> float:
     """Noise variance placing the noise-equivalent cutoff at ``usable_count``.
 
     The noise standard deviation is ``margin`` times the singular value at
@@ -228,9 +228,8 @@ def sweep(parameter: str, values: Sequence, base_mask: MaskGeometry,
         g = grid if grid is not None else build_scene_grid(20.0, -8, 8, 0.05, [0])
         sampling = default_plane_sampling(radar, mask)
         model = build_forward(radar, g, mask, rotation, sampling, directionality)
-        fact = factorize(model)
-        curve = psf(model, 0.0, fact=fact)
-        S = fact.S
+        curve = psf(model, 0.0)
+        S = factorize(model).S
         rows.append(SweepRow(value=float(value), fwhp_deg=curve.fwhp_deg,
                              sigma_1=float(S[0]),
                              sigma_40=float(S[39]) if S.size > 39 else 0.0,

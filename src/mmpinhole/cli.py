@@ -22,7 +22,6 @@ from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional, Union, get_args, get_origin
 
 import numpy as np
-from scipy.linalg import svdvals
 
 from . import __version__, container
 from .analysis import (SweepRow, metric_report, psf, rotational_power,
@@ -31,12 +30,12 @@ from .errors import (ConfigError, DataFileError, FingerprintMismatchError,
                      NumericError, ParameterError, RankDeficiencyError,
                      ShapeError, SingularityError, UndefinedMetricError)
 from .forward import (DEFAULT_ROTATION_RPM, ForwardModel, NoiseModel, build_forward,
-                      config_fingerprint, kept_derived, noise_from_snr, simulate)
+                      config_fingerprint, noise_from_snr, simulate)
 from .geometry import (MaskGeometry, MaskPlaneSampling, RadarConfig,
                        RotationSampling, SceneGrid, build_scene_grid,
                        default_plane_sampling, default_radar_config)
 from .recon import (ImageResult, ReconConfig, factorize, image_to_csv,
-                    image_to_pgm, reconstruct)
+                    image_to_pgm, reconstruct, singular_values)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -307,6 +306,14 @@ def _read_reference_csv(path, grid: SceneGrid) -> np.ndarray:
     if data.shape[0] != grid.n_points or data.shape[1] != 3:
         raise ShapeError(f"reference CSV must have {grid.n_points} rows of "
                          "azimuth_deg,elevation_deg,intensity")
+    # the grid's bins in image_to_csv's row order, azimuth fastest, within 1e-9
+    # degrees: a hand-written angle may differ by rounding only
+    bins = np.meshgrid(grid.azimuth_deg, grid.elevation_deg)
+    if not all(np.all(np.abs(data[:, i] - b.ravel()) <= 1e-9) for i, b in enumerate(bins)):
+        raise DataFileError(f"reference CSV {path} rows are not the config grid's "
+                            "azimuth and elevation bins in grid order")
+    if not np.all(np.isfinite(data[:, 2])):
+        raise DataFileError(f"reference CSV {path} has non-finite intensities")
     return data[:, 2].reshape(grid.shape)
 
 
@@ -389,7 +396,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, out, measurements_path, sigma_max,
                             f"the config grid has {cfg.grid.n_points} points")
     ref_img = _read_reference_csv(reference, cfg.grid) if reference else None
     fingerprint = config_fingerprint(cfg.radar, cfg.grid, cfg.mask, cfg.rotation,
-                                     cfg.sampling, cfg.directionality, None)
+                                     cfg.sampling, cfg.directionality)
     B = _model_beside(measurements_path, cfg, fingerprint)
     if B is None:
         # a config that no model can be built from is a config error first
@@ -428,11 +435,9 @@ def cmd_reconstruct(cfg: ExperimentConfig, out, measurements_path, sigma_max,
 def cmd_analyze(cfg: ExperimentConfig, out, subcommand) -> dict:
     ana = cfg.analysis
     if subcommand == "svd":
-        # the unidirectional model is the kept rx end of the bidirectional
-        # pass, and the singular values of each end are kept with it
-        s_bi, s_uni = (kept_derived(build_forward(cfg.radar, cfg.grid, cfg.mask,
-                                                  cfg.rotation, cfg.sampling, d),
-                                    "svdvals", lambda model: svdvals(model.B))
+        # one assembly makes both ends; recon keeps each end's singular values
+        s_bi, s_uni = (singular_values(build_forward(cfg.radar, cfg.grid, cfg.mask,
+                                                     cfg.rotation, cfg.sampling, d))
                        for d in ("bidirectional", "unidirectional"))
         container.write_csv(out("svd.csv"),
                             [("index", "sigma_bidirectional", "sigma_unidirectional"),

@@ -6,20 +6,16 @@ on the way back.  The unidirectional baseline keeps only the receive-side
 matrix.
 
 :func:`build_forward` assembles both ends whatever the directionality and
-keeps the last geometry in memory: the bidirectional ``B`` and the rx end
-(2 * 16 * T * N bytes).  Another call on the same inputs, of either
-directionality, returns them without assembling.  The returned ``B`` is
-read-only.  A call on other inputs drops the kept models before it
-assembles.  Separate processes share nothing, so ``reconstruct`` in its
-own process still reads the ``model.bin`` that ``simulate`` wrote.
-
-The kept entry also holds what :func:`kept_derived` computes from either
-end: the SVD that ``recon.factorize`` makes and the singular values of
-``analyze svd``, once per end.  They are dropped with the models.  A model
-read back from ``model.bin`` shares them only when its fingerprint names the
-kept geometry and its ``B`` equals the kept array bit for bit.  The
-``mmpinhole.forward`` logger writes one DEBUG line per hit and miss of the
-kept models and of the derived results.
+keeps the last geometry's two :class:`ForwardModel` objects, bidirectional
+and rx end (2 * 16 * T * N bytes of read-only ``B``): another call on the
+same inputs, of either directionality, returns the kept object itself.
+:func:`kept_derived` keeps what is computed from a model by one rule: the
+model is the kept one of its directionality, or has its fingerprint and a
+bit-equal ``B`` (a ``model.bin`` read back).  A call on other inputs drops
+the models and those results before it assembles.  Separate processes share
+nothing, so ``reconstruct`` in its own process still reads the ``model.bin``
+that ``simulate`` wrote.  The ``mmpinhole.forward`` logger writes one DEBUG
+line per hit and miss of the kept models and of the derived results.
 
 A model's fingerprint hashes the config fields, the transmission's content
 and :data:`MODEL_EPOCH`, which a change that moves ``B`` with no input
@@ -130,17 +126,14 @@ def _fingerprint(key: tuple, directionality: str) -> str:
 
 def config_fingerprint(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
                        rotation: RotationSampling, plane_sampling: MaskPlaneSampling,
-                       directionality: str,
-                       transmission: Optional[MaskTransmission]) -> str:
-    """Stable hex digest of every input that shapes the sensing matrix.
+                       directionality: str) -> str:
+    """Stable hex digest of every input that shapes the mask mode's sensing matrix.
 
-    It hashes the config fields, the transmission's content and
-    :data:`MODEL_EPOCH`, the version of the code that turns them into ``B``.
-    A ``transmission`` of None means the mask mode's own, as in
-    :func:`build_forward`: the same fingerprint as passing
-    ``transmission_for(mask, rotation, plane_sampling)``.
+    It hashes the config fields, the content of the mask mode's transmission
+    and :data:`MODEL_EPOCH`, the version of the code that turns them into
+    ``B``: the fingerprint of ``build_forward`` on the same arguments.
     """
-    key, _ = _geometry_key(radar, grid, mask, rotation, plane_sampling, transmission)
+    key, _ = _geometry_key(radar, grid, mask, rotation, plane_sampling, None)
     return _fingerprint(key, directionality)
 
 
@@ -173,10 +166,10 @@ class ForwardModel:
         return self.B.shape[1]
 
 
-# The last geometry assembled: (key, bidirectional B, rx end, derived), one
-# tuple replaced by one assignment, so no thread pairs a key with another's
-# arrays.  ``derived`` maps (name, directionality) to a result computed from
-# that end's B (see kept_derived); it goes with the tuple.
+# The last geometry assembled: (key, {directionality: ForwardModel}, derived),
+# one tuple replaced by one assignment, so no thread pairs a key with
+# another's models.  ``derived`` maps (name, directionality) to a result
+# computed from that model (see kept_derived); it goes with the tuple.
 _memo = None
 
 
@@ -188,8 +181,9 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
 
     A custom transmission map overrides the mask mode when supplied (used
     for background/open references and synthetic studies).  The models of
-    the last geometry are kept, so the same call again assembles nothing
-    (see the module docstring); ``B`` is read-only.
+    the last geometry are kept, so the same call again returns the same
+    object and assembles nothing (see the module docstring); ``B`` is
+    read-only.
     """
     global _memo
     key, transmission = _geometry_key(radar, grid, mask, rotation, plane_sampling,
@@ -207,45 +201,37 @@ def build_forward(radar: RadarConfig, grid: SceneGrid, mask: MaskGeometry,
         bi, rx = assemble_oneway(radar, grid, mask, rotation, plane_sampling, transmission)
         bi *= rx  # tx * rx in the tx end's storage
         bi.flags.writeable = rx.flags.writeable = False
-        memo = _memo = (key, bi, rx, {})
-    _, bi, rx, _ = memo
-    return ForwardModel(B=bi if directionality == "bidirectional" else rx,
-                        fingerprint=fingerprint,
-                        directionality=directionality, grid=grid)
+        models = {d: ForwardModel(B=B, fingerprint=_fingerprint(key, d),
+                                  directionality=d, grid=grid)
+                  for d, B in (("bidirectional", bi), ("unidirectional", rx))}
+        memo = _memo = (key, models, {})
+    return memo[1][directionality]
 
 
 def kept_derived(model: ForwardModel, name: str, compute):
     """``compute(model)``, kept with the kept geometry when ``model`` is of it.
 
-    ``model`` is of the kept geometry when its ``B`` is a kept array, or when
-    its fingerprint names the kept geometry and its ``B`` equals the kept
-    array of its directionality bit for bit (a ``model.bin`` read back).  The
-    result is then kept under ``(name, directionality)`` and returned again
-    until another geometry is assembled, which drops it with the models.  For
-    any other model it is computed and nothing is kept.
+    One rule: ``model`` is the kept model of its directionality, or has that
+    model's fingerprint and a bit-equal ``B`` (a ``model.bin`` read back).
+    The result is then kept under ``(name, directionality)`` until another
+    geometry is assembled.  Any other model, such as one that wraps a kept
+    ``B`` under another fingerprint or directionality, is computed each call.
     """
     memo = _memo
-    end = None
     if memo is not None:
-        key, bi, rx, derived = memo
-        B = model.B
-        if B is bi or B is rx:
-            end = "bidirectional" if B is bi else "unidirectional"
-        elif model.fingerprint == _fingerprint(key, model.directionality):
-            kept = bi if model.directionality == "bidirectional" else rx
-            if (B.dtype == kept.dtype and B.shape == kept.shape
-                    and np.array_equal(np.ascontiguousarray(B).view(np.uint64),
-                                       kept.view(np.uint64))):
-                end = model.directionality
-    if end is None:
-        _log.debug("%s of model %s: not a kept model, computed", name, model.fingerprint)
-        return compute(model)
-    result = derived.get((name, end))
-    _log.debug("%s of model %s: derived result %s", name, model.fingerprint,
-               "miss" if result is None else "hit")
-    if result is None:
-        result = derived[name, end] = compute(model)
-    return result
+        _, models, derived = memo
+        kept, B = models[model.directionality], model.B
+        if model is kept or (model.fingerprint == kept.fingerprint and B.dtype == kept.B.dtype
+                             and np.array_equal(np.ascontiguousarray(B).view(np.uint64),
+                                                kept.B.view(np.uint64))):
+            result = derived.get((name, model.directionality))
+            _log.debug("%s of model %s: derived result %s", name, model.fingerprint,
+                       "miss" if result is None else "hit")
+            if result is None:
+                result = derived[name, model.directionality] = compute(model)
+            return result
+    _log.debug("%s of model %s: not a kept model, computed", name, model.fingerprint)
+    return compute(model)
 
 
 @dataclass(frozen=True)
@@ -267,7 +253,7 @@ class NoiseModel:
         return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def noise_from_snr(model: ForwardModel, snr_db: float, seed: int = 0) -> NoiseModel:
+def noise_from_snr(model: ForwardModel, snr_db: float, seed: int) -> NoiseModel:
     """Noise power set relative to a unit-reflectivity boresight target.
 
     The reference signal power is the mean squared magnitude of the model

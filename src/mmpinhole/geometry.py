@@ -82,10 +82,6 @@ class RadarConfig:
             raise ParameterError("antenna positions must be finite")
 
     @property
-    def colocated(self) -> bool:
-        return self.tx_position == self.rx_position
-
-    @property
     def tx(self) -> np.ndarray:
         return np.asarray(self.tx_position, dtype=float)
 

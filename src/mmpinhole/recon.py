@@ -5,10 +5,10 @@ values; truncating the factorization to the dominant ones trades resolution
 for noise robustness.  The truncation count is the central tuning parameter
 of the whole system.
 
-:func:`factorize` returns read-only factors.  For a model of the geometry
-that :func:`~mmpinhole.forward.build_forward` keeps, the factorization is
-kept with that geometry, so a later call on a model of it runs no SVD; it
-is freed when another geometry is assembled.
+:func:`factorize` and :func:`singular_values` return read-only arrays.  For a
+model of the geometry that :func:`~mmpinhole.forward.build_forward` keeps,
+each is kept with that geometry, so a later call on a model of it runs no
+SVD; they are freed when another geometry is assembled.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import svdvals
 
 from .container import write_csv
 from .errors import (NumericError, ParameterError, RankDeficiencyError,
@@ -55,6 +56,17 @@ def _svd(model: ForwardModel) -> SvdFactorization:
     for a in (U, S, V):
         a.flags.writeable = False
     return SvdFactorization(U=U, S=S, V=V, grid=model.grid)
+
+
+def singular_values(model: ForwardModel) -> np.ndarray:
+    """Read-only singular values of ``B``, descending, kept like :func:`factorize`'s."""
+    return kept_derived(model, "svdvals", _svdvals)
+
+
+def _svdvals(model: ForwardModel) -> np.ndarray:
+    S = svdvals(model.B)
+    S.flags.writeable = False
+    return S
 
 
 def numerical_rank(S, rtol: float = 1e-10) -> int:

@@ -93,10 +93,11 @@ def no_kept_model(monkeypatch):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Counts the SVDs run: ``.svd`` by ``factorize``, ``.svdvals`` by ``analyze svd``."""
+    """Counts the SVDs run: ``.svd`` by ``factorize``, ``.svdvals`` by
+    ``singular_values`` (which ``analyze svd`` calls)."""
     from types import SimpleNamespace
 
-    from mmpinhole import cli, recon
+    from mmpinhole import recon
     calls = SimpleNamespace(svd=0, svdvals=0)
 
     def counted(name, function):
@@ -105,7 +106,7 @@ def svd_calls(monkeypatch):
             return function(*args, **kwargs)
         return spy
     monkeypatch.setattr(recon.linalg, "svd", counted("svd", recon.linalg.svd))
-    monkeypatch.setattr(cli, "svdvals", counted("svdvals", cli.svdvals))
+    monkeypatch.setattr(recon, "svdvals", counted("svdvals", recon.svdvals))
     return calls
 
 

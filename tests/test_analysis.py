@@ -338,7 +338,7 @@ class TestCalibration:
 
     def test_bounds(self):
         with pytest.raises(ParameterError):
-            calibrate_noise_power(np.ones(10), usable_count=11)
+            calibrate_noise_power(np.ones(10), usable_count=11, margin=0.8)
 
 
 class TestMetricReport:

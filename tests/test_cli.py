@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
 from mmpinhole import (MaskGeometry, MaskPlaneSampling, MaskTransmission,
-                       RadarConfig, SceneGrid, build_forward, transmission_for)
+                       RadarConfig, SceneGrid, build_forward)
 from mmpinhole.cli import load_config, main
 from mmpinhole.errors import ConfigError, ParameterError
 
@@ -436,6 +436,44 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert err.startswith("data mismatch: cannot read") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", ["nan-intensity", "inf-intensity",
+                                      "shifted-azimuth"])
+    def test_bad_reference_is_data_error(self, simulated, tmp_path, capsys, case):
+        # a reference with a non-finite intensity, or whose angles are not the
+        # config grid's bins, stops reconstruct before its first output
+        cfg, sim = simulated
+        lines = (sim / "truth.csv").read_text().splitlines()
+        if case == "shifted-azimuth":
+            lines[1:] = [f"{float(az) + 1.0!r},{rest}"
+                         for az, rest in (line.split(",", 1) for line in lines[1:])]
+        else:
+            lines[1] = lines[1].rsplit(",", 1)[0] + "," + case.split("-")[0]
+        reference = tmp_path / "reference.csv"
+        reference.write_text("\n".join(lines) + "\n")
+        out = tmp_path / case
+        rc = main(["reconstruct", str(sim / "measurements.bin"), "--config", cfg,
+                   "--reference", str(reference), "--out-dir", str(out)])
+        assert rc == 3 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("data mismatch: reference CSV") and err.count("\n") == 1
+
+    def test_reference_angles_off_by_rounding_are_accepted(self, tmp_path):
+        # bins of a 1.1 degree step are not the decimals a person writes
+        cfg = write_config(tmp_path, grid={"az_step_deg": 1.1})
+        sim = tmp_path / "sim"
+        assert main(["simulate", cfg, "--out-dir", str(sim)]) == 0
+        rows = np.loadtxt(sim / "truth.csv", delimiter=",", skiprows=1)
+        written = [f"{az:.6f},{el:.1f},{float(v)!r}" for az, el, v in rows]
+        assert any(float(line.split(",")[0]) != az for line, az in zip(written, rows[:, 0]))
+        reference = tmp_path / "hand.csv"
+        reference.write_text("azimuth_deg,elevation_deg,intensity\n"
+                             + "\n".join(written) + "\n")
+        for ref, tag in ((sim / "truth.csv", "truth"), (reference, "hand")):
+            assert main(["reconstruct", str(sim / "measurements.bin"), "--config", cfg,
+                         "--reference", str(ref), "--out-dir", str(tmp_path / tag)]) == 0
+        assert read_bytes(tmp_path, "hand", "metrics.csv") == read_bytes(
+            tmp_path, "truth", "metrics.csv")
+
     @pytest.mark.parametrize("case", ["not-a-container", "model-file",
                                       "directionality", "point-count"])
     def test_bad_measurements_file_is_data_error(self, simulated, tmp_path,
@@ -686,8 +724,7 @@ class TestConfigNumbers:
         assert isinstance(a.grid.range_m, float)
         assert isinstance(a.mask.attenuation_db, float)
         fp_a, fp_b = (config_fingerprint(c.radar, c.grid, c.mask, c.rotation,
-                                         c.sampling, c.directionality,
-                                         transmission_for(c.mask, c.rotation, c.sampling))
+                                         c.sampling, c.directionality)
                       for c in (a, b))
         assert fp_a == fp_b
 
@@ -961,8 +998,7 @@ class TestConfigRoundTrip:
         cfg2 = load_config(str(rewritten))
         from mmpinhole import config_fingerprint
         fp1, fp2 = (config_fingerprint(c.radar, c.grid, c.mask, c.rotation, c.sampling,
-                                       c.directionality,
-                                       transmission_for(c.mask, c.rotation, c.sampling))
+                                       c.directionality)
                     for c in (cfg, cfg2))
         assert fp1 == fp2
         assert cfg.targets == cfg2.targets

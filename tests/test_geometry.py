@@ -270,7 +270,7 @@ class TestRadarConfig:
     def test_colocated_mode(self):
         mask = MaskGeometry()
         radar = default_radar_config(mask, colocated=True)
-        assert radar.colocated
+        assert radar.tx_position == radar.rx_position
 
     def test_invariants(self):
         radar = default_radar_config(MaskGeometry())
